@@ -1,6 +1,5 @@
 """Cost model C(W,Q), compiled evaluation kernel, and state evaluation."""
 
-from .batch import BatchBreakdowns, BatchCostKernel
 from .evaluate import (
     EvaluatedInterface,
     coordinate_descent,
@@ -21,8 +20,6 @@ __all__ = [
     "CostWeights",
     "CostBreakdown",
     "CostKernel",
-    "BatchCostKernel",
-    "BatchBreakdowns",
     "CompiledSequence",
     "KernelStats",
     "BoundedLRU",

@@ -22,50 +22,10 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .. import memo as _memo
 from ..difftree import DTNode
 from ..widgets.tree import ORIENTATIONS, SIZE_CLASSES, WidgetNode
-from .batch import STATS as _BATCH_STATS
-from .batch import BatchCostKernel
 from .kernel import CostBreakdown, CostKernel
 from .model import CostModel
-
-#: Population chunk size of the batched enumeration pass: large enough
-#: to amortize the per-batch numpy overhead, small enough to keep the
-#: nodes × candidates working set in cache.
-_ENUM_CHUNK = 256
-
-#: Smallest one-shot population worth compiling a batch kernel for.
-#: Measured on the sdss workload: a batch compile costs ~400us and a
-#: K=6 population pass only breaks even with six scalar evaluations, so
-#: a state scored once (the search layer caches per state) needs K in
-#: the mid-teens before the compile amortizes.  Reused batch kernels
-#: (coordinate descent) skip this floor.
-_MIN_BATCH_POPULATION = 16
-
-
-def _batch_for(
-    model: CostModel, tree: DTNode, population: int, reused: bool = False
-) -> Optional[BatchCostKernel]:
-    """The batch kernel when batching ``population`` candidates pays off.
-
-    ``None`` routes the caller to the scalar path: the gate is off, the
-    population is too small for a one-shot batch to beat scalar deltas
-    (see ``_MIN_BATCH_POPULATION``; ``reused=True`` lifts the floor for
-    callers that score many populations against one kernel), or batch
-    compilation is unavailable — only the last case counts as a
-    *fallback* (the batched path was wanted but could not run).
-    """
-    if population < (2 if reused else _MIN_BATCH_POPULATION):
-        return None
-    if not _memo.batch_enabled():
-        return None
-    batch = model.batch_kernel_for(tree)
-    if batch is None:
-        _BATCH_STATS.fallback_scalar_evals += population
-        model.kernel_stats.batch_fallback_evals += population
-    return batch
-
 
 @dataclass(frozen=True)
 class EvaluatedInterface:
@@ -113,14 +73,6 @@ def sampled_evaluation(
         k = max(0, k - 1)
     for _ in range(k):
         vectors.append(kernel.schema.random_vector(rng))
-    # RNG consumption is complete before any scoring happens, so the
-    # batched and scalar paths see identical sample populations — the
-    # batch gate changes throughput, never results.
-    batch = _batch_for(model, tree, len(vectors))
-    if batch is not None:
-        bb = batch.evaluate_population(vectors)
-        j = bb.best_index()
-        return _materialized(kernel, tuple(vectors[j]), bb.breakdown(j))
     best_vector: Optional[Tuple[object, ...]] = None
     best: Optional[CostBreakdown] = None
     for vector in vectors:
@@ -145,11 +97,6 @@ def exhaustive_evaluation(
     """
     kernel = model.kernel_for(tree)
     if kernel.schema.num_assignments <= cap:
-        batch = _batch_for(
-            model, tree, min(kernel.schema.num_assignments, cap)
-        )
-        if batch is not None:
-            return _batched_enumeration(kernel, batch, cap)
         best_vector: Optional[Tuple[object, ...]] = None
         best: Optional[CostBreakdown] = None
         for vector, breakdown in kernel.iter_enumeration(cap=cap):
@@ -161,19 +108,6 @@ def exhaustive_evaluation(
     return coordinate_descent(model, tree)
 
 
-def _batched_enumeration(
-    kernel: CostKernel, batch: BatchCostKernel, cap: int
-) -> EvaluatedInterface:
-    """Score the enumeration product in delta-fed population chunks.
-
-    Candidate order, winner, and tie-breaking match
-    :meth:`CostKernel.iter_enumeration` exactly (see
-    :meth:`BatchCostKernel.enumerate_best`).
-    """
-    vector, breakdown = batch.enumerate_best(cap=cap, chunk=_ENUM_CHUNK)
-    return _materialized(kernel, vector, breakdown)
-
-
 def coordinate_descent(
     model: CostModel, tree: DTNode, max_rounds: int = 6
 ) -> EvaluatedInterface:
@@ -181,16 +115,9 @@ def coordinate_descent(
 
     Each trial move is one kernel delta (patch + breakdown), not a full
     rebuild; the loop structure and visit order match the pre-kernel
-    implementation so the fixpoint is identical.  With the batch gate on,
-    each index's whole option population is scored in one batched call —
-    the first-minimum column reproduces the scalar scan's sequential
-    takeover semantics exactly, so the fixpoint (and every breakdown
-    field) is unchanged.
+    implementation so the fixpoint is identical.
     """
     kernel = model.kernel_for(tree)
-    batch = _batch_for(model, tree, 2, reused=True)
-    if batch is not None:
-        return _coordinate_descent_batched(kernel, batch, max_rounds)
     schema = kernel.schema
     widget_indices = schema.widget_indices
     orientation_indices = schema.orientation_indices
@@ -236,50 +163,6 @@ def coordinate_descent(
     return _materialized(kernel, best_vector, current)
 
 
-def _coordinate_descent_batched(
-    kernel: CostKernel, batch: BatchCostKernel, max_rounds: int
-) -> EvaluatedInterface:
-    """Coordinate descent with per-index option populations batched.
-
-    Equivalent to the scalar scan: within one index, a scalar takeover
-    chain always ends on the *first* candidate attaining the scan's
-    minimal rank (each takeover strictly lowers the bar, and nothing
-    after the first global minimum can beat it) — which is exactly
-    ``best_index``'s first-minimum column.  ``improved`` is then "the
-    scan minimum beat the rank current at scan start".
-    """
-    schema = kernel.schema
-    vector = schema.greedy_vector()
-    kernel.set_vector(vector)
-    current = kernel.breakdown()
-    current_rank = current.rank
-    best_vector = tuple(vector)
-    for _ in range(max_rounds):
-        improved = False
-        for index in schema.enumeration_indices:
-            original = vector[index]
-            options = [o for o in schema.options_for(index) if o != original]
-            if not options:
-                continue
-            population: List[Tuple[object, ...]] = []
-            for option in options:
-                vector[index] = option
-                population.append(tuple(vector))
-            vector[index] = original
-            bb = batch.evaluate_population(population)
-            j = bb.best_index()
-            rank = bb.rank(j)
-            if rank < current_rank:
-                current = bb.breakdown(j)
-                current_rank = rank
-                vector[index] = options[j]
-                best_vector = tuple(vector)
-                improved = True
-        if not improved:
-            break
-    return _materialized(kernel, best_vector, current)
-
-
 def worst_sampled_evaluation(
     model: CostModel,
     tree: DTNode,
@@ -294,11 +177,6 @@ def worst_sampled_evaluation(
     rng = rng or random.Random(0)
     kernel = model.kernel_for(tree)
     sampled = [kernel.schema.random_vector(rng) for _ in range(k)]
-    batch = _batch_for(model, tree, len(sampled))
-    if batch is not None:
-        bb = batch.evaluate_population(sampled)
-        j = bb.worst_index()
-        return _materialized(kernel, tuple(sampled[j]), bb.breakdown(j))
     worst: Optional[CostBreakdown] = None
     worst_vector: Optional[Tuple[object, ...]] = None
     fallback: Optional[CostBreakdown] = None

@@ -51,9 +51,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .. import memo as _memo
 from ..difftree import DTNode, Path, assignment_for
-from ..difftree.columnar import Topology
 from ..difftree.express import (
     Assignment,
     CompiledChanges,
@@ -160,12 +158,6 @@ class KernelStats:
     delta_evals: int = 0
     adopted_evals: int = 0
     fallback_evals: int = 0
-    #: Candidates scored through the batched population path
-    #: (:mod:`repro.cost.batch`) instead of per-candidate set_vector.
-    batched_evals: int = 0
-    #: Candidates that wanted the batched path (gate on) but fell back
-    #: to scalar evaluation — numpy missing or batch compile failed.
-    batch_fallback_evals: int = 0
 
     def snapshot(self) -> Dict[str, int]:
         """Plain-dict snapshot (stable keys, JSON-native values)."""
@@ -461,7 +453,6 @@ class CostKernel:
         """
         self._pair_touched: List[Tuple[int, ...]] = []
         self._pair_steiner: List[int] = []
-        self.topology: Optional[Topology] = None
         node_pairs: List[List[int]] = [[] for _ in range(self._num_nodes)]
         if self.sequence.ok and self.sequence.changes is not None:
             changes = self.sequence.changes
@@ -474,24 +465,12 @@ class CostKernel:
             # order, so iterating a pair's sorted ids visits widgets in
             # the reference (sorted changed-path) order.
             id_to_node = [by_choice_path.get(path, -1) for path in changes.paths]
-            # Binary-lifting LCA over the flat parent array (the same
-            # Euler encoding ColumnarTree uses): O(log n) per distance
-            # instead of a parent-chain walk, int-exact either way — the
-            # reference walk stays below as the ``fast_paths(False)``
-            # parity oracle.
-            if changes.pair_ids and _memo.columnar_enabled():
-                self.topology = Topology(self._parent)
-            steiner = (
-                self._steiner_size
-                if self.topology is None
-                else self.topology.steiner_size
-            )
             for p, pair in enumerate(changes.pair_ids):
                 touched = tuple(
                     id_to_node[i] for i in pair if id_to_node[i] >= 0
                 )
                 self._pair_touched.append(touched)
-                self._pair_steiner.append(steiner(touched))
+                self._pair_steiner.append(self._steiner_size(touched))
                 for node in touched:
                     node_pairs[node].append(p)
         self._node_pairs: List[Tuple[int, ...]] = [tuple(ps) for ps in node_pairs]

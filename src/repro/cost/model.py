@@ -27,14 +27,11 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .. import memo as _memo
 from ..difftree import Assignment, DTNode, Path, assignment_for, changed_choices
 from ..layout import Screen, measure
 from ..sqlast import nodes as N
 from ..widgets.tree import WidgetNode
 from ..obs import trace as _trace
-from .batch import BatchCompileError, BatchCostKernel
-from .batch import available as _batch_available
 from .kernel import (
     BoundedLRU,
     CompiledSequence,
@@ -82,9 +79,6 @@ class CostModel:
         )
         #: difftree canonical key -> compiled kernel (bounded LRU).
         self._kernels = BoundedLRU(kernel_cache_size, name="cost.kernels")
-        #: difftree canonical key -> batched kernel (or None when the
-        #: tree defeated batch compilation) — bounded LRU, same size.
-        self._batch_kernels = BoundedLRU(kernel_cache_size, name="cost.batch_kernels")
         #: difftree canonical key -> prior-run CompiledSequence to extend
         #: (seeded by repro.serve across grafted generations).
         self._carried_sequences: Dict[str, CompiledSequence] = {}
@@ -108,31 +102,6 @@ class CostModel:
             self._kernels[key] = kernel
             self.kernel_stats.kernels_compiled += 1
         return kernel
-
-    def batch_kernel_for(self, tree: DTNode) -> Optional[BatchCostKernel]:
-        """The batched population evaluator of ``tree``, when usable.
-
-        Returns ``None`` when the batch gate is off (``repro.memo``),
-        numpy is unavailable, or the tree's widget-tree shape defeats
-        batch compilation — callers fall back to the scalar per-candidate
-        path, which stays the bit-parity oracle.  Compiled instances (and
-        negative compile outcomes) are cached per difftree alongside the
-        scalar kernels.
-        """
-        if not _memo.batch_enabled() or not _batch_available():
-            return None
-        key = tree.canonical_key
-        cached = self._batch_kernels.get(key, _MISSING)
-        if cached is not _MISSING:
-            return cached
-        kernel = self.kernel_for(tree)
-        try:
-            with _trace("cost.kernel.batch_compile"):
-                batch: Optional[BatchCostKernel] = BatchCostKernel(kernel)
-        except BatchCompileError:
-            batch = None
-        self._batch_kernels[key] = batch
-        return batch
 
     def _sequence_for(self, tree: DTNode) -> CompiledSequence:
         """Compile (or extend) the query sequence for ``tree``.

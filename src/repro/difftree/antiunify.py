@@ -22,7 +22,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from .. import memo as _memo
 from ..memo import INGEST
-from . import columnar as _columnar
 from .dtnodes import (
     ALL,
     ANY,
@@ -66,10 +65,6 @@ def _au(a: DTNode, b: DTNode) -> DTNode:
     if a == b:
         return a
     if _memo.fast_paths_enabled():
-        if _memo.columnar_enabled():
-            # The columnar kernel consults/fills _AU_MEMO per subtree
-            # pair itself (same memo discipline as the recursion below).
-            return _columnar.au_nodes(a, b, memo=_AU_MEMO)
         cached = _AU_MEMO.get((a, b))
         if cached is not None:
             INGEST.au_memo_hits += 1
@@ -135,11 +130,7 @@ def graft(tree: DTNode, query: DTNode) -> DTNode:
         if cached is not None:
             INGEST.graft_memo_hits += 1
             return cached
-        if _memo.columnar_enabled():
-            merged = _columnar.graft_nodes(tree, query)
-        else:
-            merged = _graft(tree, query)
-        result = normalize(merged)
+        result = normalize(_graft(tree, query))
         _GRAFT_MEMO[(tree, query)] = result
         return result
     return normalize(_graft(tree, query))

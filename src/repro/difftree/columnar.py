@@ -1,98 +1,52 @@
-"""Columnar difftree store: interned trees as parallel integer arrays.
+"""Columnar difftree wire format: interned trees as parallel integer arrays.
 
-Hash-consing (PR 5) made structural *equality* O(1), but the hot
-structural kernels — anti-unify, graft, canonical keys, the cost
-kernel's Steiner precompute — still walk Python object graphs node by
-node, paying an attribute lookup and a method dispatch per edge.  This
-module encodes an interned :class:`~repro.difftree.dtnodes.DTNode` (or
-:class:`~repro.sqlast.nodes.Node`) tree once as flat parallel arrays in
-the style of the relational XPath accelerator:
+Session snapshots, the carried MCTS tree and the process pool ship
+difftrees (and ASTs) between processes in one encoding: an interned
+:class:`~repro.difftree.dtnodes.DTNode` (or
+:class:`~repro.sqlast.nodes.Node`) tree flattened once into parallel
+preorder columns:
 
 ======== ==================================================================
-column   meaning (index = preorder/Euler first-visit rank)
+column   meaning (index = preorder rank)
 ======== ==================================================================
 kind     small int kind id (``ALL``/``ANY``/``OPT``/``MULTI``/``EMPTY``)
 head     head-symbol id: ``(kind, label, value)`` interned process-wide
          in :data:`repro.sqlast.symbols.SYMBOLS`
-gkey     interned graft-alignment key (``-1`` = no stable key)
-nkids    number of children
 size     subtree size — the subtree of ``i`` is the range ``[i, i+size[i])``
 parent   preorder index of the parent (``-1`` at the root)
-level    depth from the root
-absent   1 if the slot can consume zero AST children (``_can_be_absent``)
-fp       process-local structural fingerprint (``node._hash``)
+absent   1 if the slot can consume zero AST children
 nodes    the interned node objects, for O(1) materialization
 ======== ==================================================================
 
-The postorder rank needs no storage: along the Euler walk every node is
-left *and* entered exactly once, giving the identity
-``post[i] = pre[i] - level[i] + size[i] - 1``.
-
-On top of the encoding, the hot kernels become array programs:
-
-* subtree containment/equality are ``(pre, size)`` range checks and
-  fingerprint-column comparisons (:meth:`ColumnarTree.contains`,
-  :meth:`ColumnarTree.occurrences_of`);
-* :func:`au_nodes` / :func:`graft_nodes` drive anti-unify and graft
-  pair-matching off the ``head``/``gkey``/``fp`` columns, materializing
-  objects only at merge points — and build *bit-identical* trees to the
-  object-walk kernels in :mod:`repro.difftree.antiunify`, which stay as
-  the parity oracles behind ``memo.columnar()``;
-* :meth:`ColumnarTree.canonical_keys` hashes the whole tree bottom-up in
-  one reverse-preorder pass (no per-node recursion), byte-identical to
-  ``DTNode.canonical_key``;
-* :class:`Topology` gives the cost kernel binary-lifting LCA / Steiner
-  queries over the columnar ``parent`` array.
-
-:meth:`ColumnarTree.extend` appends new subtrees under the root without
-re-encoding the carried prefix (mirroring ``CompiledSequence.extend``),
-and :meth:`ColumnarTree.to_payload` / :meth:`ColumnarTree.from_payload`
-round-trip the encoding through JSON-native data — the designated wire
-format for the future multi-process serving tier (symbol ids are
-process-local, so payloads ship resolved symbols and re-intern on load).
+:meth:`ColumnarTree.to_payload` / :meth:`ColumnarTree.from_payload`
+round-trip the encoding through JSON-native data.  Symbol ids are
+process-local, so payloads ship resolved symbols and re-intern on load;
+a decoded tree lands on the *same* interned objects as one built natively
+in the receiving process.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .. import memo as _memo
-from ..memo import INGEST
 from ..obs import REGISTRY as _OBS_REGISTRY
 from ..obs import trace
 from ..sqlast import nodes as N
-from ..sqlast.align import STRUCTURAL_VALUE_LABELS
 from ..sqlast.symbols import SYMBOLS
-from . import dtnodes
-from .dtnodes import (
-    ALL,
-    ANY,
-    EMPTY,
-    MULTI,
-    OPT,
-    DTNode,
-    any_merge,
-    multi_node,
-    opt_node,
-)
+from .dtnodes import ALL, ANY, EMPTY, MULTI, OPT, DTNode
 
 __all__ = [
     "ColumnarTree",
-    "Topology",
-    "au_nodes",
-    "graft_nodes",
-    "fill_canonical_keys",
     "canonical_key_reference",
     "STATS",
 ]
 
-#: Dense kind ids for the ``kind`` column (stable: part of the payload
-#: wire format, do not renumber).
+#: Dense kind ids for the ``kind`` column.
 K_ALL, K_ANY, K_OPT, K_MULTI, K_EMPTY = range(5)
 
 _KIND_ID = {ALL: K_ALL, ANY: K_ANY, OPT: K_OPT, MULTI: K_MULTI, EMPTY: K_EMPTY}
-_KIND_NAME = {v: k for k, v in _KIND_ID.items()}
 
 #: Node union the store encodes: difftrees, or raw ASTs (pure-``ALL``).
 TreeNode = Union[DTNode, N.Node]
@@ -106,17 +60,7 @@ class ColumnarStats:
     registry as ``difftree.columnar.<field>`` at snapshot time.
     """
 
-    __slots__ = (
-        "encodes",
-        "encode_nodes",
-        "extends",
-        "extend_nodes",
-        "au_calls",
-        "graft_calls",
-        "key_batches",
-        "keys_filled",
-        "topologies",
-    )
+    __slots__ = ("encodes", "encode_nodes")
 
     def __init__(self) -> None:
         self.reset()
@@ -135,8 +79,8 @@ STATS = ColumnarStats()
 
 _OBS_REGISTRY.register_source("difftree.columnar", STATS.snapshot)
 
-#: ``root node -> ColumnarTree`` so repeated kernel calls on the same
-#: interned tree (every graft consults the evolving session tree) reuse
+#: ``root node -> ColumnarTree`` so repeated encodings of the same
+#: interned tree (a session snapshotting an unchanged best tree) reuse
 #: one encoding.  Registered with ``clear_memo_caches`` and the registry
 #: like every other memo table.
 _ENCODE_MEMO = _memo.memo_table(512, name="difftree.columnar.encode")
@@ -145,26 +89,17 @@ _ENCODE_MEMO = _memo.memo_table(512, name="difftree.columnar.encode")
 class ColumnarTree:
     """One interned tree, encoded as parallel columns (see module doc).
 
-    Instances are immutable snapshots: :meth:`extend` returns a new
-    tree sharing no mutable state with the receiver.  Columns are plain
-    Python lists — the hot kernels do scalar index arithmetic, where
-    list indexing beats NumPy scalar indexing — with NumPy views
-    materialized lazily by :meth:`arrays` for vectorized queries.
+    Instances are immutable snapshots; columns are plain Python lists.
     """
 
     __slots__ = (
         "kind",
         "head",
-        "gkey",
-        "nkids",
         "size",
         "parent",
-        "level",
         "absent",
-        "fp",
         "nodes",
         "is_ast",
-        "_np",
         "__weakref__",
     )
 
@@ -172,16 +107,11 @@ class ColumnarTree:
         # Built by the classmethod constructors; not for direct use.
         self.kind: List[int] = []
         self.head: List[int] = []
-        self.gkey: List[int] = []
-        self.nkids: List[int] = []
         self.size: List[int] = []
         self.parent: List[int] = []
-        self.level: List[int] = []
         self.absent: List[int] = []
-        self.fp: List[int] = []
         self.nodes: List[TreeNode] = []
         self.is_ast = False
-        self._np: Optional[Dict[str, Any]] = None
 
     # -- construction ----------------------------------------------------------
 
@@ -204,14 +134,11 @@ class ColumnarTree:
             n = root.size
             kind = self.kind = [0] * n
             head = self.head = [0] * n
-            nkids = self.nkids = [0] * n
             size = self.size = [0] * n
             parent = self.parent = [0] * n
-            level = self.level = [0] * n
-            fp = self.fp = [0] * n
             nodes = self.nodes = [root] * n
             id_of = SYMBOLS.id_of
-            # Preorder walk assigning ranks; parent/level ride along.
+            # Preorder walk assigning ranks; parent rides along.
             index = 0
             stack: List[Tuple[TreeNode, int]] = [(root, -1)]
             while stack:
@@ -220,149 +147,39 @@ class ColumnarTree:
                 index += 1
                 nodes[i] = node
                 parent[i] = parent_index
-                level[i] = 0 if parent_index < 0 else level[parent_index] + 1
                 size[i] = node._size
-                fp[i] = node._hash
-                children = node.children
-                nkids[i] = len(children)
                 if is_ast:
                     kind[i] = K_ALL
                     head[i] = id_of((ALL, node.label, node.value))
                 else:
                     kind[i] = _KIND_ID[node.kind]
                     head[i] = id_of((node.kind, node.label, node.value))
-                stack.extend((child, i) for child in reversed(children))
-            self._fill_derived(0)
+                stack.extend((child, i) for child in reversed(node.children))
+            self._fill_absent()
             STATS.encodes += 1
             STATS.encode_nodes += n
             return self
 
-    def _fill_derived(self, start: int) -> None:
-        """(Re)compute ``gkey``/``absent`` bottom-up from ``start`` on.
+    def _fill_absent(self) -> None:
+        """Compute the ``absent`` column in one reverse-preorder sweep.
 
-        Both columns are synthesized attributes of the subtree below a
-        node, so a single reverse-preorder sweep (children precede their
-        parent in reverse preorder) fills them.
+        Absorbability is synthesized from a node's children, and children
+        precede their parent in reverse preorder.
         """
-        n = len(self.kind)
         kind = self.kind
-        nodes = self.nodes
         size = self.size
-        gkey = self.gkey
-        absent = self.absent
-        if len(gkey) < n:
-            gkey.extend([0] * (n - len(gkey)))
-            absent.extend([0] * (n - len(absent)))
-        id_of = SYMBOLS.id_of
-        for i in range(n - 1, start - 1, -1):
+        n = len(kind)
+        absent = self.absent = [0] * n
+        for i in range(n - 1, -1, -1):
             k = kind[i]
-            if k == K_ALL:
-                node = nodes[i]
-                label = node.label
-                if label in STRUCTURAL_VALUE_LABELS:
-                    gkey[i] = id_of((label, node.value))
-                else:
-                    gkey[i] = id_of((label, None))
-                absent[i] = 0
-            elif k == K_OPT or k == K_MULTI:
-                gkey[i] = gkey[i + 1]
-                absent[i] = 1
-            elif k == K_ANY:
-                keys = set()
-                can_be_absent = 0
+            if k == K_ANY:
                 end = i + size[i]
                 j = i + 1
-                while j < end:
-                    if kind[j] != K_EMPTY:
-                        keys.add(gkey[j])
-                    can_be_absent |= absent[j]
+                while j < end and not absent[j]:
                     j += size[j]
-                gkey[i] = keys.pop() if len(keys) == 1 else -1
-                absent[i] = can_be_absent
-            else:  # EMPTY
-                gkey[i] = -1
+                absent[i] = int(j < end)
+            elif k != K_ALL:  # OPT, MULTI, EMPTY
                 absent[i] = 1
-
-    def extend(self, subtrees: Sequence[TreeNode]) -> "ColumnarTree":
-        """A new tree with ``subtrees`` appended under the root.
-
-        Mirrors ``CompiledSequence.extend``: the carried prefix is
-        copied column-wise (no re-walk of the old object graph) and only
-        the appended subtrees are encoded — O(appended), not O(total).
-        The root row is patched (size/nkids/fingerprint/gkey/absent);
-        every other prefix row is unchanged because preorder ranks,
-        parents, and levels of existing nodes are append-stable.
-        """
-        if not subtrees:
-            return self
-        root = self.nodes[0]
-        if self.kind[0] not in (K_ALL, K_ANY):
-            raise ValueError(f"cannot extend a {_KIND_NAME[self.kind[0]]} root")
-        with trace("difftree.columnar.extend", appended=len(subtrees)):
-            if self.is_ast:
-                new_root: TreeNode = N.Node(
-                    root.label, root.value, root.children + tuple(subtrees)
-                )
-            else:
-                new_root = DTNode(
-                    root.kind, root.label, root.value, root.children + tuple(subtrees)
-                )
-            out = ColumnarTree()
-            out.is_ast = self.is_ast
-            out.kind = self.kind.copy()
-            out.head = self.head.copy()
-            out.gkey = self.gkey.copy()
-            out.nkids = self.nkids.copy()
-            out.size = self.size.copy()
-            out.parent = self.parent.copy()
-            out.level = self.level.copy()
-            out.absent = self.absent.copy()
-            out.fp = self.fp.copy()
-            out.nodes = self.nodes.copy()
-            added = 0
-            for subtree in subtrees:
-                sub = ColumnarTree.from_node(subtree)
-                offset = len(out.kind)
-                out.kind.extend(sub.kind)
-                out.head.extend(sub.head)
-                out.gkey.extend(sub.gkey)
-                out.nkids.extend(sub.nkids)
-                out.size.extend(sub.size)
-                out.absent.extend(sub.absent)
-                out.fp.extend(sub.fp)
-                out.nodes.extend(sub.nodes)
-                out.parent.extend(
-                    0 if p < 0 else p + offset for p in sub.parent
-                )
-                out.level.extend(d + 1 for d in sub.level)
-                added += sub.n
-            out.size[0] += added
-            out.nkids[0] += len(subtrees)
-            out.fp[0] = new_root._hash
-            out.nodes[0] = new_root
-            # Only the root's synthesized columns can change: the new
-            # children alter its ANY key-consensus / absorbability.
-            out._fill_derived_root()
-            STATS.extends += 1
-            STATS.extend_nodes += added
-            _ENCODE_MEMO[new_root] = out
-            return out
-
-    def _fill_derived_root(self) -> None:
-        kind = self.kind
-        if kind[0] != K_ANY:
-            return  # ALL root: gkey/absent don't depend on children.
-        keys = set()
-        can_be_absent = 0
-        end = self.size[0]
-        j = 1
-        while j < end:
-            if kind[j] != K_EMPTY:
-                keys.add(self.gkey[j])
-            can_be_absent |= self.absent[j]
-            j += self.size[j]
-        self.gkey[0] = keys.pop() if len(keys) == 1 else -1
-        self.absent[0] = can_be_absent
 
     # -- basic structure -------------------------------------------------------
 
@@ -371,129 +188,9 @@ class ColumnarTree:
         """Number of encoded nodes."""
         return len(self.kind)
 
-    @property
-    def root(self) -> TreeNode:
-        return self.nodes[0]
-
     def to_node(self) -> TreeNode:
         """The interned root object (O(1): the encoding keeps it)."""
         return self.nodes[0]
-
-    def post(self, i: int) -> int:
-        """Postorder rank, derived: ``pre - level + size - 1``."""
-        return i - self.level[i] + self.size[i] - 1
-
-    def children_of(self, i: int) -> Iterator[int]:
-        """Preorder indexes of the children of ``i`` (sibling hops)."""
-        end = i + self.size[i]
-        j = i + 1
-        while j < end:
-            yield j
-            j += self.size[j]
-
-    def contains(self, i: int, j: int) -> bool:
-        """Is ``j`` inside the subtree of ``i`` (``(pre, size)`` range check)?"""
-        return i <= j < i + self.size[i]
-
-    def subtree_equal(self, i: int, other: "ColumnarTree", j: int) -> bool:
-        """Structural equality of two subtrees — one fingerprint compare
-        plus an interning identity check (no walk)."""
-        return self.fp[i] == other.fp[j] and self.nodes[i] is other.nodes[j]
-
-    # -- vectorized queries ----------------------------------------------------
-
-    def arrays(self) -> Dict[str, Any]:
-        """Lazy NumPy views of the columns (plus the derived ``post``)."""
-        if self._np is None:
-            import numpy as np
-
-            cols = {
-                name: np.asarray(getattr(self, name), dtype=np.int64)
-                for name in (
-                    "kind",
-                    "head",
-                    "gkey",
-                    "nkids",
-                    "size",
-                    "parent",
-                    "level",
-                    "absent",
-                )
-            }
-            # Fingerprints use the full 64-bit space; object() identity
-            # hashes can exceed int64 — keep them unsigned-safe.
-            cols["fp"] = np.asarray(
-                [f & 0xFFFFFFFFFFFFFFFF for f in self.fp], dtype=np.uint64
-            )
-            cols["post"] = (
-                np.arange(len(self.kind), dtype=np.int64)
-                - cols["level"]
-                + cols["size"]
-                - 1
-            )
-            self._np = cols
-        return self._np
-
-    def occurrences_of(self, node: TreeNode) -> List[int]:
-        """Preorder indexes where ``node`` occurs as a subtree.
-
-        Fingerprint-column scan first (vectorized), then an identity
-        filter — interning makes the identity check exact.
-        """
-        import numpy as np
-
-        fps = self.arrays()["fp"]
-        hits = np.nonzero(fps == np.uint64(node._hash & 0xFFFFFFFFFFFFFFFF))[0]
-        nodes = self.nodes
-        return [int(i) for i in hits if nodes[i] is node]
-
-    # -- canonical keys --------------------------------------------------------
-
-    def canonical_keys(self, use_cache: bool = True) -> List[str]:
-        """All canonical keys in one bottom-up pass over the columns.
-
-        Byte-identical to ``DTNode.canonical_key`` (same digest text),
-        but iterative: children are at higher preorder ranks, so a
-        reverse-preorder sweep has every child key ready when its parent
-        hashes.  Repeated subtrees hash once (identity dedup within the
-        pass; the interned ``_key`` slot across passes).
-
-        Args:
-            use_cache: consult and fill the per-node ``_key`` slots
-                (difftree mode only).  ``False`` recomputes everything —
-                the benchmark's fairness mode.
-        """
-        n = len(self.kind)
-        nodes = self.nodes
-        size = self.size
-        is_ast = self.is_ast
-        keys: List[str] = [""] * n
-        seen: Dict[int, str] = {}
-        md5 = hashlib.md5
-        for i in range(n - 1, -1, -1):
-            node = nodes[i]
-            key = node._key if (use_cache and not is_ast) else None
-            if key is None:
-                key = seen.get(id(node))
-            if key is None:
-                end = i + size[i]
-                j = i + 1
-                parts: List[str] = []
-                while j < end:
-                    parts.append(keys[j])
-                    j += size[j]
-                text = "{}:{}:{!r}({})".format(
-                    ALL if is_ast else node.kind,
-                    node.label or "",
-                    node.value,
-                    ",".join(parts),
-                )
-                key = md5(text.encode("utf-8")).hexdigest()
-                seen[id(node)] = key
-                if use_cache and not is_ast:
-                    object.__setattr__(node, "_key", key)
-            keys[i] = key
-        return keys
 
     # -- wire format -----------------------------------------------------------
 
@@ -503,7 +200,7 @@ class ColumnarTree:
         Symbol ids are process-local, so the payload ships the resolved
         head symbols in a local dictionary; :meth:`from_payload`
         re-interns them through the process-wide :data:`SYMBOLS` table.
-        Derived columns (gkey/fp/post) and the node objects are
+        The ``kind``/``size`` columns and the node objects are
         reconstructed on load, not shipped; the ``absent`` column *is*
         shipped (version 2) so the receiver can cross-check its
         re-derivation — a cheap integrity gate against truncated or
@@ -616,206 +313,6 @@ def _json_value(value: Any) -> Any:
     return value
 
 
-# -- structural kernels ----------------------------------------------------------
-
-
-def au_nodes(a: DTNode, b: DTNode, memo: Optional[Any] = None) -> DTNode:
-    """Columnar anti-unification of two difftrees (unnormalized).
-
-    Pair-matching is driven by the ``head`` column (one int compare
-    decides the aligned-ALL case) over the two encodings; DTNodes are
-    materialized only at merge points.  Builds the *same* intermediate
-    trees as ``antiunify._au_impl`` — interning then makes the results
-    identical objects, so callers' ``normalize`` seals bit-for-bit
-    parity with the object-walk oracle.
-
-    Args:
-        memo: optional subproblem memo table (the caller's ``_AU_MEMO``),
-            consulted per interned pair like the object-walk recursion.
-    """
-    STATS.au_calls += 1
-    ca = ColumnarTree.from_node(a)
-    cb = ColumnarTree.from_node(b)
-    return _au_cols(ca, 0, cb, 0, memo)
-
-
-def _au_cols(
-    ca: ColumnarTree, ia: int, cb: ColumnarTree, ib: int, memo: Optional[Any]
-) -> DTNode:
-    if ca.subtree_equal(ia, cb, ib):
-        return ca.nodes[ia]
-    a = ca.nodes[ia]
-    b = cb.nodes[ib]
-    if memo is not None:
-        cached = memo.get((a, b))
-        if cached is not None:
-            INGEST.au_memo_hits += 1
-            return cached
-    nkids = ca.nkids[ia]
-    if ca.kind[ia] == K_ALL and ca.head[ia] == cb.head[ib] and nkids == cb.nkids[ib]:
-        # Equal head symbols imply equal (kind, label, value), so b is
-        # also ALL with the same head: recurse column-aligned children.
-        children: List[DTNode] = []
-        ja = ia + 1
-        jb = ib + 1
-        for _ in range(nkids):
-            children.append(_au_cols(ca, ja, cb, jb, memo))
-            ja += ca.size[ja]
-            jb += cb.size[jb]
-        result = DTNode(ALL, a.label, a.value, tuple(children))
-    else:
-        result = any_merge((a, b))
-    if memo is not None:
-        memo[(a, b)] = result
-    return result
-
-
-def graft_nodes(tree: DTNode, query: DTNode) -> DTNode:
-    """Columnar graft of one query into ``tree`` (unnormalized).
-
-    Child alignment reads the precomputed ``gkey`` column (interned
-    graft keys, ``-1`` = unstable) instead of recomputing ``_graft_key``
-    per visit, and the best-alternative scan over an ``ANY`` domain is
-    int compares over array slices.  Merge-point construction mirrors
-    ``antiunify._graft`` exactly (see :func:`au_nodes` on parity).
-    """
-    STATS.graft_calls += 1
-    ct = ColumnarTree.from_node(tree)
-    cq = ColumnarTree.from_node(query)
-    return _graft_cols(ct, 0, cq, 0)
-
-
-def _graft_cols(ct: ColumnarTree, it: int, cq: ColumnarTree, iq: int) -> DTNode:
-    if ct.subtree_equal(it, cq, iq):
-        return ct.nodes[it]
-    t = ct.nodes[it]
-    q = cq.nodes[iq]
-    k = ct.kind[it]
-    if k == K_EMPTY:
-        return any_merge((t, q))
-    if k == K_OPT:
-        return opt_node(_graft_cols(ct, it + 1, cq, iq))
-    if k == K_MULTI:
-        template_key = ct.gkey[it + 1]
-        if template_key != -1 and template_key == cq.gkey[iq]:
-            return multi_node(_graft_cols(ct, it + 1, cq, iq))
-        return any_merge((t, q))
-    if k == K_ANY:
-        return _graft_into_any_cols(ct, it, cq, iq)
-    # t is ALL.
-    if ct.head[it] != cq.head[iq]:
-        # Covers q not being ALL too: head ids encode the kind.
-        return any_merge((t, q))
-    columns = _align_cols(ct, it, cq, iq)
-    if columns is not None:
-        children: List[DTNode] = []
-        for tj, qj in columns:
-            if tj is None:
-                children.append(opt_node(cq.nodes[qj]))
-            elif qj is None:
-                t_child = ct.nodes[tj]
-                children.append(t_child if ct.absent[tj] else opt_node(t_child))
-            else:
-                children.append(_graft_cols(ct, tj, cq, qj))
-        return DTNode(ALL, t.label, t.value, tuple(children))
-    nkids = ct.nkids[it]
-    if nkids == cq.nkids[iq]:
-        children = []
-        jt = it + 1
-        jq = iq + 1
-        for _ in range(nkids):
-            children.append(_graft_cols(ct, jt, cq, jq))
-            jt += ct.size[jt]
-            jq += cq.size[jq]
-        return DTNode(ALL, t.label, t.value, tuple(children))
-    return any_merge((t, q))
-
-
-def _graft_into_any_cols(
-    ct: ColumnarTree, it: int, cq: ColumnarTree, iq: int
-) -> DTNode:
-    """Extend the best-aligned alternative; append ``q`` if none aligns."""
-    q_key = cq.gkey[iq]
-    best: Optional[DTNode] = None
-    best_index = -1
-    best_growth = 0
-    if q_key != -1:
-        gkey = ct.gkey
-        size = ct.size
-        end = it + size[it]
-        j = it + 1
-        index = 0
-        while j < end:
-            if gkey[j] == q_key:
-                candidate = _graft_cols(ct, j, cq, iq)
-                # Minimize *growth*, not candidate size (see the oracle).
-                growth = candidate.size - size[j]
-                if best is None or growth < best_growth:
-                    best = candidate
-                    best_index = index
-                    best_growth = growth
-            j += size[j]
-            index += 1
-    t = ct.nodes[it]
-    if best is None:
-        return any_merge(t.children + (cq.nodes[iq],))
-    children = t.children[:best_index] + (best,) + t.children[best_index + 1 :]
-    return any_merge(children)
-
-
-def _align_cols(
-    ct: ColumnarTree, it: int, cq: ColumnarTree, iq: int
-) -> Optional[List[Tuple[Optional[int], Optional[int]]]]:
-    """Order-preserving column alignment by interned graft key.
-
-    The columnar twin of ``antiunify._align_graft_columns``: keys are
-    ints read straight from the ``gkey`` column, and the result pairs
-    preorder indexes (``None`` = row lacks the column).
-    """
-    t_children = list(ct.children_of(it))
-    q_children = list(cq.children_of(iq))
-    t_keys = [ct.gkey[j] for j in t_children]
-    q_keys = [cq.gkey[j] for j in q_children]
-    if -1 in t_keys or -1 in q_keys:
-        return None
-    if len(set(t_keys)) != len(t_keys) or len(set(q_keys)) != len(q_keys):
-        return None
-    order: List[int] = []
-    for keys in (t_keys, q_keys):
-        position = 0
-        for key in keys:
-            if key in order:
-                existing = order.index(key)
-                if existing < position:
-                    return None
-                position = existing + 1
-            else:
-                order.insert(position, key)
-                position += 1
-    t_by_key = dict(zip(t_keys, t_children))
-    q_by_key = dict(zip(q_keys, q_children))
-    return [(t_by_key.get(key), q_by_key.get(key)) for key in order]
-
-
-# -- canonical-key batch fill -----------------------------------------------------
-
-
-def fill_canonical_keys(root: DTNode) -> str:
-    """Batch-fill ``_key`` on every node under ``root``; return the root key.
-
-    Installed as ``dtnodes._BATCH_KEYS``: the ``canonical_key`` property
-    routes cold trees here (columnar gate on, subtree large, children
-    unkeyed), replacing per-node recursion with one encode + one
-    reverse-preorder hashing sweep.
-    """
-    with trace("difftree.columnar.keys", nodes=root._size):
-        tree = ColumnarTree.from_node(root)
-        keys = tree.canonical_keys(use_cache=True)
-        STATS.key_batches += 1
-        STATS.keys_filled += tree.n
-        return keys[0]
-
-
 def canonical_key_reference(node: TreeNode) -> str:
     """Cache-free recursive canonical key (parity oracle for tests/benches)."""
     is_ast = isinstance(node, N.Node)
@@ -826,95 +323,3 @@ def canonical_key_reference(node: TreeNode) -> str:
         ",".join(canonical_key_reference(c) for c in node.children),
     )
     return hashlib.md5(text.encode("utf-8")).hexdigest()
-
-
-dtnodes._BATCH_KEYS = fill_canonical_keys
-
-
-# -- topology queries (cost kernel) -----------------------------------------------
-
-
-class Topology:
-    """Binary-lifting LCA / distance / Steiner queries over a parent array.
-
-    Consumes any preorder (Euler first-visit) ``parent`` column — the
-    cost kernel's flattened decision schema or a :class:`ColumnarTree` —
-    and answers the queries its Steiner precompute needs without walking
-    parent chains: O(log n) per LCA after O(n log n) setup.  Results are
-    int-exact matches of the naive parent-chain walk.
-    """
-
-    __slots__ = ("parent", "depth", "_up")
-
-    def __init__(self, parent: Sequence[int]) -> None:
-        self.parent = list(parent)
-        n = len(self.parent)
-        depth = [0] * n
-        for i, p in enumerate(self.parent):
-            if p >= i:
-                raise ValueError("parent array must be in preorder (parent < child)")
-            depth[i] = 0 if p < 0 else depth[p] + 1
-        self.depth = depth
-        # up[k][i] = 2^k-th ancestor (roots self-loop, saturating lifts).
-        up0 = [p if p >= 0 else i for i, p in enumerate(self.parent)]
-        up = [up0]
-        max_depth = max(depth, default=0)
-        for _ in range(1, max(1, max_depth.bit_length())):
-            prev = up[-1]
-            up.append([prev[prev[i]] for i in range(n)])
-        self._up = up
-        STATS.topologies += 1
-
-    @property
-    def n(self) -> int:
-        return len(self.parent)
-
-    def ancestor(self, i: int, k: int) -> int:
-        """The ``k``-th ancestor of ``i`` (saturates at the root)."""
-        bit = 0
-        up = self._up
-        while k and bit < len(up):
-            if k & 1:
-                i = up[bit][i]
-            k >>= 1
-            bit += 1
-        return i
-
-    def lca(self, a: int, b: int) -> int:
-        depth = self.depth
-        up = self._up
-        if depth[a] < depth[b]:
-            a, b = b, a
-        a = self.ancestor(a, depth[a] - depth[b])
-        if a == b:
-            return a
-        for k in range(len(up) - 1, -1, -1):
-            lift = up[k]
-            if lift[a] != lift[b]:
-                a = lift[a]
-                b = lift[b]
-        return up[0][a]
-
-    def distance(self, a: int, b: int) -> int:
-        """Number of edges on the ``a``–``b`` path."""
-        return self.depth[a] + self.depth[b] - 2 * self.depth[self.lca(a, b)]
-
-    def steiner_size(self, touched: Sequence[int]) -> int:
-        """Number of nodes in the minimal subtree connecting ``touched``.
-
-        Virtual-tree identity: in index order (preorder = Euler
-        first-visit order), the cycle of pairwise path lengths covers
-        every Steiner edge exactly twice — ``edges = cycle // 2``.
-        """
-        count = len(touched)
-        if count == 0:
-            return 0
-        if count == 1:
-            return 1
-        order = sorted(touched)
-        total = 0
-        previous = order[-1]
-        for node in order:
-            total += self.distance(previous, node)
-            previous = node
-        return total // 2 + 1

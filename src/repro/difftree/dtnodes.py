@@ -46,16 +46,6 @@ OPT = "OPT"
 MULTI = "MULTI"
 EMPTY = "EMPTY"
 
-#: Batch canonical-key hook, installed by :mod:`repro.difftree.columnar`
-#: at import (``fill_canonical_keys``).  Kept as a late-bound module
-#: attribute because columnar imports this module.
-_BATCH_KEYS: Optional[Callable[["DTNode"], str]] = None
-
-#: Minimum subtree size before :attr:`DTNode.canonical_key` routes a cold
-#: tree through the columnar batch fill — below this, the per-node
-#: recursion wins (no encode cost).
-_BATCH_KEY_MIN_SIZE = 256
-
 CHOICE_KINDS = frozenset({ANY, OPT, MULTI})
 
 #: A path into a difftree: tuple of child indices from the root.
@@ -194,18 +184,6 @@ class DTNode:
         """
         key = self._key
         if key is None:
-            # Cold large subtree (no child keyed yet): one columnar
-            # encode + bottom-up hashing sweep beats per-node recursion.
-            # Warm trees — e.g. a search rewrite where only the spine is
-            # new — keep the recursion, which touches only cold nodes.
-            if (
-                _BATCH_KEYS is not None
-                and self._size >= _BATCH_KEY_MIN_SIZE
-                and self.children
-                and _memo.columnar_enabled()
-                and all(c._key is None for c in self.children)
-            ):
-                return _BATCH_KEYS(self)
             text = "{}:{}:{!r}({})".format(
                 self.kind,
                 self.label or "",
@@ -305,10 +283,7 @@ def any_merge(members: Sequence[DTNode]) -> DTNode:
     The final ``normalize`` would flatten too, but grafting compares
     subtree sizes mid-merge to pick the cheapest insertion point — an
     unflattened nested ANY would overstate the growth of exactly the
-    merges that reuse an existing choice domain.  Shared by the
-    object-walk merge kernels (:mod:`repro.difftree.antiunify`) and
-    their columnar twins (:mod:`repro.difftree.columnar`), which must
-    build bit-identical intermediate trees.
+    merges that reuse an existing choice domain.
     """
     alternatives: List[DTNode] = []
     for member in members:

@@ -57,6 +57,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
+from .. import memo as _memo
 from ..obs import collecting as _collecting, emit_report as _emit_report, trace as _trace
 from ..serve.incremental import PendingSearch
 from ..serve.stream import QueryLike
@@ -352,7 +353,9 @@ class SessionScheduler:
                     time.sleep(poll_s)
 
         threads = [
-            threading.Thread(target=worker, name=f"session-scheduler-{i}")
+            threading.Thread(
+                target=_memo.bind_gates(worker), name=f"session-scheduler-{i}"
+            )
             for i in range(workers)
         ]
         for thread in threads:

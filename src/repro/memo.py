@@ -14,11 +14,13 @@ This module owns the pieces those layers share:
 * :class:`IngestCounters` / :data:`INGEST` — process-wide counters
   (parses, intern hits, memo hits, dedup-skipped appends) surfaced in
   :class:`~repro.engine.report.GenerationReport` envelopes.
-* The **fast-path gate**: :func:`fast_paths_enabled` /
-  :func:`set_fast_paths` / :func:`fast_paths`.  Disabling it makes every
-  memoized function recompute from scratch — the pre-interning reference
-  path the ingest benchmark compares against for its throughput gate and
-  bit-for-bit parity check.
+* The two **gates**, ``fast_paths`` and ``carry``, held in one
+  context-local record: :func:`fast_paths` / :func:`carry` force one
+  inside a ``with`` block, :func:`fast_paths_enabled` /
+  :func:`carry_enabled` read it.  Disabling fast paths makes every
+  memoized function recompute from scratch — the pre-interning
+  reference path the ingest benchmark compares against for its
+  throughput gate and bit-for-bit parity check.
 * :func:`clear_memo_caches` — drops every registered memo table (used
   between benchmark modes so both start cold).
 
@@ -32,8 +34,19 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, fields
-from typing import Any, Callable, Dict, List, Optional
+from functools import wraps
+from typing import (
+    Any,
+    Callable,
+    ContextManager,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+)
 
 
 class BoundedLRU:
@@ -189,138 +202,78 @@ from .obs import REGISTRY as _OBS_REGISTRY  # noqa: E402  (after INGEST exists)
 _OBS_REGISTRY.register_source("ingest", INGEST.snapshot)
 
 
-# -- fast-path gate -------------------------------------------------------------
+# -- gates ----------------------------------------------------------------------
+#
+# Two switches, held together in one context-local record so a ``with``
+# block in one thread (a scheduler worker, a test) never flips the path
+# another thread runs:
+#
+# * ``fast_paths`` — the memoized ingest fast paths.  Off, every memoized
+#   function recomputes from scratch: the pre-interning reference path
+#   the ingest benchmark and the parity tests compare against.
+# * ``carry`` — carrying the MCTS search tree across a serving session's
+#   appends (:mod:`repro.search.carry`).  Off, serving re-explores the
+#   decision space from scratch: the maintainable-search parity oracle.
+#   Subordinate to ``fast_paths``: the reference mode is the pure
+#   rebuild path, so turning fast paths off turns carry off too.
 
-_fast_paths = True
+
+class _Gates(NamedTuple):
+    fast_paths: bool = True
+    carry: bool = True
+
+
+_GATES: ContextVar[_Gates] = ContextVar("repro.memo.gates", default=_Gates())
 
 
 def fast_paths_enabled() -> bool:
     """Whether the memoized ingest fast paths are active (default: yes)."""
-    return _fast_paths
-
-
-def set_fast_paths(enabled: bool) -> None:
-    """Globally enable/disable the memo fast paths (benchmarks/tests)."""
-    global _fast_paths
-    _fast_paths = bool(enabled)
-
-
-@contextmanager
-def fast_paths(enabled: bool):
-    """Temporarily force the fast-path gate (restores the prior setting)."""
-    global _fast_paths
-    previous = _fast_paths
-    _fast_paths = bool(enabled)
-    try:
-        yield
-    finally:
-        _fast_paths = previous
-
-
-# -- columnar gate --------------------------------------------------------------
-#
-# Second switch in the same style: the array-encoded structural kernels of
-# :mod:`repro.difftree.columnar` (anti-unify/graft pair-matching over
-# head/fingerprint columns, batch canonical-key hashing).  Columnar is
-# subordinate to the fast-path gate — the reference mode
-# (``fast_paths(False)``) must be the pure object-walk path, so disabling
-# fast paths disables columnar too.
-
-_columnar = True
-
-
-def columnar_enabled() -> bool:
-    """Whether the columnar structural kernels are active (default: yes)."""
-    return _columnar and _fast_paths
-
-
-def set_columnar(enabled: bool) -> None:
-    """Globally enable/disable the columnar kernels (benchmarks/tests)."""
-    global _columnar
-    _columnar = bool(enabled)
-
-
-@contextmanager
-def columnar(enabled: bool):
-    """Temporarily force the columnar gate (restores the prior setting)."""
-    global _columnar
-    previous = _columnar
-    _columnar = bool(enabled)
-    try:
-        yield
-    finally:
-        _columnar = previous
-
-
-# -- carry gate -----------------------------------------------------------------
-#
-# Third switch in the same style: carrying the MCTS search tree across a
-# serving session's appends with delta-scoped invalidation
-# (:mod:`repro.search.carry`).  Like the columnar gate it is subordinate
-# to the fast-path gate — the reference mode (``fast_paths(False)``) must
-# re-explore the full decision space from scratch, which doubles as the
-# parity oracle the maintainable-search benchmark compares against.
-
-_carry = True
+    return _GATES.get().fast_paths
 
 
 def carry_enabled() -> bool:
     """Whether the cross-append search-tree carry is active (default: yes)."""
-    return _carry and _fast_paths
-
-
-def set_carry(enabled: bool) -> None:
-    """Globally enable/disable the search-tree carry (benchmarks/tests)."""
-    global _carry
-    _carry = bool(enabled)
+    gates = _GATES.get()
+    return gates.carry and gates.fast_paths
 
 
 @contextmanager
-def carry(enabled: bool):
-    """Temporarily force the carry gate (restores the prior setting)."""
-    global _carry
-    previous = _carry
-    _carry = bool(enabled)
+def _override(**setting: bool) -> Iterator[None]:
+    token = _GATES.set(_GATES.get()._replace(**setting))
     try:
         yield
     finally:
-        _carry = previous
+        _GATES.reset(token)
 
 
-# -- batch gate -----------------------------------------------------------------
-#
-# Fourth switch in the same style: the vectorized batch cost kernel of
-# :mod:`repro.cost.batch` (candidate populations scored as numpy column
-# ops instead of one scalar ``set_vector``/``apply_delta`` per
-# candidate).  Like the columnar and carry gates it is subordinate to
-# the fast-path gate — the reference mode (``fast_paths(False)``) must
-# be the scalar per-candidate path, which doubles as the bit-parity
-# oracle the batch benchmark compares against.
-
-_batch = True
+def fast_paths(enabled: bool) -> ContextManager[None]:
+    """Force the fast-path gate inside a ``with`` block (this context only)."""
+    return _override(fast_paths=bool(enabled))
 
 
-def batch_enabled() -> bool:
-    """Whether the batched cost kernel is active (default: yes)."""
-    return _batch and _fast_paths
+def carry(enabled: bool) -> ContextManager[None]:
+    """Force the carry gate inside a ``with`` block (this context only)."""
+    return _override(carry=bool(enabled))
 
 
-def set_batch(enabled: bool) -> None:
-    """Globally enable/disable the batched cost kernel (benchmarks/tests)."""
-    global _batch
-    _batch = bool(enabled)
+def bind_gates(fn: Callable[..., Any]) -> Callable[..., Any]:
+    """``fn`` wrapped to run under the caller's current gate settings.
 
+    New threads start from the default gates; worker threads that do a
+    caller's work (the session scheduler, the batch thread pool) run
+    through this so a caller's ``with fast_paths(False)`` reaches them.
+    """
+    gates = _GATES.get()
 
-@contextmanager
-def batch(enabled: bool):
-    """Temporarily force the batch gate (restores the prior setting)."""
-    global _batch
-    previous = _batch
-    _batch = bool(enabled)
-    try:
-        yield
-    finally:
-        _batch = previous
+    @wraps(fn)
+    def bound(*args: Any, **kwargs: Any) -> Any:
+        token = _GATES.set(gates)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _GATES.reset(token)
+
+    return bound
 
 
 # -- memo-table registry --------------------------------------------------------

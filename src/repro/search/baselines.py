@@ -186,8 +186,7 @@ class BeamSearchTask(SearchTask):
         evaluator = self.evaluator
         # Collect the level's unseen successors first, then score them as
         # one cohort: discovery order is evaluation order, so results are
-        # bit-identical to the interleaved loop while each uncached state
-        # batches its sampled assignments through the kernel.
+        # bit-identical to the interleaved loop.
         frontier: List[DTNode] = []
         keys: List[str] = []
         for state in self._beam:

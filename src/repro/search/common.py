@@ -111,20 +111,16 @@ class SearchStats:
     frontier_refreshes: int = 0
     warm_states_seeded: int = 0
     kernel_compiles: int = 0
-    # How candidates were *routed* (scalar full loads / delta patches vs
-    # batched population columns) legitimately differs across memo gate
-    # configurations while search results stay bit-identical, so the
-    # routing split is excluded from equality: ``SearchStats ==`` asserts
-    # search-outcome parity (the parity oracles in tests compare stats
-    # across gate settings).  The total candidate count is conserved
-    # either way: full + delta + batched is gate-invariant.
+    # How candidates were *routed* (full loads vs delta patches) is not
+    # a search outcome, so the split is excluded from equality:
+    # ``SearchStats ==`` asserts search-outcome parity (the parity
+    # oracles in tests compare stats across gate settings).
     kernel_full_evals: int = field(default=0, compare=False)
     kernel_delta_evals: int = field(default=0, compare=False)
     kernel_fallback_evals: int = 0
     kernel_sequences_extended: int = 0
-    #: Candidate evaluations scored through the vectorized batch kernel
-    #: (columns of population calls) vs. ones that wanted the batch path
-    #: but fell back to scalar deltas (batch compile unavailable).
+    #: Always 0: candidates are scored one at a time.  Kept because
+    #: report envelopes (schema v4) serialize every field.
     kernel_batched_evals: int = field(default=0, compare=False)
     kernel_batch_fallbacks: int = field(default=0, compare=False)
 
@@ -210,14 +206,9 @@ class StateEvaluator:
     def evaluate_many(self, states: List[DTNode]) -> List[EvaluatedInterface]:
         """Evaluate a cohort of states in argument order (cache-aware).
 
-        Cross-state batching is impossible — every state compiles its own
-        kernel and decision schema — so the vectorization happens one
-        level down: each uncached member's ``k`` sampled assignments are
-        scored as one nodes × candidates population against its batch
-        kernel (see :func:`repro.cost.sampled_evaluation`).  Cohort order
-        fixes the shared-RNG consumption order, so callers submitting the
-        same cohort get bit-identical results whether they step members
-        one at a time or all at once.
+        Cohort order fixes the shared-RNG consumption order, so callers
+        submitting the same cohort get bit-identical results whether they
+        step members one at a time or all at once.
         """
         return [self.evaluate(state) for state in states]
 
@@ -268,8 +259,6 @@ class StateEvaluator:
         self.stats.kernel_delta_evals = kernel.delta_evals
         self.stats.kernel_fallback_evals = kernel.fallback_evals
         self.stats.kernel_sequences_extended = kernel.sequences_extended
-        self.stats.kernel_batched_evals = kernel.batched_evals
-        self.stats.kernel_batch_fallbacks = kernel.batch_fallback_evals
 
 
 def _record_search_metrics(result: "SearchResult") -> None:
@@ -295,10 +284,6 @@ def _record_search_metrics(result: "SearchResult") -> None:
     reg.counter("cost.kernel.fallback_evals").inc(stats.kernel_fallback_evals)
     reg.counter("cost.kernel.sequences_extended").inc(
         stats.kernel_sequences_extended
-    )
-    reg.counter("cost.kernel.batched_evals").inc(stats.kernel_batched_evals)
-    reg.counter("cost.kernel.batch_fallback_evals").inc(
-        stats.kernel_batch_fallbacks
     )
     reg.histogram("search.elapsed_s").observe(result.elapsed)
     if math.isfinite(result.best_cost):

@@ -347,9 +347,8 @@ class MCTS:
                     self.evaluator.stats.max_depth, child.depth
                 )
             cohort.append((child_key, successor))
-        # Phase 2 — score the cohort: each uncached child's k sampled
-        # assignments go through one batched kernel population instead of
-        # k scalar loads (see StateEvaluator.evaluate_many).
+        # Phase 2 — score the cohort in discovery order (see
+        # StateEvaluator.evaluate_many).
         self.evaluator.evaluate_many([state for _, state in cohort])
         # Phase 3 — rewards, simulations, and backpropagation in cohort
         # order.  Direct evaluation keeps the incumbent exact for states

@@ -155,9 +155,13 @@ def generate_interfaces_batch(
     worker = _generate_one_wire if wire else _generate_one
 
     pool_cls = ProcessPoolExecutor if executor == "process" else ThreadPoolExecutor
+    # Pool threads start from the default gates: bind the caller's.
+    threaded = _memo.bind_gates(worker)
     try:
         with pool_cls(max_workers=max_workers) as pool:
-            results = list(pool.map(worker, jobs))
+            results = list(
+                pool.map(worker if executor == "process" else threaded, jobs)
+            )
     except (OSError, PermissionError, BrokenProcessPool):
         if executor != "process":
             raise
@@ -167,7 +171,7 @@ def generate_interfaces_batch(
         # a thread-pool re-run is a safe (if slower) recovery and honors
         # the no-fail contract of this fallback.
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(worker, jobs))
+            results = list(pool.map(threaded, jobs))
     if not wire:
         return results
     return [

@@ -33,16 +33,6 @@ Warm seeding spends the same per-evaluation budget as search, so warm
 and cold runs at equal ``time_budget_s`` are directly comparable — the
 contract the incremental benchmark checks.
 
-Every evaluation a serving run performs — warm-seed scoring, the MCTS
-expansion cohorts, and the final exhaustive widget pass — flows through
-the vectorized batch cost kernel (:mod:`repro.cost.batch`) when the
-``memo.batch`` gate is on: a state's candidate assignments are scored
-as one nodes × candidates numpy population instead of per-candidate
-scalar deltas, with bit-identical breakdowns either way.  Serving
-sessions benefit the most because their states are the largest (many
-appended queries ⇒ wide decision schemas), which is exactly where the
-population pass amortizes best.
-
 Generation is *resumable*: :meth:`IncrementalGenerator.open_search`
 builds the full warm-started machinery (cache probe, extended warm
 states, adopted compiled sequences, opened MCTS task) without running

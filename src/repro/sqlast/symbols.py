@@ -2,15 +2,12 @@
 
 The columnar difftree store (:mod:`repro.difftree.columnar`) encodes a
 tree's per-node *head* — the ``(kind, label, value)`` triple of a difftree
-node, or the ``(label, value)`` pair of an AST node — as one integer, so
-structural comparisons that would otherwise build and compare tuples
-become single int equality checks over parallel arrays.
+node, or the ``(label, value)`` pair of an AST node — as one integer.
 
 :class:`SymbolTable` is the bidirectional interner behind those ids.  Ids
 are dense (0, 1, 2, ...) in first-seen order and never recycled, which
 makes them valid array indexes into side tables and stable for the
-lifetime of the process.  Two symbols are equal iff their ids are equal —
-the property every columnar pair-matching kernel relies on.
+lifetime of the process.  Two symbols are equal iff their ids are equal.
 
 Ids are **process-local** (like ``DTNode.fingerprint``); the wire format
 (:meth:`repro.difftree.columnar.ColumnarTree.to_payload`) therefore ships
@@ -65,9 +62,8 @@ class SymbolTable:
         return {"symbols": len(self._symbols)}
 
 
-#: The process-wide interner every columnar encoding shares.  Sharing one
-#: table across trees is what makes head ids comparable *between* trees
-#: (anti-unify/graft pair-matching compares columns of different trees).
+#: The process-wide interner every columnar encoding shares, so head ids
+#: are comparable *between* trees.
 SYMBOLS = SymbolTable()
 
 # Absorb the table size into the observability registry (appears as

@@ -1,31 +1,27 @@
-"""Columnar difftree store: round-trips, kernel parity, topology, wiring.
+"""Columnar wire format, merge-kernel parity, symbols, wiring.
 
 The columnar contract (``repro/difftree/columnar.py``) is *exact*
-interchangeability: ``from_node``/``to_node`` round-trip interned trees
-to the same objects, the array kernels (anti-unify, graft, canonical
-keys, Steiner/LCA) produce results identical to the object-walk
-references on every workload, and the encoding's derived columns obey
-the XPath-accelerator identities (subtree = ``(pre, size)`` range,
-``post = pre - level + size - 1``).  Property-based tests draw random
-query logs and random rewrite walks; workload tests cover the SDSS /
-TPC-H / synthetic generators.
+interchangeability: ``from_node``/``to_node`` and the JSON payload
+round-trip interned trees to the same objects, and the encoding's
+columns obey the preorder identities (subtree = ``(pre, size)`` range).
+The memoized anti-unify/graft must build the same trees as their
+unmemoized references on every workload.  Property-based tests draw
+random query logs; workload tests cover the SDSS / TPC-H / synthetic
+generators.
 """
 
 import json
-import random
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from repro import memo, obs
-from repro.cost import CostModel
 from repro.difftree import (
     ColumnarTree,
-    Topology,
     anti_unify,
-    any_node,
     anti_unify_reference,
+    any_node,
     canonical_key_reference,
     extend_difftree,
     graft,
@@ -33,10 +29,7 @@ from repro.difftree import (
     initial_difftree,
     wrap_ast,
 )
-from repro.difftree import columnar as columnar_mod
 from repro.difftree.columnar import STATS
-from repro.difftree.dtnodes import DTNode
-from repro.layout import Screen
 from repro.memo import INGEST
 from repro.serve import LogStream
 from repro.serve.cache import log_key, log_key_fast, log_key_reference
@@ -96,23 +89,28 @@ def check_encoding_invariants(tree):
     ct = ColumnarTree.from_node(tree)
     assert ct.n == tree.size
     assert ct.to_node() is tree
-    assert ct.parent[0] == -1 and ct.level[0] == 0
+    assert ct.parent[0] == -1
     for i in range(ct.n):
         node = ct.nodes[i]
         assert ct.size[i] == node.size
-        assert ct.nkids[i] == len(node.children)
-        assert ct.fp[i] == node._hash
-        kids = list(ct.children_of(i))
+        # Children sit at sibling hops inside the (pre, size) range.
+        kids = []
+        j = i + 1
+        while j < i + ct.size[i]:
+            kids.append(j)
+            j += ct.size[j]
+        assert j == i + ct.size[i]
         assert [ct.nodes[j] for j in kids] == list(node.children)
         for j in kids:
             assert ct.parent[j] == i
-            assert ct.level[j] == ct.level[i] + 1
-            assert ct.contains(i, j)
-        # Postorder identity: children precede parents, and the ranks
-        # are a permutation of 0..n-1 (checked globally below).
-        for j in kids:
-            assert ct.post(j) < ct.post(i)
-    assert sorted(ct.post(i) for i in range(ct.n)) == list(range(ct.n))
+        # absent: the slot can consume zero AST children.
+        if ct.is_ast or node.kind == "ALL":
+            expected = 0
+        elif node.kind == "ANY":
+            expected = int(any(ct.absent[j] for j in kids))
+        else:  # OPT, MULTI, EMPTY
+            expected = 1
+        assert ct.absent[i] == expected
 
 
 class TestRoundTrip:
@@ -152,79 +150,23 @@ class TestRoundTrip:
             ColumnarTree.from_payload({"version": 99})
 
 
-class TestExtend:
-    def test_extend_matches_full_encode(self):
-        _, trees = session_trees(sdss_session_sql(6, seed=23))
-        base = trees[-1]
-        extras = [wrap_ast(parse(q)) for q in tpch_session_sql(3, seed=29)]
-        ct = ColumnarTree.from_node(base)
-        grown = ct.extend(extras)
-        expected_root = DTNode(
-            base.kind, base.label, base.value, base.children + tuple(extras)
-        )
-        assert grown.to_node() is expected_root
-        full = ColumnarTree._encode(expected_root)
-        for column in (
-            "kind", "head", "gkey", "nkids", "size",
-            "parent", "level", "absent", "fp",
-        ):
-            assert getattr(grown, column) == getattr(full, column), column
-        assert grown.nodes == full.nodes
-        # The carried prefix was not re-encoded (O(appended) contract).
-        assert grown.n == ct.n + sum(e.size for e in extras)
-
-    def test_extend_rejects_unary_roots(self):
-        leaf = wrap_ast(parse("select ra from stars"))
-        from repro.difftree import opt_node
-
-        with pytest.raises(ValueError):
-            ColumnarTree.from_node(opt_node(leaf)).extend([leaf])
-
-    def test_extend_empty_is_identity(self):
-        ct = ColumnarTree.from_node(wrap_ast(parse("select ra from stars")))
-        assert ct.extend([]) is ct
-
-
-class TestCanonicalKeys:
-    def test_batch_keys_match_reference(self):
+class TestCanonicalKeyReference:
+    def test_every_subtree_key_matches_reference(self):
         for log in workload_logs():
             _, trees = session_trees(log)
             for tree in trees:
-                ct = ColumnarTree.from_node(tree)
-                keys = ct.canonical_keys(use_cache=False)
-                assert keys[0] == canonical_key_reference(tree) == tree.canonical_key
-                for i in range(ct.n):
-                    assert keys[i] == ct.nodes[i].canonical_key
+                for node in ColumnarTree.from_node(tree).nodes:
+                    assert node.canonical_key == canonical_key_reference(node)
 
-    def test_ast_mode_keys_match_wrapped(self):
-        for sql in sdss_session_sql(4, seed=31):
-            ast = parse(sql)
-            keys = ColumnarTree.from_node(ast).canonical_keys()
-            assert keys[0] == wrap_ast(ast).canonical_key
-
-    def test_batch_hook_fires_on_cold_large_trees(self):
-        # Fresh literals so no subtree is already keyed from other tests;
-        # assembled with any_node directly because normalize() keys the
-        # alternatives while sorting them.
+    def test_cold_large_tree_key_matches_reference(self):
+        # Fresh literals, so no subtree is keyed yet.
         sqls = [
-            f"select objid from stars where r between {i}.125 and {i}.875"
+            f"select objid from stars where r between {i}.375 and {i}.625"
             for i in range(40)
         ]
         tree = any_node([wrap_ast(parse(s)) for s in sqls])
         assert tree.size >= 256
-        assert all(c._key is None for c in tree.children)
-        before = STATS.key_batches
-        key = tree.canonical_key
-        assert STATS.key_batches == before + 1
-        assert key == canonical_key_reference(tree)
-
-    def test_batch_hook_skips_warm_trees(self):
-        _, trees = session_trees(tpch_session_sql(6, seed=37))
-        tree = trees[-1]
-        tree.canonical_key  # key everything once
-        before = STATS.key_batches
         assert tree.canonical_key == canonical_key_reference(tree)
-        assert STATS.key_batches == before
 
 
 class TestKernelParity:
@@ -237,10 +179,9 @@ class TestKernelParity:
                 with memo.fast_paths(False):
                     au_ref = anti_unify_reference(tree, query)
                     graft_ref = graft_reference(tree, query)
-                with memo.columnar(True):
-                    memo.clear_memo_caches()
-                    assert anti_unify(tree, query) is au_ref
-                    assert graft(tree, query) is graft_ref
+                memo.clear_memo_caches()
+                assert anti_unify(tree, query) is au_ref
+                assert graft(tree, query) is graft_ref
                 tree = graft_ref
 
     @given(query_log(), query_log())
@@ -251,22 +192,14 @@ class TestKernelParity:
         with memo.fast_paths(False):
             au_ref = anti_unify_reference(a, b)
             graft_ref = graft_reference(a, b)
-        with memo.columnar(True):
-            memo.clear_memo_caches()
-            assert anti_unify(a, b) is au_ref
-            assert graft(a, b) is graft_ref
-
-    def test_columnar_gate_is_subordinate_to_fast_paths(self):
-        assert memo.columnar_enabled()
-        with memo.fast_paths(False):
-            assert not memo.columnar_enabled()
-        with memo.columnar(False):
-            assert not memo.columnar_enabled()
+        memo.clear_memo_caches()
+        assert anti_unify(a, b) is au_ref
+        assert graft(a, b) is graft_ref
 
     def test_memo_tables_consulted_with_columnar(self):
         a = wrap_ast(parse("select ra from stars where u between 1 and 2"))
         b = wrap_ast(parse("select ra, objid from stars where u between 1 and 3"))
-        with memo.fast_paths(True), memo.columnar(True):
+        with memo.fast_paths(True):
             memo.clear_memo_caches()
             anti_unify(a, b)
             before = INGEST.au_memo_hits
@@ -277,64 +210,6 @@ class TestKernelParity:
             before = INGEST.graft_memo_hits
             graft(tree, b)
             assert INGEST.graft_memo_hits > before
-
-
-class TestTopology:
-    def naive_distance(self, parent, depth, a, b):
-        d = 0
-        da, db = depth[a], depth[b]
-        while da > db:
-            a, da, d = parent[a], da - 1, d + 1
-        while db > da:
-            b, db, d = parent[b], db - 1, d + 1
-        while a != b:
-            a, b, d = parent[a], parent[b], d + 2
-        return d
-
-    def test_matches_parent_chain_walks(self):
-        rng = random.Random(41)
-        for log in workload_logs():
-            _, trees = session_trees(log)
-            ct = ColumnarTree.from_node(trees[-1])
-            topo = Topology(ct.parent)
-            for _ in range(200):
-                a = rng.randrange(ct.n)
-                b = rng.randrange(ct.n)
-                expected = self.naive_distance(ct.parent, ct.level, a, b)
-                assert topo.distance(a, b) == expected
-                lca = topo.lca(a, b)
-                assert ct.contains(lca, a) and ct.contains(lca, b)
-            touched = tuple(rng.randrange(ct.n) for _ in range(5))
-            cycle = sum(
-                self.naive_distance(ct.parent, ct.level, x, y)
-                for x, y in zip(sorted(touched), sorted(touched)[1:])
-            ) + self.naive_distance(
-                ct.parent, ct.level, sorted(touched)[-1], sorted(touched)[0]
-            )
-            assert topo.steiner_size(touched) == cycle // 2 + 1
-
-    def test_steiner_degenerate_cases(self):
-        topo = Topology([-1, 0, 0, 1])
-        assert topo.steiner_size(()) == 0
-        assert topo.steiner_size((2,)) == 1
-        assert topo.steiner_size((3, 3)) == 1
-
-    def test_rejects_non_preorder_parents(self):
-        with pytest.raises(ValueError):
-            Topology([1, -1])
-
-    def test_cost_kernel_uses_topology(self):
-        sql = sdss_session_sql(8, seed=43)
-        asts = [parse(q) for q in sql]
-        tree = initial_difftree(asts)
-        with memo.columnar(True):
-            kernel = CostModel(asts, Screen.wide()).kernel_for(tree)
-        with memo.columnar(False):
-            reference = CostModel(asts, Screen.wide()).kernel_for(tree)
-        assert kernel._num_pairs > 0
-        assert kernel.topology is not None
-        assert reference.topology is None
-        assert kernel._pair_steiner == reference._pair_steiner
 
 
 class TestSymbols:

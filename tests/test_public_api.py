@@ -6,6 +6,10 @@ re-exported at the package root.
 """
 
 import importlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -58,3 +62,27 @@ def test_legacy_entry_points_still_importable():
     )
     from repro.core import prepare_search, run_search  # noqa: F401
     from repro.serve import DEFAULT_SESSION, InterfaceCache  # noqa: F401
+
+
+def test_import_and_generate_do_not_load_numpy():
+    # The package is pure stdlib: importing it and serving one log must
+    # not pull numpy in (it costs start-up time and resident memory).
+    import repro
+
+    code = (
+        "import sys\n"
+        "from repro import Engine\n"
+        "from repro.workloads import listing1_sql\n"
+        "Engine().generate(listing1_sql())\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    src = pathlib.Path(repro.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr

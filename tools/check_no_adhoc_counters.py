@@ -11,9 +11,8 @@ per-instance stats object), not reinvent module-level tallies.
 Two patterns are flagged in ``src/repro`` outside ``repro/obs/``:
 
 1. **Mutated module globals** — a function declaring ``global NAME``
-   and augmenting it (``NAME += 1``).  Plain reassignment (mode
-   switches like ``repro.memo.set_fast_paths``) is fine; accumulation
-   is a counter.
+   and augmenting it (``NAME += 1``).  Plain reassignment (a mode
+   switch) is fine; accumulation is a counter.
 2. **Module-level counter singletons** — a module-scope assignment
    instantiating a class whose name ends in ``Counter``/``Counters``
    / ``Stats``.  Per-instance stats dataclasses (``CacheStats`` on a
@@ -39,8 +38,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 ALLOWLIST = {
     ("repro/memo.py", "INGEST"),
     # Registered with repro.obs via register_source("difftree.columnar", ...);
-    # kept as a plain-slots singleton because the encode/extend hot loops
-    # bump it per node.
+    # kept as a plain-slots singleton because the encode loop bumps it.
     ("repro/difftree/columnar.py", "STATS"),
     # Registered via register_source("serve.cluster", ...); plain-field
     # singleton because the worker emit loop and the front's dispatch/
@@ -49,9 +47,6 @@ ALLOWLIST = {
     # Registered via register_source("search.carry", ...); plain-field
     # singleton because harvest/rebase/retention paths bump it per node.
     ("repro/search/carry.py", "STATS"),
-    # Registered via register_source("cost.kernel.batch", ...); plain-field
-    # singleton because set_population/apply_delta bump it per call.
-    ("repro/cost/batch.py", "STATS"),
 }
 
 #: Class-name suffixes that mark a counter-ish singleton.
