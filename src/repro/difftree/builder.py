@@ -21,7 +21,18 @@ QueryLike = Union[str, N.Node]
 
 
 def as_asts(queries: Sequence[QueryLike]) -> List[N.Node]:
-    """Coerce a mixed list of SQL strings / ASTs into ASTs."""
+    """Coerce a mixed list of SQL strings / ASTs into ASTs.
+
+    Raises:
+        TypeError: if ``queries`` is a bare string (a log is a sequence
+            of queries, not one query's characters) or holds a value
+            that is neither SQL text nor an AST.
+    """
+    if isinstance(queries, str):
+        raise TypeError(
+            "a log is a sequence of queries, got a bare string; "
+            "wrap a single query in a list"
+        )
     asts: List[N.Node] = []
     for query in queries:
         if isinstance(query, N.Node):

@@ -1,7 +1,7 @@
 """Columnar difftree wire format: interned trees as parallel integer arrays.
 
-Session snapshots, the carried MCTS tree and the process pool ship
-difftrees (and ASTs) between processes in one encoding: an interned
+Session snapshots and the carried MCTS tree they hold ship difftrees
+(and ASTs) between processes in one encoding: an interned
 :class:`~repro.difftree.dtnodes.DTNode` (or
 :class:`~repro.sqlast.nodes.Node`) tree flattened once into parallel
 preorder columns:

@@ -5,7 +5,7 @@ to hand-wire — the rule engine, the parse-once AST caches (inside the
 :class:`~repro.serve.SessionRouter`), the :class:`~repro.serve.InterfaceCache`,
 the warm-start/compiled-sequence carry-over of
 :class:`~repro.serve.IncrementalGenerator`, and the batch worker pool —
-and exposes three verbs:
+and exposes these verbs:
 
 * :meth:`Engine.generate` — one-shot, cache-aware generation.
 * :meth:`Engine.session` — a :class:`LogSession` handle whose
@@ -14,6 +14,11 @@ and exposes three verbs:
   cached + warm-started under the hood).
 * :meth:`Engine.generate_batch` — many independent logs across a
   process pool.
+* :meth:`Engine.scheduler` — many concurrent sessions time-sliced
+  fairly over this engine's shared state.
+* :meth:`Engine.snapshot_session` / :meth:`Engine.restore_snapshot` —
+  capture a session's warm state as a versioned JSON-native payload and
+  rebuild it, in this engine or another one with the same context.
 
 Every verb returns a :class:`~repro.engine.report.GenerationReport`:
 the uniform JSON-serializable envelope (interface + search stats +
@@ -202,11 +207,6 @@ class Engine:
         self._direct_searches = 0
         #: Restore provenance per rehydrated session (reports carry it).
         self._restored: Dict[str, Dict] = {}
-        #: Called with the session id as the LRU bound evicts a session,
-        #: *before* its state is dropped — the serving cluster's
-        #: :class:`~repro.serve.SnapshotWriter` hooks in here to persist
-        #: evicted state (see ``attach_eviction_hook``).
-        self.session_evicted_hook = None
 
     # -- introspection ------------------------------------------------------
 
@@ -345,11 +345,9 @@ class Engine:
                     evicted.append(old_id)
         for old_id in evicted:
             # Outside the handle lock: eviction must also drop the
-            # warm-start/compiled-sequence carry and the log stream, or
-            # a bounded session table still leaks serving state.  The
-            # eviction hook sees the session while its state is intact.
-            if self.session_evicted_hook is not None:
-                self.session_evicted_hook(old_id)
+            # warm-start/compiled-sequence carry, the log stream, and
+            # the restore provenance, or a bounded session table still
+            # leaks serving state.
             self._drop_session_state(old_id)
         return handle
 
@@ -361,7 +359,6 @@ class Engine:
         """Forget a session's log and warm-start state."""
         with self._sessions_lock:
             self._sessions.pop(session_id, None)
-        self._restored.pop(session_id, None)
         return self._drop_session_state(session_id)
 
     def _touch_session(self, session_id: str) -> None:
@@ -377,7 +374,9 @@ class Engine:
                 self._sessions.move_to_end(session_id)
 
     def _drop_session_state(self, session_id: str) -> bool:
-        """Release everything beyond the handle (stream + warm carry)."""
+        """Release everything beyond the handle (stream, warm carry, and
+        restore provenance — a reused id is a fresh session)."""
+        self._restored.pop(session_id, None)
         if self._incremental is not None:
             return self._incremental.drop_session(session_id)
         return self.router.drop(session_id)
@@ -415,61 +414,15 @@ class Engine:
             max_active=max_active,
         )
 
-    def cluster(
-        self,
-        workers: int = 4,
-        store: Optional[str] = None,
-        snapshot_every: int = 1,
-        slice_iterations: Optional[int] = 16,
-        policy: str = "round_robin",
-        start_method: Optional[str] = None,
-    ):
-        """A :class:`~repro.serve.cluster.ClusterFront` over this config.
-
-        The sharded multi-process serving verb: ``workers`` processes
-        each run a :class:`~repro.engine.scheduler.SessionScheduler`
-        over their hash slice of the submitted sessions, snapshotting
-        warm state into ``store`` (a SQLite path; ``None`` = a
-        temporary file the front owns) at delivered-interface
-        boundaries so survivors can rehydrate a dead worker's sessions
-        mid-conversation.
-
-        Workers rebuild their serving state from ``screen``/``config``
-        in their own process — custom ``rules``/``cache``/``router``
-        objects do not transfer and raise here.
-        """
-        if self.rules is not None:
-            raise ValueError(
-                "cluster workers rebuild their rule engine from config; "
-                "custom rules objects are not supported "
-                "(use GenerationConfig.exclude_rules)"
-            )
-        from ..serve.cluster import ClusterFront
-
-        return ClusterFront(
-            screen=self.screen,
-            config=self.config,
-            workers=workers,
-            store=store,
-            snapshot_every=snapshot_every,
-            slice_iterations=slice_iterations,
-            policy=policy,
-            start_method=start_method,
-        )
-
     # -- snapshots ----------------------------------------------------------
 
-    def snapshot_session(
-        self,
-        session_id: str = DEFAULT_SESSION,
-        accounting: Optional[Dict] = None,
-    ):
-        """Capture a session's full warm state as a durable
+    def snapshot_session(self, session_id: str = DEFAULT_SESSION):
+        """Capture a session's full warm state as a
         :class:`~repro.serve.SessionSnapshot` (see its docs for the
         restore contract)."""
         from ..serve.snapshot import SessionSnapshot
 
-        return SessionSnapshot.capture(self, session_id, accounting=accounting)
+        return SessionSnapshot.capture(self, session_id)
 
     def restore_snapshot(self, snapshot) -> LogSession:
         """Rebuild a snapshotted session in this engine; returns its handle.

@@ -1,4 +1,4 @@
-"""repro.serve — incremental, cached, multi-process interface generation.
+"""repro.serve — incremental, cached interface generation.
 
 The serving layer over the one-shot :func:`repro.generate_interface`
 pipeline:
@@ -13,11 +13,8 @@ pipeline:
   prior run's transposition table and incumbent.
 * :func:`generate_interfaces_batch` — fans independent logs across a
   process pool with a shared config.
-* :class:`SessionSnapshot` / :class:`SnapshotStore` /
-  :class:`SnapshotWriter` — durable capture + restore of a session's
-  full warm state (write-behind, generation-guarded).
-* :class:`ClusterFront` — sharded multi-process serving with
-  consistent-hash routing and snapshot-backed crash recovery.
+* :class:`SessionSnapshot` — capture + restore of a session's full warm
+  state as one versioned JSON-native payload.
 """
 
 from .batch import EXECUTORS, generate_interfaces_batch
@@ -29,18 +26,8 @@ from .cache import (
     log_key,
     query_key,
 )
-from .cluster import ClusterError, ClusterFront, ClusterTicket, HashRing
 from .incremental import DEFAULT_SESSION, IncrementalGenerator, PendingSearch
 from .snapshot import SNAPSHOT_SCHEMA_VERSION, SessionSnapshot, SnapshotError
-from .store import (
-    MemorySnapshotStore,
-    SnapshotStore,
-    SnapshotStoreError,
-    SnapshotWriter,
-    SQLiteSnapshotStore,
-    StaleSnapshotError,
-    open_store,
-)
 from .stream import LogStream, SessionRouter
 
 __all__ = [
@@ -60,15 +47,4 @@ __all__ = [
     "SessionSnapshot",
     "SnapshotError",
     "SNAPSHOT_SCHEMA_VERSION",
-    "SnapshotStore",
-    "MemorySnapshotStore",
-    "SQLiteSnapshotStore",
-    "SnapshotWriter",
-    "SnapshotStoreError",
-    "StaleSnapshotError",
-    "open_store",
-    "ClusterFront",
-    "ClusterTicket",
-    "ClusterError",
-    "HashRing",
 ]

@@ -6,17 +6,10 @@ so throughput over many logs wants *processes*, not threads.
 :class:`concurrent.futures` pool with one shared config, preserving
 input order.
 
-Results cross process boundaries on the **columnar wire path**: workers
-return plain-data dicts — the winning difftree as a
-:meth:`~repro.difftree.columnar.ColumnarTree.to_payload` column set and
-the widget tree as its decision vector — and the parent replays the
-vector through its own compiled cost kernel (one ``evaluate`` + one
-``materialize``, cross-checked against the shipped cost).  That skips
-pickling per-node ``__reduce__`` object graphs, and the re-interning
-inside :meth:`~repro.difftree.columnar.ColumnarTree.from_payload` lands
-the received trees in the parent's hash-cons tables directly.  The
-legacy pickle path is kept as the parity oracle behind
-``memo.fast_paths(False)``.
+Process-pool workers return their :class:`~repro.core.GeneratedInterface`
+by pickle, exactly as the thread and serial executors return it in
+memory; ``Node``/``DTNode.__reduce__`` rebuild every tree through the
+interning constructor, so results land on the parent's canonical nodes.
 
 Sandboxed or single-core environments where process pools cannot start
 fall back to threads (same results, reduced parallelism) rather than
@@ -27,15 +20,11 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 from .. import memo as _memo
-from ..core import GeneratedInterface, GenerationConfig, generate_interface, prepare_search
-from ..difftree import as_asts
-from ..difftree.columnar import ColumnarTree
+from ..core import GeneratedInterface, GenerationConfig, generate_interface
 from ..layout import Screen
-from ..search.common import SearchResult, SearchStats
-from .snapshot import _decode_vector, _encode_vector
 from .stream import QueryLike
 
 #: Executor choices for :func:`generate_interfaces_batch`.
@@ -46,77 +35,6 @@ def _generate_one(job) -> GeneratedInterface:
     """Module-level worker (must be picklable by qualified name)."""
     queries, screen, config = job
     return generate_interface(queries, screen=screen, config=config)
-
-
-def _generate_one_wire(job) -> Union[Dict[str, Any], GeneratedInterface]:
-    """Worker for the columnar wire path: plain data out, no node graphs.
-
-    Falls back to returning the full object (pickle path) when the
-    winner's widget tree cannot be expressed as a kernel decision
-    vector — correctness over wire discipline.
-    """
-    import dataclasses
-
-    queries, screen, config = job
-    generated = generate_interface(queries, screen=screen, config=config)
-    search = generated.search
-    _, _, model, _initial, _rules = prepare_search(
-        generated.queries, screen=screen, config=config
-    )
-    kernel = model.kernel_for(search.best.tree)
-    vector = kernel.adopt(search.best.widget_tree)
-    if vector is None:  # pragma: no cover - defensive
-        return generated
-    return {
-        "difftree": ColumnarTree.from_node(search.best.tree).to_payload(),
-        "vector": _encode_vector(vector),
-        "cost": search.best.breakdown.total,
-        "history": [list(point) for point in search.history],
-        "stats": dataclasses.asdict(search.stats),
-        "elapsed": search.elapsed,
-        "strategy": search.strategy,
-    }
-
-
-def _decode_wire(
-    result: Union[Dict[str, Any], GeneratedInterface],
-    log: Sequence[QueryLike],
-    screen: Screen,
-    config: GenerationConfig,
-) -> GeneratedInterface:
-    """Replay a worker's wire dict through the parent's own kernel."""
-    if isinstance(result, GeneratedInterface):
-        return result  # worker fell back to the pickle path
-    from ..cost import EvaluatedInterface
-
-    asts, screen, model, _initial, _rules = prepare_search(
-        as_asts(log), screen=screen, config=config
-    )
-    tree = ColumnarTree.from_payload(result["difftree"]).to_node()
-    kernel = model.kernel_for(tree)
-    vector = _decode_vector(result["vector"])
-    breakdown = kernel.evaluate(vector)
-    widget_tree = kernel.materialize(vector)
-    if breakdown.total != result["cost"]:
-        raise RuntimeError(
-            f"wire-transferred interface replays to cost {breakdown.total!r} "
-            f"but the worker scored {result['cost']!r}; refusing to return "
-            "drifted state"
-        )
-    best = EvaluatedInterface(
-        tree=tree, widget_tree=widget_tree, breakdown=breakdown
-    )
-    search = SearchResult(
-        best=best,
-        best_state=tree,
-        history=[tuple(point) for point in result["history"]],
-        stats=SearchStats(**result["stats"]),
-        elapsed=result["elapsed"],
-        strategy=result["strategy"],
-    )
-    return GeneratedInterface(
-        queries=list(asts), screen=screen, search=search, best=best
-    )
 
 
 def generate_interfaces_batch(
@@ -138,43 +56,44 @@ def generate_interfaces_batch(
 
     Returns:
         Generated interfaces in the same order as ``logs``.
+
+    Raises:
+        ValueError: on an unknown executor or an empty log.
+        TypeError: when a log is a bare string instead of a sequence of
+            queries.  Logs are checked before any pool starts, and the
+            error names the bad log's index.
     """
     if executor not in EXECUTORS:
         raise ValueError(f"executor must be one of {EXECUTORS}, got {executor!r}")
     config = config or GenerationConfig()
     screen = screen or Screen.wide()
-    jobs = [(list(log), screen, config) for log in logs]
+    jobs = []
+    for index, log in enumerate(logs):
+        if isinstance(log, str):
+            raise TypeError(
+                f"log {index} is a bare string; a log is a sequence of queries"
+            )
+        queries = list(log)
+        if not queries:
+            raise ValueError(f"log {index} is empty; a log needs at least one query")
+        jobs.append((queries, screen, config))
 
     if executor == "serial" or len(jobs) <= 1:
         return [_generate_one(job) for job in jobs]
 
-    # The columnar wire path only pays off (and only matters) across a
-    # process boundary; threads share the parent's heap, and the gated
-    # reference mode keeps the pickle path as the parity oracle.
-    wire = executor == "process" and _memo.fast_paths_enabled()
-    worker = _generate_one_wire if wire else _generate_one
-
-    pool_cls = ProcessPoolExecutor if executor == "process" else ThreadPoolExecutor
     # Pool threads start from the default gates: bind the caller's.
-    threaded = _memo.bind_gates(worker)
+    threaded = _memo.bind_gates(_generate_one)
+    if executor == "thread":
+        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+            return list(pool.map(threaded, jobs))
     try:
-        with pool_cls(max_workers=max_workers) as pool:
-            results = list(
-                pool.map(worker if executor == "process" else threaded, jobs)
-            )
-    except (OSError, PermissionError, BrokenProcessPool):
-        if executor != "process":
-            raise
+        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+            return list(pool.map(_generate_one, jobs))
+    except (OSError, BrokenProcessPool):
         # Process pools need working semaphores/fork, and their workers
         # can be killed under us (sandbox limits, OOM): both surface
         # here.  Generation itself is deterministic pure computation, so
         # a thread-pool re-run is a safe (if slower) recovery and honors
         # the no-fail contract of this fallback.
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(threaded, jobs))
-    if not wire:
-        return results
-    return [
-        _decode_wire(result, log, screen, config)
-        for result, log in zip(results, logs)
-    ]
+            return list(pool.map(threaded, jobs))

@@ -1,4 +1,4 @@
-"""Durable session snapshots: capture + restore a session's warm state.
+"""Session snapshots: capture + restore a session's warm state.
 
 A serving session's value lives in state that dies with its process:
 the append-only log, the previous run's best difftree and elite
@@ -45,7 +45,7 @@ from ..search.common import SearchResult, SearchStats
 from .cache import context_key
 
 #: Bump when the snapshot payload shape changes.  Restore refuses other
-#: versions outright — a serving fleet must never guess at state.
+#: versions outright — a restoring engine must never guess at state.
 SNAPSHOT_SCHEMA_VERSION = 1
 
 _STATS_FIELDS = {f.name for f in dataclasses.fields(SearchStats)}
@@ -71,8 +71,8 @@ class SessionSnapshot:
 
     Attributes:
         session_id: the session the state belongs to.
-        generation: the log length at capture time.  Monotone per
-            session — the store's stale-write guard compares these.
+        generation: the log length at capture time (monotone per
+            session, so a caller persisting snapshots can order them).
         ctx: the capture-time context fingerprint
             (:func:`~repro.serve.cache.context_key` of screen+config).
             Restore refuses a mismatched engine: the same state under a
@@ -98,9 +98,6 @@ class SessionSnapshot:
             uninterrupted one.  ``None`` when the session never searched
             or the carry gate was off.  Additive to schema version 1;
             payloads without the field restore with no carried tree.
-        accounting: free-form scheduler/cluster bookkeeping carried
-            through the store (e.g. how many chunks were delivered —
-            the cluster's replay-dedup cursor).
     """
 
     session_id: str
@@ -112,17 +109,11 @@ class SessionSnapshot:
     elite: List[Dict[str, Any]] = field(default_factory=list)
     cached: Optional[Dict[str, Any]] = None
     carry: Optional[Dict[str, Any]] = None
-    accounting: Dict[str, Any] = field(default_factory=dict)
 
     # -- capture -------------------------------------------------------------
 
     @classmethod
-    def capture(
-        cls,
-        engine,
-        session_id: str,
-        accounting: Optional[Dict[str, Any]] = None,
-    ) -> "SessionSnapshot":
+    def capture(cls, engine, session_id: str) -> "SessionSnapshot":
         """Snapshot one session of an :class:`~repro.engine.Engine`.
 
         Safe at any *delivered-interface boundary* (no search mid-
@@ -155,7 +146,6 @@ class SessionSnapshot:
                 best=ColumnarTree.payload_of(best),
                 elite=[ColumnarTree.payload_of(tree) for tree in elite],
                 carry=carried.to_payload() if carried is not None else None,
-                accounting=dict(accounting or {}),
             )
             if asts:
                 key = f"{stream.log_key()}:{snapshot.ctx}"
@@ -191,7 +181,7 @@ class SessionSnapshot:
     # -- wire format ---------------------------------------------------------
 
     def to_payload(self) -> Dict[str, Any]:
-        """The versioned JSON-native envelope (the store's value type)."""
+        """The versioned JSON-native envelope."""
         return {
             "version": SNAPSHOT_SCHEMA_VERSION,
             "session_id": self.session_id,
@@ -203,12 +193,15 @@ class SessionSnapshot:
             "elite": self.elite,
             "cached": self.cached,
             "carry": self.carry,
-            "accounting": self.accounting,
         }
 
     @classmethod
     def from_payload(cls, payload: Any) -> "SessionSnapshot":
-        """Validate and decode a :meth:`to_payload` envelope."""
+        """Validate and decode a :meth:`to_payload` envelope.
+
+        Top-level keys this version does not read are ignored, so a
+        payload that carries extra fields still restores.
+        """
         if not isinstance(payload, dict):
             raise SnapshotError(f"snapshot payload must be a dict, got {type(payload)}")
         version = payload.get("version")
@@ -262,7 +255,6 @@ class SessionSnapshot:
             elite=list(payload.get("elite") or ()),
             cached=cached,
             carry=carry,
-            accounting=dict(payload.get("accounting") or {}),
         )
 
     # -- restore -------------------------------------------------------------

@@ -284,6 +284,19 @@ class TestEngine:
         with pytest.raises(ValueError, match="empty"):
             engine.session("a").interface()
 
+    def test_malformed_logs_fail_fast(self):
+        # One SQL string is not a log: it must not be read one character
+        # at a time and fail deep inside the parser.
+        engine = Engine(config=FAST)
+        with pytest.raises(TypeError, match="sequence of queries"):
+            engine.generate("SELECT a FROM t")
+        with pytest.raises(TypeError, match="sequence of queries"):
+            as_asts("SELECT a FROM t")
+        # An empty batch lane is refused up front, not inside a worker.
+        with pytest.raises(ValueError, match="log 0 is empty"):
+            engine.generate_batch([[]])
+        assert engine.searches_run == 0
+
     def test_invalid_executor_rejected(self):
         with pytest.raises(ValueError, match="executor"):
             Engine(executor="gpu")

@@ -29,6 +29,10 @@ from repro.workloads import listing1_sql, sdss_session_sql
 #: A fast config for tests that exercise plumbing, not search quality.
 FAST = GenerationConfig(time_budget_s=0.3, seed=0)
 
+#: Iteration-capped with no wall-clock budget: a seed does identical
+#: work wherever it runs, so executors can be compared bit for bit.
+CAPPED = GenerationConfig(time_budget_s=0.0, max_iterations=3, seed=0, final_cap=50)
+
 
 class TestLogStream:
     def test_append_and_version(self):
@@ -363,12 +367,41 @@ class TestIncrementalGenerator:
 
 class TestBatch:
     def test_batch_preserves_order_and_feasibility(self):
+        # Process-pool results arrive pickled, and Node/DTNode.__reduce__
+        # re-intern them here: they must equal the in-process executors'
+        # results bit for bit and land on the same canonical trees.
         logs = [listing1_sql(1, 2), listing1_sql(3, 4), listing1_sql(5, 6)]
-        results = generate_interfaces_batch(logs, config=FAST, max_workers=2)
-        assert len(results) == 3
-        for log, result in zip(logs, results):
-            assert result.best.breakdown.feasible
-            assert expresses_all(result.difftree, as_asts(log))
+        serial = generate_interfaces_batch(logs, config=CAPPED, executor="serial")
+        for executor in ("process", "thread"):
+            results = generate_interfaces_batch(
+                logs, config=CAPPED, max_workers=2, executor=executor
+            )
+            assert len(results) == 3
+            for log, ours, theirs in zip(logs, results, serial):
+                assert ours.best.breakdown.feasible
+                assert expresses_all(ours.difftree, as_asts(log))
+                assert ours.cost == theirs.cost
+                assert ours.difftree.canonical_key == theirs.difftree.canonical_key
+                assert ours.difftree is theirs.difftree
+                assert repr(ours.widget_tree) == repr(theirs.widget_tree)
+                assert ours.search.stats == theirs.search.stats
+                # History points are (wall-clock, cost): only the cost
+                # trajectory is deterministic.
+                assert [c for _, c in ours.search.history] == [
+                    c for _, c in theirs.search.history
+                ]
+
+    def test_process_pool_that_cannot_start_falls_back_to_threads(self, monkeypatch):
+        import repro.serve.batch as batch
+
+        def no_pool(*args, **kwargs):
+            raise OSError("process pools are unavailable")
+
+        monkeypatch.setattr(batch, "ProcessPoolExecutor", no_pool)
+        logs = [listing1_sql(1, 2), listing1_sql(3, 4)]
+        serial = generate_interfaces_batch(logs, config=CAPPED, executor="serial")
+        results = generate_interfaces_batch(logs, config=CAPPED, max_workers=2)
+        assert [r.cost for r in results] == [r.cost for r in serial]
 
     def test_serial_executor_matches_shape(self):
         logs = [listing1_sql(1, 2)]
@@ -378,6 +411,15 @@ class TestBatch:
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValueError):
             generate_interfaces_batch([listing1_sql(1, 2)], executor="gpu")
+
+    def test_malformed_logs_rejected_before_any_pool_starts(self):
+        good = listing1_sql(1, 2)
+        with pytest.raises(ValueError, match="log 0 is empty"):
+            generate_interfaces_batch([[]])
+        with pytest.raises(ValueError, match="log 1 is empty"):
+            generate_interfaces_batch([good, []], executor="thread")
+        with pytest.raises(TypeError, match="log 1 is a bare string"):
+            generate_interfaces_batch([good, good[0]])
 
     def test_context_key_is_deterministic(self):
         assert context_key(Screen.wide(), FAST) == context_key(Screen.wide(), FAST)

@@ -1,33 +1,20 @@
-"""Durable session snapshots: capture/restore parity + the stores.
+"""Session snapshots: capture/restore parity, refusals, and lifecycle.
 
 The restore contract under test (see ``repro/serve/snapshot.py``):
 restored state is observationally indistinguishable from never-crashed
 state — an ``interface()`` on the unchanged log replays the cached
 winner bit-identically, and a subsequent append + search continues from
-the same warm state with identical results.  The store layer's
-generation counter must reject stale writes from slow or zombie
-writers, including across concurrent threads on one SQLite file.
+the same warm state with identical results.  Corrupt, wrong-version and
+wrong-context payloads are refused with :class:`SnapshotError`.
 """
 
 import json
 import multiprocessing
-import os
-import tempfile
-import threading
 
 import pytest
 
 from repro import Engine, GenerationConfig
-from repro.serve import (
-    SNAPSHOT_SCHEMA_VERSION,
-    MemorySnapshotStore,
-    SessionSnapshot,
-    SnapshotError,
-    SnapshotWriter,
-    SQLiteSnapshotStore,
-    StaleSnapshotError,
-    open_store,
-)
+from repro.serve import SNAPSHOT_SCHEMA_VERSION, SessionSnapshot, SnapshotError
 
 TINY = GenerationConfig(time_budget_s=0.0, max_iterations=2, seed=0, final_cap=50)
 
@@ -82,8 +69,7 @@ class TestRoundTrip:
         restored = other.restore_snapshot(payload)
         # No intermediate interface() call: a cache-hit serve clears the
         # elite carry in original and restored sessions alike, so the
-        # parity comparison appends straight away (the cluster's replay
-        # path does exactly this).
+        # parity comparison appends straight away.
         restored.append(*log[4:])
         session.append(*log[4:])
         theirs = restored.interface()
@@ -145,14 +131,6 @@ class TestRoundTrip:
         grown_session(engine, "sdss")
         payload = engine.snapshot_session("snap").to_payload()
         assert payload == json.loads(json.dumps(payload))
-
-    def test_accounting_rides_through(self):
-        engine = Engine(config=TINY)
-        grown_session(engine, "sdss")
-        accounting = {"delivered": 2, "reports": [{"chunk": 0, "cost": 1.5}]}
-        snapshot = engine.snapshot_session("snap", accounting=accounting)
-        decoded = SessionSnapshot.from_payload(snapshot.to_payload())
-        assert decoded.accounting == accounting
 
 
 class TestRejection:
@@ -234,144 +212,37 @@ class TestRejection:
             other.restore_snapshot(payload)
 
 
-class TestStores:
-    def test_memory_store_round_trip_and_stale_rejection(self):
-        store = MemorySnapshotStore()
-        store.save("a", {"version": 1, "x": 1}, generation=2)
-        store.save("a", {"version": 1, "x": 2}, generation=3)
-        assert store.load("a").payload["x"] == 2
-        with pytest.raises(StaleSnapshotError):
-            store.save("a", {"version": 1, "x": 0}, generation=1)
-        store.save("a", {"version": 1, "x": 3}, generation=3)  # equal: ok
-        assert store.load("a").payload["x"] == 3
-        assert store.sessions() == ["a"]
-        assert store.delete("a") and not store.delete("a")
+class TestLifecycle:
+    def test_evicted_restored_id_reopens_without_restore_provenance(self):
+        # LRU eviction must forget restore provenance just as
+        # drop_session does: a session reopened under an evicted
+        # restored id is a fresh session, not a restored one.
+        source = Engine(config=TINY)
+        grown_session(source, "sdss", "a")
+        payload = source.snapshot_session("a").to_payload()
 
-    def test_memory_store_enforces_json_contract(self):
-        store = MemorySnapshotStore()
-        with pytest.raises(TypeError):
-            store.save("a", {"bad": object()}, generation=1)
-
-    def test_sqlite_store_round_trip(self, tmp_path):
-        path = tmp_path / "snaps.sqlite"
-        store = SQLiteSnapshotStore(path)
-        store.save("a", {"version": 1, "x": 1}, generation=1)
-        store.save("b", {"version": 1, "x": 2}, generation=1)
-        assert store.load("a").payload == {"version": 1, "x": 1}
-        assert store.sessions() == ["a", "b"]
-        with pytest.raises(StaleSnapshotError):
-            store.save("a", {"version": 1}, generation=0)
-        store.close()
-        # Durable across connections.
-        reopened = SQLiteSnapshotStore(path)
-        assert reopened.load("b").generation == 1
-        assert reopened.delete("a")
-        reopened.close()
-
-    def test_sqlite_concurrent_writers_keep_max_generation(self, tmp_path):
-        # Many threads race interleaved generations at one session; the
-        # generation guard must leave the maximum durable regardless of
-        # commit order, with every loser surfaced as a stale rejection.
-        path = tmp_path / "race.sqlite"
-        rejections = []
-
-        def writer(worker):
-            store = SQLiteSnapshotStore(path)
-            for generation in range(1, 21):
-                try:
-                    store.save(
-                        "shared",
-                        {"version": 1, "worker": worker, "gen": generation},
-                        generation=generation,
-                    )
-                except StaleSnapshotError:
-                    rejections.append((worker, generation))
-            store.close()
-
-        threads = [
-            threading.Thread(target=writer, args=(i,)) for i in range(4)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        store = SQLiteSnapshotStore(path)
-        record = store.load("shared")
-        store.close()
-        assert record.generation == 20
-        assert record.payload["gen"] == 20
-
-    def test_snapshot_store_validates_on_load(self, tmp_path):
-        path = tmp_path / "bad.sqlite"
-        store = SQLiteSnapshotStore(path)
-        store.save("a", {"version": 999}, generation=1)
-        with pytest.raises(SnapshotError, match="version"):
-            store.load_snapshot("a")
-        assert store.load_snapshot("missing") is None
-        store.close()
-
-    def test_open_store_spec_dispatch(self, tmp_path):
-        assert isinstance(open_store(None), MemorySnapshotStore)
-        sqlite_store = open_store(tmp_path / "s.sqlite")
-        assert isinstance(sqlite_store, SQLiteSnapshotStore)
-        sqlite_store.close()
-        memory = MemorySnapshotStore()
-        assert open_store(memory) is memory
-
-
-class TestSnapshotWriter:
-    def test_write_behind_every_k_appends(self):
-        engine = Engine(config=TINY)
-        store = MemorySnapshotStore()
-        writer = SnapshotWriter(store, engine, every_appends=3)
-        log = Engine.workload("sdss", 4, seed=5)
-        session = engine.session("s")
-        session.append(*log[:2])
-        session.interface()
-        assert not writer.on_delivered("s")  # 2 appends < 3: deferred
-        session.append(*log[2:])
-        session.interface()
-        assert writer.on_delivered("s")  # 4 appends since: written
-        assert store.load("s").generation == 4
-        assert not writer.on_delivered("s")  # nothing new since
-
-    def test_eviction_hook_persists_evicted_sessions(self):
         engine = Engine(config=TINY, max_sessions=1)
-        store = MemorySnapshotStore()
-        writer = SnapshotWriter(store, engine)
-        writer.attach_eviction_hook()
-        log = Engine.workload("sdss", 2, seed=5)
-        first = engine.session("first")
-        first.append(*log)
-        first.interface()
-        engine.session("second")  # evicts "first" past the LRU bound
-        assert "first" not in engine.sessions()
-        assert store.load("first").generation == 2
+        engine.restore_snapshot(payload)
+        engine.session("b")  # evicts "a" past the LRU bound
+        reopened = engine.session("a")
+        assert reopened.log_length == 0
+        reopened.append(*Engine.workload("sdss", 2, seed=9))
+        report = reopened.interface()
+        assert engine.restored_session("a") is None
+        assert report.to_dict()["provenance"]["snapshot"] is None
 
-    def test_drain_snapshots_every_session(self):
+    def test_payload_with_unread_keys_restores(self):
+        # Top-level keys that from_payload does not read (such as an
+        # ``accounting`` record another writer added) are ignored, not
+        # refused.
         engine = Engine(config=TINY)
-        store = MemorySnapshotStore()
-        writer = SnapshotWriter(store, engine, every_appends=100)
-        log = Engine.workload("sdss", 2, seed=5)
-        for sid in ("a", "b"):
-            session = engine.session(sid)
-            session.append(*log)
-            session.interface()
-        assert writer.drain(accounting_for=lambda sid: {"sid": sid}) == 2
-        assert store.sessions() == ["a", "b"]
-        decoded = store.load_snapshot("b")
-        assert decoded.accounting == {"sid": "b"}
-
-    def test_stale_rejection_is_swallowed(self):
-        engine = Engine(config=TINY)
-        store = MemorySnapshotStore()
-        writer = SnapshotWriter(store, engine)
-        log = Engine.workload("sdss", 2, seed=5)
-        session = engine.session("s")
-        session.append(*log)
-        session.interface()
-        store.save("s", {"version": 1}, generation=99)  # a newer writer won
-        assert not writer.on_delivered("s")  # rejected, not raised
+        _, original = grown_session(engine, "sdss")
+        payload = engine.snapshot_session("snap").to_payload()
+        payload["accounting"] = {"delivered": 2}
+        handle = Engine(config=TINY).restore_snapshot(payload)
+        restored = handle.interface()
+        assert restored.source == "cache"
+        assert restored.cost == original.cost
 
 
 def _child_payload(workload, queue):

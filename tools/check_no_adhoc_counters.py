@@ -20,9 +20,12 @@ Two patterns are flagged in ``src/repro`` outside ``repro/obs/``:
    registry sources; a fresh *module-level* singleton is a parallel
    telemetry channel.
 
-The allowlist pins the grandfathered singleton (``repro.memo.INGEST``,
-itself registered as the ``ingest.*`` source).  Exit code 1 on any new
-finding — wired into the CI lint job.
+The allowlist pins the grandfathered singletons (``repro.memo.INGEST``,
+itself registered as the ``ingest.*`` source, and the registered
+per-module ``STATS`` records).  Exit code 1 on any new finding, and on
+any allowlist entry that no longer matches a finding (a stale entry
+would silently pre-approve a future counter of the same name) — wired
+into the CI lint job.
 """
 
 from __future__ import annotations
@@ -40,10 +43,6 @@ ALLOWLIST = {
     # Registered with repro.obs via register_source("difftree.columnar", ...);
     # kept as a plain-slots singleton because the encode loop bumps it.
     ("repro/difftree/columnar.py", "STATS"),
-    # Registered via register_source("serve.cluster", ...); plain-field
-    # singleton because the worker emit loop and the front's dispatch/
-    # reap paths bump it per message.
-    ("repro/serve/cluster.py", "STATS"),
     # Registered via register_source("search.carry", ...); plain-field
     # singleton because harvest/rebase/retention paths bump it per node.
     ("repro/search/carry.py", "STATS"),
@@ -95,6 +94,7 @@ def _counter_singletons(tree: ast.AST) -> List[Tuple[str, int]]:
 
 def main() -> int:
     failures = []
+    allowed = set()
     for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(SRC.parent).as_posix()
         if rel.startswith("repro/obs/"):
@@ -102,8 +102,10 @@ def main() -> int:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=rel)
         for name, line in _mutated_globals(tree) + _counter_singletons(tree):
             if (rel, name) in ALLOWLIST:
+                allowed.add((rel, name))
                 continue
             failures.append(f"{rel}:{line}: ad-hoc module-level counter {name!r}")
+    stale = sorted(ALLOWLIST - allowed)
     if failures:
         print(
             "New module-level counters must go through repro.obs "
@@ -112,6 +114,11 @@ def main() -> int:
         )
         for failure in failures:
             print(f"  {failure}", file=sys.stderr)
+    if stale:
+        print("ALLOWLIST entries that match no finding (delete them):", file=sys.stderr)
+        for rel, name in stale:
+            print(f"  {rel}: {name!r}", file=sys.stderr)
+    if failures or stale:
         return 1
     print(f"check_no_adhoc_counters: OK ({SRC})")
     return 0
