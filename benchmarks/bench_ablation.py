@@ -13,7 +13,7 @@ from repro.cost import CostModel, CostWeights
 from repro.difftree import initial_difftree
 from repro.layout import Screen
 from repro.rules import default_engine
-from repro.search import MCTSConfig, mcts_search
+from repro.search import MCTS, MCTSConfig
 from repro.workloads import listing1_queries
 
 BUDGET_S = 3.0
@@ -23,7 +23,7 @@ SEED = 31
 def _run(queries, *, weights=None, engine=None, **config_kwargs):
     model = CostModel(queries, Screen.wide(), weights=weights or CostWeights())
     config = MCTSConfig(time_budget_s=BUDGET_S, seed=SEED, **config_kwargs)
-    return mcts_search(model, initial_difftree(queries), engine=engine, config=config)
+    return MCTS(model, engine=engine, config=config).open(initial_difftree(queries)).run()
 
 
 def test_exploration_constant(benchmark, table_printer):

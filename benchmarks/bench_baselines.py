@@ -14,11 +14,11 @@ from repro.difftree import initial_difftree
 from repro.layout import Screen
 from repro.mining import evaluate_mined, mine_interface
 from repro.search import (
+    MCTS,
+    BeamSearchTask,
+    GreedySearchTask,
     MCTSConfig,
-    beam_search,
-    greedy_search,
-    mcts_search,
-    random_search,
+    RandomSearchTask,
 )
 from repro.workloads import listing1_queries
 
@@ -32,32 +32,31 @@ def test_strategies_on_sdss_log(benchmark, table_printer):
 
     def run_all():
         results = {}
-        results["mcts"] = mcts_search(
+        results["mcts"] = MCTS(
             CostModel(queries, Screen.wide()),
-            initial,
             config=MCTSConfig(time_budget_s=BUDGET_S, seed=SEED),
-        )
-        results["random"] = random_search(
+        ).open(initial).run()
+        results["random"] = RandomSearchTask(
             CostModel(queries, Screen.wide()),
             initial,
             time_budget_s=BUDGET_S,
             seed=SEED,
-        )
-        results["greedy"] = greedy_search(
+        ).run()
+        results["greedy"] = GreedySearchTask(
             CostModel(queries, Screen.wide()),
             initial,
             time_budget_s=BUDGET_S,
             restarts=2,
             seed=SEED,
-        )
-        results["beam"] = beam_search(
+        ).run()
+        results["beam"] = BeamSearchTask(
             CostModel(queries, Screen.wide()),
             initial,
             beam_width=6,
             max_depth=20,
             time_budget_s=BUDGET_S,
             seed=SEED,
-        )
+        ).run()
         return results
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)
@@ -113,11 +112,10 @@ def test_mcts_beats_miner_under_full_objective(benchmark, table_printer):
         rounds=1,
         iterations=1,
     )
-    searched = mcts_search(
+    searched = MCTS(
         CostModel(queries, Screen.wide()),
-        initial_difftree(queries),
         config=MCTSConfig(time_budget_s=BUDGET_S, seed=SEED),
-    )
+    ).open(initial_difftree(queries)).run()
     table_printer(
         "T-CMP — MCTS vs bottom-up miner",
         ["approach", "cost", "feasible", "expressible"],

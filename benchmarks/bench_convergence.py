@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.cost import CostModel, sampled_evaluation
 from repro.difftree import initial_difftree
 from repro.layout import Screen
-from repro.search import MCTSConfig, mcts_search
+from repro.search import MCTS, MCTSConfig
 from repro.workloads import listing1_queries
 
 BUDGETS_S = (0.5, 2.0, 6.0)
@@ -30,11 +30,8 @@ def test_cost_vs_budget(benchmark, table_printer):
         costs = []
         for budget in BUDGETS_S:
             model = CostModel(queries, Screen.wide())
-            result = mcts_search(
-                model,
-                initial,
-                config=MCTSConfig(time_budget_s=budget, seed=SEED),
-            )
+            config = MCTSConfig(time_budget_s=budget, seed=SEED)
+            result = MCTS(model, config=config).open(initial).run()
             costs.append((budget, result.best_cost, result.stats.iterations,
                           result.stats.states_evaluated))
         return costs
@@ -62,9 +59,9 @@ def test_incumbent_history_is_monotone(benchmark, table_printer):
     initial = initial_difftree(queries)
 
     result = benchmark.pedantic(
-        lambda: mcts_search(
-            model, initial, config=MCTSConfig(time_budget_s=4.0, seed=SEED)
-        ),
+        lambda: MCTS(model, config=MCTSConfig(time_budget_s=4.0, seed=SEED))
+        .open(initial)
+        .run(),
         rounds=1,
         iterations=1,
     )

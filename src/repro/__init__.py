@@ -30,7 +30,6 @@ classes remain as stable shims over the same machinery.
 
 from . import obs
 from .core import (
-    STRATEGIES,
     GeneratedInterface,
     GenerationConfig,
     generate_interface,
@@ -54,7 +53,6 @@ __all__ = [
     "generate_interface",
     "GenerationConfig",
     "GeneratedInterface",
-    "STRATEGIES",
     "Screen",
     "IncrementalGenerator",
     "InterfaceCache",

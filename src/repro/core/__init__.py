@@ -1,7 +1,6 @@
 """Top-level API."""
 
 from .api import (
-    STRATEGIES,
     GeneratedInterface,
     GenerationConfig,
     as_mcts_config,
@@ -15,7 +14,6 @@ __all__ = [
     "generate_interface",
     "GenerationConfig",
     "GeneratedInterface",
-    "STRATEGIES",
     "as_mcts_config",
     "open_search_task",
     "prepare_search",

@@ -37,11 +37,6 @@ from ..search import (
     RandomSearchTask,
     SearchResult,
     SearchTask,
-    beam_search,
-    exhaustive_search,
-    greedy_search,
-    mcts_search,
-    random_search,
 )
 from ..sqlast import Node
 
@@ -186,65 +181,11 @@ def prepare_search(
 
 # -- registered strategies -----------------------------------------------------
 #
-# Each strategy declares its capabilities at registration; the dispatch in
-# run_search()/open_search_task() enforces them, replacing the per-runner
-# _require_cold checks.  Every built-in registers a task_factory returning an
-# *opened* SearchTask, so all of them can be time-sliced by the scheduler;
-# the runner remains the monolithic convenience (one unbounded step).
-
-
-def _open_mcts(model, initial, engine, config, warm_states) -> SearchTask:
-    return MCTS(model, engine=engine, config=as_mcts_config(config)).open(
-        initial, warm_states=warm_states
-    )
-
-
-def _open_random(model, initial, engine, config, warm_states) -> SearchTask:
-    return RandomSearchTask(
-        model,
-        initial,
-        engine=engine,
-        time_budget_s=config.time_budget_s,
-        max_walk_steps=config.max_walk_steps,
-        k_assignments=config.k_assignments,
-        seed=config.seed,
-        final_cap=config.final_cap,
-    )
-
-
-def _open_greedy(model, initial, engine, config, warm_states) -> SearchTask:
-    return GreedySearchTask(
-        model,
-        initial,
-        engine=engine,
-        time_budget_s=config.time_budget_s,
-        k_assignments=config.k_assignments,
-        seed=config.seed,
-        final_cap=config.final_cap,
-    )
-
-
-def _open_beam(model, initial, engine, config, warm_states) -> SearchTask:
-    return BeamSearchTask(
-        model,
-        initial,
-        engine=engine,
-        time_budget_s=config.time_budget_s,
-        k_assignments=config.k_assignments,
-        seed=config.seed,
-        final_cap=config.final_cap,
-    )
-
-
-def _open_exhaustive(model, initial, engine, config, warm_states) -> SearchTask:
-    return ExhaustiveSearchTask(
-        model,
-        initial,
-        engine=engine,
-        k_assignments=config.k_assignments,
-        seed=config.seed,
-        final_cap=config.final_cap,
-    )
+# Each strategy registers one task factory returning an *opened*
+# SearchTask and declares its capabilities; the dispatch in
+# open_search_task() enforces them, replacing the per-strategy
+# _require_cold checks.  run_search() runs the task to completion, and the
+# scheduler time-slices the same task.
 
 
 @register_strategy(
@@ -252,27 +193,21 @@ def _open_exhaustive(model, initial, engine, config, warm_states) -> SearchTask:
     supports_warm_start=True,
     needs_time_budget=True,
     supports_iteration_cap=True,
-    task_factory=_open_mcts,
     description="the paper's MCTS over difftree states (warm-startable)",
 )
-def _run_mcts(model, initial, engine, config, warm_states):
-    return mcts_search(
-        model,
-        initial,
-        engine=engine,
-        config=as_mcts_config(config),
-        warm_states=warm_states,
+def _open_mcts(model, initial, engine, config, warm_states) -> SearchTask:
+    return MCTS(model, engine=engine, config=as_mcts_config(config)).open(
+        initial, warm_states=warm_states
     )
 
 
 @register_strategy(
     "random",
     needs_time_budget=True,
-    task_factory=_open_random,
     description="random-restart walks baseline",
 )
-def _run_random(model, initial, engine, config, warm_states):
-    return random_search(
+def _open_random(model, initial, engine, config, warm_states) -> SearchTask:
+    return RandomSearchTask(
         model,
         initial,
         engine=engine,
@@ -287,11 +222,10 @@ def _run_random(model, initial, engine, config, warm_states):
 @register_strategy(
     "greedy",
     needs_time_budget=True,
-    task_factory=_open_greedy,
     description="greedy hill-climbing baseline (forward rules only)",
 )
-def _run_greedy(model, initial, engine, config, warm_states):
-    return greedy_search(
+def _open_greedy(model, initial, engine, config, warm_states) -> SearchTask:
+    return GreedySearchTask(
         model,
         initial,
         engine=engine,
@@ -305,11 +239,10 @@ def _run_greedy(model, initial, engine, config, warm_states):
 @register_strategy(
     "beam",
     needs_time_budget=True,
-    task_factory=_open_beam,
     description="beam-search baseline",
 )
-def _run_beam(model, initial, engine, config, warm_states):
-    return beam_search(
+def _open_beam(model, initial, engine, config, warm_states) -> SearchTask:
+    return BeamSearchTask(
         model,
         initial,
         engine=engine,
@@ -323,11 +256,10 @@ def _run_beam(model, initial, engine, config, warm_states):
 @register_strategy(
     "exhaustive",
     needs_time_budget=False,
-    task_factory=_open_exhaustive,
     description="exhaustive state enumeration (tiny logs only)",
 )
-def _run_exhaustive(model, initial, engine, config, warm_states):
-    return exhaustive_search(
+def _open_exhaustive(model, initial, engine, config, warm_states) -> SearchTask:
+    return ExhaustiveSearchTask(
         model,
         initial,
         engine=engine,
@@ -335,12 +267,6 @@ def _run_exhaustive(model, initial, engine, config, warm_states):
         seed=config.seed,
         final_cap=config.final_cap,
     )
-
-
-#: Registered strategy names (kept for back-compat; prefer
-#: :func:`repro.registry.strategy_names`, which reflects late
-#: registrations too).
-STRATEGIES = strategy_names()
 
 
 def _validate_dispatch(
@@ -378,24 +304,27 @@ def open_search_task(
 ) -> SearchTask:
     """Open (but do not run) a resumable search task for ``config``.
 
-    The stepping entry point of the strategy registry: capability checks
-    are identical to :func:`run_search`, but instead of running to
-    completion the opened :class:`~repro.search.SearchTask` is returned
-    for the caller — typically the multi-session scheduler — to drive
-    via ``step()``.  Raises for strategies registered without a
-    ``task_factory``.
+    Enforces the strategy's declared capabilities: ``warm_states`` are
+    rejected unless the strategy ``supports_warm_start``, and strategies
+    that ``needs_time_budget`` require a positive wall-clock budget —
+    or, if they declare ``supports_iteration_cap``, a positive
+    ``max_iterations``.  The opened :class:`~repro.search.SearchTask` is
+    returned for the caller — :func:`run_search`, or the multi-session
+    scheduler — to drive via ``step()``.
+
+    Raises:
+        TypeError: when the strategy's factory returns something other
+            than a ``SearchTask``.
     """
     spec = strategy_spec(config.strategy)
     _validate_dispatch(spec, config, warm_states)
-    if not spec.supports_stepping or spec.task_factory is None:
-        steppable = ", ".join(
-            n for n in strategy_names() if strategy_spec(n).supports_stepping
+    task = spec.task_factory(model, initial, engine, config, tuple(warm_states))
+    if not isinstance(task, SearchTask):
+        raise TypeError(
+            f"strategy {spec.name!r} task factory returned "
+            f"{type(task).__name__}, not a SearchTask"
         )
-        raise ValueError(
-            f"strategy {spec.name!r} does not support stepping "
-            f"(steppable: {steppable})"
-        )
-    return spec.task_factory(model, initial, engine, config, tuple(warm_states))
+    return task
 
 
 def run_search(
@@ -405,24 +334,10 @@ def run_search(
     config: GenerationConfig,
     warm_states: Sequence[DTNode] = (),
 ) -> SearchResult:
-    """Dispatch one search through the strategy registry.
-
-    Enforces the strategy's declared capabilities: ``warm_states`` are
-    rejected unless the strategy ``supports_warm_start``, and strategies
-    that ``needs_time_budget`` require a positive wall-clock budget —
-    or, if they declare ``supports_iteration_cap``, a positive
-    ``max_iterations``.
-
-    Steppable strategies run as one unbounded step of their opened task
-    (the same code path the scheduler slices); legacy runners registered
-    without a ``task_factory`` fall back to their monolithic function.
-    """
-    spec = strategy_spec(config.strategy)
-    _validate_dispatch(spec, config, warm_states)
-    if spec.supports_stepping and spec.task_factory is not None:
-        task = spec.task_factory(model, initial, engine, config, tuple(warm_states))
-        return task.run()
-    return spec.runner(model, initial, engine, config, tuple(warm_states))
+    """Dispatch one search through the strategy registry: the task
+    :func:`open_search_task` opens, run as one unbounded step (the same
+    code path the scheduler slices)."""
+    return open_search_task(model, initial, engine, config, warm_states).run()
 
 
 def generate_interface(

@@ -18,7 +18,7 @@ whole optimized structure to one alternative among raw queries.
 from __future__ import annotations
 
 from functools import reduce
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .. import memo as _memo
 from ..memo import INGEST
@@ -49,11 +49,6 @@ def anti_unify(a: DTNode, b: DTNode) -> DTNode:
     return normalize(_au(a, b))
 
 
-def anti_unify_reference(a: DTNode, b: DTNode) -> DTNode:
-    """Unmemoized :func:`anti_unify` (parity oracle for tests/benchmarks)."""
-    return normalize(_au_reference(a, b))
-
-
 def anti_unify_all(subtrees: Sequence[DTNode]) -> DTNode:
     """Fold :func:`anti_unify` over a non-empty sequence of subtrees."""
     if not subtrees:
@@ -64,45 +59,31 @@ def anti_unify_all(subtrees: Sequence[DTNode]) -> DTNode:
 def _au(a: DTNode, b: DTNode) -> DTNode:
     if a == b:
         return a
-    if _memo.fast_paths_enabled():
-        cached = _AU_MEMO.get((a, b))
-        if cached is not None:
-            INGEST.au_memo_hits += 1
-            return cached
-        result = _au_impl(a, b, _au)
-        _AU_MEMO[(a, b)] = result
-        return result
-    return _au_impl(a, b, _au)
-
-
-def _au_reference(a: DTNode, b: DTNode) -> DTNode:
-    if a == b:
-        return a
-    return _au_impl(a, b, _au_reference)
-
-
-def _au_impl(
-    a: DTNode, b: DTNode, au: Callable[[DTNode, DTNode], DTNode]
-) -> DTNode:
-    """One anti-unification step; recursion goes through ``au`` so the
-    memoized entry point and the reference share one body."""
+    cached = _AU_MEMO.get((a, b))
+    if cached is not None:
+        INGEST.au_memo_hits += 1
+        return cached
     if (
         a.kind == ALL
         and b.kind == ALL
         and a.head == b.head
         and len(a.children) == len(b.children)
     ):
-        children = tuple(au(x, y) for x, y in zip(a.children, b.children))
-        return DTNode(ALL, a.label, a.value, children)
-    # Heads differ (including same label, different leaf value) or arity
-    # differs: fall back to an explicit choice between the two subtrees.
-    alternatives = []
-    for node in (a, b):
-        if node.kind == ANY:
-            alternatives.extend(node.children)
-        else:
-            alternatives.append(node)
-    return any_node(alternatives)
+        children = tuple(_au(x, y) for x, y in zip(a.children, b.children))
+        result = DTNode(ALL, a.label, a.value, children)
+    else:
+        # Heads differ (including same label, different leaf value) or
+        # arity differs: fall back to an explicit choice between the two
+        # subtrees.
+        alternatives = []
+        for node in (a, b):
+            if node.kind == ANY:
+                alternatives.extend(node.children)
+            else:
+                alternatives.append(node)
+        result = any_node(alternatives)
+    _AU_MEMO[(a, b)] = result
+    return result
 
 
 # -- incremental grafting ----------------------------------------------------
@@ -125,20 +106,13 @@ def graft(tree: DTNode, query: DTNode) -> DTNode:
     re-grafting a familiar query shape into the same optimized tree
     reuses the merge wholesale.
     """
-    if _memo.fast_paths_enabled():
-        cached = _GRAFT_MEMO.get((tree, query))
-        if cached is not None:
-            INGEST.graft_memo_hits += 1
-            return cached
-        result = normalize(_graft(tree, query))
-        _GRAFT_MEMO[(tree, query)] = result
-        return result
-    return normalize(_graft(tree, query))
-
-
-def graft_reference(tree: DTNode, query: DTNode) -> DTNode:
-    """Unmemoized object-walk :func:`graft` (parity oracle for tests/benches)."""
-    return normalize(_graft(tree, query))
+    cached = _GRAFT_MEMO.get((tree, query))
+    if cached is not None:
+        INGEST.graft_memo_hits += 1
+        return cached
+    result = normalize(_graft(tree, query))
+    _GRAFT_MEMO[(tree, query)] = result
+    return result
 
 
 def _graft(t: DTNode, q: DTNode) -> DTNode:

@@ -27,7 +27,6 @@ in the receiving process.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .. import memo as _memo
@@ -39,7 +38,6 @@ from .dtnodes import ALL, ANY, EMPTY, MULTI, OPT, DTNode
 
 __all__ = [
     "ColumnarTree",
-    "canonical_key_reference",
     "STATS",
 ]
 
@@ -311,15 +309,3 @@ def _json_value(value: Any) -> Any:
     if isinstance(value, list):
         return tuple(_json_value(part) for part in value)
     return value
-
-
-def canonical_key_reference(node: TreeNode) -> str:
-    """Cache-free recursive canonical key (parity oracle for tests/benches)."""
-    is_ast = isinstance(node, N.Node)
-    text = "{}:{}:{!r}({})".format(
-        ALL if is_ast else node.kind,
-        node.label or "",
-        node.value,
-        ",".join(canonical_key_reference(c) for c in node.children),
-    )
-    return hashlib.md5(text.encode("utf-8")).hexdigest()

@@ -310,15 +310,12 @@ _memo.register_cache(_WRAP_MEMO.clear)
 
 def wrap_ast(ast: N.Node) -> DTNode:
     """Embed a concrete AST as a pure-``ALL`` difftree (memoized)."""
-    fast = _memo.fast_paths_enabled()
-    if fast:
-        cached = _WRAP_MEMO.get(ast)
-        if cached is not None:
-            INGEST.wrap_memo_hits += 1
-            return cached
+    cached = _WRAP_MEMO.get(ast)
+    if cached is not None:
+        INGEST.wrap_memo_hits += 1
+        return cached
     node = DTNode(ALL, ast.label, ast.value, tuple(wrap_ast(c) for c in ast.children))
-    if fast:
-        _WRAP_MEMO[ast] = node
+    _WRAP_MEMO[ast] = node
     return node
 
 

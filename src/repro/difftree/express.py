@@ -16,7 +16,6 @@ node's children, like a small regular expression over child lists.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
@@ -169,17 +168,13 @@ def assignment_for(tree: DTNode, ast: N.Node) -> Optional[Assignment]:
     hit returns a *fresh* dict (assignments are mutable), rebuilt from
     the frozen cached items in their canonical order.
     """
-    if _memo.fast_paths_enabled():
-        cached = _ASSIGN_MEMO.get((tree, ast), _ASSIGN_MISS)
-        if cached is not _ASSIGN_MISS:
-            INGEST.express_memo_hits += 1
-            return None if cached is None else dict(cached)
-        result = Matcher(tree, ast).first_assignment()
-        _ASSIGN_MEMO[(tree, ast)] = (
-            None if result is None else tuple(result.items())
-        )
-        return result
-    return Matcher(tree, ast).first_assignment()
+    cached = _ASSIGN_MEMO.get((tree, ast), _ASSIGN_MISS)
+    if cached is not _ASSIGN_MISS:
+        INGEST.express_memo_hits += 1
+        return None if cached is None else dict(cached)
+    result = Matcher(tree, ast).first_assignment()
+    _ASSIGN_MEMO[(tree, ast)] = None if result is None else tuple(result.items())
+    return result
 
 
 def changed_choices(a: Assignment, b: Assignment) -> List[Path]:
@@ -319,34 +314,38 @@ def enumerate_queries(
 ) -> List[N.Node]:
     """Materialize up to ``limit`` distinct query ASTs the tree expresses.
 
-    ``MULTI`` nodes are expanded up to ``multi_cap`` repetitions.
+    ``MULTI`` nodes are expanded up to ``multi_cap`` repetitions.  The
+    enumeration is lazy, so the work is bounded by ``limit`` rather than
+    by the (possibly huge) number of queries the tree expresses.
     """
 
     def gen(node: DTNode) -> Iterator[Tuple[N.Node, ...]]:
         if node.kind == EMPTY:
             yield ()
-            return
-        if node.kind == ALL:
-            child_options = [list(gen(c)) for c in node.children]
-            for combo in itertools.product(*child_options):
-                flat: Tuple[N.Node, ...] = tuple(itertools.chain.from_iterable(combo))
+        elif node.kind == ALL:
+            for flat in product(node.children):
                 yield (N.Node(node.label, node.value, flat),)
-            return
-        if node.kind == ANY:
+        elif node.kind == ANY:
             for alt in node.children:
                 yield from gen(alt)
-            return
-        if node.kind == OPT:
+        elif node.kind == OPT:
             yield ()
             yield from gen(node.children[0])
-            return
-        if node.kind == MULTI:
-            repetitions = list(gen(node.children[0]))
+        elif node.kind == MULTI:
             for k in range(multi_cap + 1):
-                for combo in itertools.product(repetitions, repeat=k):
-                    yield tuple(itertools.chain.from_iterable(combo))
+                yield from product((node.children[0],) * k)
+        else:
+            raise AssertionError(node.kind)
+
+    def product(slots: Sequence[DTNode]) -> Iterator[Tuple[N.Node, ...]]:
+        # ``itertools.product`` order (the last slot varies fastest), but
+        # each slot is re-generated lazily instead of materialized first.
+        if not slots:
+            yield ()
             return
-        raise AssertionError(node.kind)
+        for head in gen(slots[0]):
+            for rest in product(slots[1:]):
+                yield head + rest
 
     results: List[N.Node] = []
     seen = set()

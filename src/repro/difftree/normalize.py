@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import List
 
-from ..memo import fast_paths_enabled
 from .dtnodes import ALL, ANY, EMPTY, EMPTY_NODE, MULTI, OPT, DTNode
 
 
@@ -35,19 +34,16 @@ def normalize(node: DTNode) -> DTNode:
     result is marked as its own normal form, so ``normalize`` over a
     previously-normalized tree never recurses.
     """
-    if fast_paths_enabled():
-        cached = node._norm
-        if cached is not None:
-            return cached
-        children = tuple(normalize(c) for c in node.children)
-        result = normalize_shallow(node, children)
-        # normalize_shallow over normalized children yields a fully
-        # normalized tree, so the result is its own fixed point.
-        object.__setattr__(result, "_norm", result)
-        object.__setattr__(node, "_norm", result)
-        return result
+    cached = node._norm
+    if cached is not None:
+        return cached
     children = tuple(normalize(c) for c in node.children)
-    return normalize_shallow(node, children)
+    result = normalize_shallow(node, children)
+    # normalize_shallow over normalized children yields a fully
+    # normalized tree, so the result is its own fixed point.
+    object.__setattr__(result, "_norm", result)
+    object.__setattr__(node, "_norm", result)
+    return result
 
 
 def normalize_shallow(node: DTNode, children=None) -> DTNode:

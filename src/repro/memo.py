@@ -14,15 +14,12 @@ This module owns the pieces those layers share:
 * :class:`IngestCounters` / :data:`INGEST` — process-wide counters
   (parses, intern hits, memo hits, dedup-skipped appends) surfaced in
   :class:`~repro.engine.report.GenerationReport` envelopes.
-* The two **gates**, ``fast_paths`` and ``carry``, held in one
-  context-local record: :func:`fast_paths` / :func:`carry` force one
-  inside a ``with`` block, :func:`fast_paths_enabled` /
-  :func:`carry_enabled` read it.  Disabling fast paths makes every
-  memoized function recompute from scratch — the pre-interning
-  reference path the ingest benchmark compares against for its
-  throughput gate and bit-for-bit parity check.
-* :func:`clear_memo_caches` — drops every registered memo table (used
-  between benchmark modes so both start cold).
+* The ``carry`` **gate**, held in a context-local record: :func:`carry`
+  forces it inside a ``with`` block and :func:`carry_enabled` reads it.
+  The memoized functions have no gate: they always consult their tables,
+  and the unmemoized parity oracles live with the tests.
+* :func:`clear_memo_caches` — drops every registered memo table (parity
+  tests use it so the memoized functions start cold).
 
 Memoized functions are pure, so warm caches never change results — only
 how fast they are produced.  Counters are plain ints bumped without a
@@ -40,7 +37,6 @@ from functools import wraps
 from typing import (
     Any,
     Callable,
-    ContextManager,
     Dict,
     Iterator,
     List,
@@ -204,64 +200,43 @@ _OBS_REGISTRY.register_source("ingest", INGEST.snapshot)
 
 # -- gates ----------------------------------------------------------------------
 #
-# Two switches, held together in one context-local record so a ``with``
-# block in one thread (a scheduler worker, a test) never flips the path
-# another thread runs:
+# One switch, held in a context-local record so a ``with`` block in one
+# thread (a scheduler worker, a test) never flips the path another thread
+# runs:
 #
-# * ``fast_paths`` — the memoized ingest fast paths.  Off, every memoized
-#   function recomputes from scratch: the pre-interning reference path
-#   the ingest benchmark and the parity tests compare against.
 # * ``carry`` — carrying the MCTS search tree across a serving session's
 #   appends (:mod:`repro.search.carry`).  Off, serving re-explores the
 #   decision space from scratch: the maintainable-search parity oracle.
-#   Subordinate to ``fast_paths``: the reference mode is the pure
-#   rebuild path, so turning fast paths off turns carry off too.
 
 
 class _Gates(NamedTuple):
-    fast_paths: bool = True
     carry: bool = True
 
 
 _GATES: ContextVar[_Gates] = ContextVar("repro.memo.gates", default=_Gates())
 
 
-def fast_paths_enabled() -> bool:
-    """Whether the memoized ingest fast paths are active (default: yes)."""
-    return _GATES.get().fast_paths
-
-
 def carry_enabled() -> bool:
     """Whether the cross-append search-tree carry is active (default: yes)."""
-    gates = _GATES.get()
-    return gates.carry and gates.fast_paths
+    return _GATES.get().carry
 
 
 @contextmanager
-def _override(**setting: bool) -> Iterator[None]:
-    token = _GATES.set(_GATES.get()._replace(**setting))
+def carry(enabled: bool) -> Iterator[None]:
+    """Force the carry gate inside a ``with`` block (this context only)."""
+    token = _GATES.set(_Gates(carry=bool(enabled)))
     try:
         yield
     finally:
         _GATES.reset(token)
 
 
-def fast_paths(enabled: bool) -> ContextManager[None]:
-    """Force the fast-path gate inside a ``with`` block (this context only)."""
-    return _override(fast_paths=bool(enabled))
-
-
-def carry(enabled: bool) -> ContextManager[None]:
-    """Force the carry gate inside a ``with`` block (this context only)."""
-    return _override(carry=bool(enabled))
-
-
 def bind_gates(fn: Callable[..., Any]) -> Callable[..., Any]:
     """``fn`` wrapped to run under the caller's current gate settings.
 
     New threads start from the default gates; worker threads that do a
-    caller's work (the session scheduler, the batch thread pool) run
-    through this so a caller's ``with fast_paths(False)`` reaches them.
+    caller's work (the session scheduler) run through this so a caller's
+    ``with carry(False)`` reaches them.
     """
     gates = _GATES.get()
 

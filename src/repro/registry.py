@@ -6,8 +6,8 @@ a private ``_RUNNERS`` dict of search strategies (each runner re-checking
 own ``WORKLOADS`` dict of log generators.  This module replaces both
 with declarative registries:
 
-* :func:`register_strategy` — a search strategy registers its runner
-  once, *declaring* its capabilities (``supports_warm_start``,
+* :func:`register_strategy` — a search strategy registers its task
+  factory once, *declaring* its capabilities (``supports_warm_start``,
   ``needs_time_budget``).  Dispatch layers (:func:`repro.core.run_search`,
   :class:`repro.engine.Engine`, :class:`repro.serve.IncrementalGenerator`)
   enforce those capabilities generically instead of each strategy
@@ -51,8 +51,11 @@ class StrategySpec:
 
     Attributes:
         name: registry key (the ``GenerationConfig.strategy`` value).
-        runner: ``runner(model, initial, engine, config, warm_states)``
-            returning a :class:`~repro.search.SearchResult`.
+        task_factory: ``factory(model, initial, engine, config,
+            warm_states)`` returning an *opened*
+            :class:`~repro.search.common.SearchTask`.  A monolithic run
+            is one unbounded step of the task, and the multi-session
+            scheduler time-slices the same task.
         supports_warm_start: whether the strategy can consume seed states
             (a transposition table / incumbent).  Dispatchers reject
             ``warm_states`` for strategies without this capability, and
@@ -66,32 +69,15 @@ class StrategySpec:
         supports_iteration_cap: whether the strategy consumes
             ``max_iterations`` as an alternative stop condition (MCTS
             does; the walk/beam baselines ignore it).
-        supports_stepping: whether the strategy can run as a resumable
-            :class:`~repro.search.common.SearchTask` (open → ``step`` →
-            ``result``) — the capability the multi-session scheduler
-            requires.  Implies ``task_factory`` is set.
-        task_factory: ``factory(model, initial, engine, config,
-            warm_states)`` returning an *opened* ``SearchTask``.  When
-            present, dispatchers prefer it over ``runner`` (a monolithic
-            run is one unbounded step of the task).
         description: one-liner for ``strategy_names`` listings.
     """
 
     name: str
-    runner: Callable[..., object]
+    task_factory: Callable[..., object]
     supports_warm_start: bool = False
     needs_time_budget: bool = True
     supports_iteration_cap: bool = False
-    supports_stepping: bool = False
-    task_factory: Optional[Callable[..., object]] = None
     description: str = ""
-
-    def __post_init__(self) -> None:
-        if self.supports_stepping and self.task_factory is None:
-            raise RegistryError(
-                f"strategy {self.name!r} declares supports_stepping "
-                f"but registered no task_factory"
-            )
 
 
 @dataclass(frozen=True)
@@ -147,42 +133,38 @@ def register_strategy(
     supports_warm_start: bool = False,
     needs_time_budget: bool = True,
     supports_iteration_cap: bool = False,
-    task_factory: Optional[Callable[..., object]] = None,
     description: str = "",
 ) -> Callable:
-    """Decorator registering a search-strategy runner under ``name``.
+    """Decorator registering a search-strategy task factory under ``name``.
 
     Usage::
 
-        @register_strategy("mcts", supports_warm_start=True,
-                           task_factory=_open_mcts_task)
-        def _run_mcts(model, initial, engine, config, warm_states): ...
+        @register_strategy("mcts", supports_warm_start=True)
+        def _open_mcts(model, initial, engine, config, warm_states):
+            return MCTS(model, ...).open(initial, warm_states=warm_states)
 
-    A strategy registered with a ``task_factory`` is *steppable*: the
-    factory returns an opened :class:`~repro.search.common.SearchTask`,
-    dispatchers prefer it over the runner, and the multi-session
-    scheduler can time-slice it.
+    The factory returns an opened :class:`~repro.search.common.SearchTask`:
+    :func:`repro.core.run_search` runs it to completion, and the
+    multi-session scheduler time-slices it.
 
     Raises:
         RegistryError: if ``name`` is already registered.
     """
 
-    def decorate(runner: Callable) -> Callable:
+    def decorate(factory: Callable) -> Callable:
         _register(
             _STRATEGIES,
             StrategySpec(
                 name=name,
-                runner=runner,
+                task_factory=factory,
                 supports_warm_start=supports_warm_start,
                 needs_time_budget=needs_time_budget,
                 supports_iteration_cap=supports_iteration_cap,
-                supports_stepping=task_factory is not None,
-                task_factory=task_factory,
-                description=description or (runner.__doc__ or "").strip(),
+                description=description or (factory.__doc__ or "").strip(),
             ),
             "strategy",
         )
-        return runner
+        return factory
 
     return decorate
 

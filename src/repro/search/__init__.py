@@ -1,8 +1,10 @@
 """Search strategies: MCTS (the paper's contribution) and baselines.
 
-Every strategy is exposed two ways: a monolithic function (``*_search``)
-and a resumable :class:`SearchTask` (``open`` → ``step`` → ``result``)
-the multi-session scheduler time-slices.
+Every strategy is a resumable :class:`SearchTask` (``open`` → ``step`` →
+``result``) the multi-session scheduler time-slices; ``run()`` is the
+monolithic run, one unbounded step.  Construct a baseline task directly
+(``RandomSearchTask(model, initial, ...).run()``); MCTS opens through its
+search instance (``MCTS(model, config=...).open(initial).run()``).
 """
 
 from .carry import CarriedTree, CarryStats
@@ -11,10 +13,6 @@ from .baselines import (
     ExhaustiveSearchTask,
     GreedySearchTask,
     RandomSearchTask,
-    beam_search,
-    exhaustive_search,
-    greedy_search,
-    random_search,
 )
 from .common import (
     SearchResult,
@@ -24,7 +22,7 @@ from .common import (
     TaskClock,
     normalized_reward,
 )
-from .mcts import MCTS, MCTSConfig, MCTSTask, mcts_search
+from .mcts import MCTS, MCTSConfig, MCTSTask
 
 __all__ = [
     "CarriedTree",
@@ -32,11 +30,6 @@ __all__ = [
     "MCTS",
     "MCTSConfig",
     "MCTSTask",
-    "mcts_search",
-    "random_search",
-    "greedy_search",
-    "beam_search",
-    "exhaustive_search",
     "RandomSearchTask",
     "GreedySearchTask",
     "BeamSearchTask",

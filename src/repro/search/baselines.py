@@ -1,24 +1,22 @@
 """Search baselines MCTS is compared against.
 
-* :class:`RandomSearchTask` / :func:`random_search` — repeated random
-  walks, keep the best state seen.  Same move set, no statistics:
-  isolates the value of UCT guidance.
-* :class:`GreedySearchTask` / :func:`greedy_search` — steepest-descent
-  hill climbing on state cost with optional random restarts; gets stuck
-  in local minima the paper's bidirectional rules are designed to escape.
-* :class:`BeamSearchTask` / :func:`beam_search` — breadth-limited
-  systematic search.
-* :class:`ExhaustiveSearchTask` / :func:`exhaustive_search` — full BFS
-  with state dedup up to a cap; the exact optimum within its horizon,
-  tractable only for tiny logs (used to validate MCTS answer quality in
-  tests).
+* :class:`RandomSearchTask` — repeated random walks, keep the best state
+  seen.  Same move set, no statistics: isolates the value of UCT
+  guidance.
+* :class:`GreedySearchTask` — steepest-descent hill climbing on state
+  cost with optional random restarts; gets stuck in local minima the
+  paper's bidirectional rules are designed to escape.
+* :class:`BeamSearchTask` — breadth-limited systematic search.
+* :class:`ExhaustiveSearchTask` — full BFS with state dedup up to a cap;
+  the exact optimum within its horizon, tractable only for tiny logs
+  (used to validate MCTS answer quality in tests).
 
 Every baseline is a resumable :class:`~repro.search.common.SearchTask`
 state machine — construct (open) → ``step()`` → ``result()`` — so the
-multi-session scheduler can time-slice them exactly like MCTS.  The
-module-level functions are the monolithic conveniences: one unbounded
-step.  One unit of work per strategy: a full random walk, one
-hill-climbing sweep (or restart hop), one beam level, one BFS expansion.
+multi-session scheduler can time-slice them exactly like MCTS;
+``run()`` is one unbounded step.  One unit of work per strategy: a full
+random walk, one hill-climbing sweep (or restart hop), one beam level,
+one BFS expansion.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from typing import List, Optional, Set
 from ..cost import CostModel
 from ..difftree import DTNode
 from ..rules import RuleEngine, default_engine
-from .common import SearchResult, SearchTask, StateEvaluator
+from .common import SearchTask, StateEvaluator
 
 
 class RandomSearchTask(SearchTask):
@@ -266,99 +264,3 @@ class ExhaustiveSearchTask(SearchTask):
         evaluator.stats.iterations += 1
         return True
 
-
-# -- monolithic conveniences ---------------------------------------------------
-
-
-def random_search(
-    model: CostModel,
-    initial: DTNode,
-    engine: Optional[RuleEngine] = None,
-    time_budget_s: float = 5.0,
-    max_walk_steps: int = 200,
-    k_assignments: int = 5,
-    seed: int = 0,
-    final_cap: int = 4000,
-) -> SearchResult:
-    """Random walks from the initial state; evaluate every visited state."""
-    return RandomSearchTask(
-        model,
-        initial,
-        engine=engine,
-        time_budget_s=time_budget_s,
-        max_walk_steps=max_walk_steps,
-        k_assignments=k_assignments,
-        seed=seed,
-        final_cap=final_cap,
-    ).run()
-
-
-def greedy_search(
-    model: CostModel,
-    initial: DTNode,
-    engine: Optional[RuleEngine] = None,
-    time_budget_s: float = 5.0,
-    k_assignments: int = 5,
-    restarts: int = 0,
-    restart_walk: int = 4,
-    seed: int = 0,
-    final_cap: int = 4000,
-) -> SearchResult:
-    """Steepest-descent hill climbing with optional random restarts."""
-    return GreedySearchTask(
-        model,
-        initial,
-        engine=engine,
-        time_budget_s=time_budget_s,
-        k_assignments=k_assignments,
-        restarts=restarts,
-        restart_walk=restart_walk,
-        seed=seed,
-        final_cap=final_cap,
-    ).run()
-
-
-def beam_search(
-    model: CostModel,
-    initial: DTNode,
-    engine: Optional[RuleEngine] = None,
-    beam_width: int = 8,
-    max_depth: int = 30,
-    time_budget_s: float = 10.0,
-    k_assignments: int = 5,
-    seed: int = 0,
-    final_cap: int = 4000,
-) -> SearchResult:
-    """Keep the ``beam_width`` cheapest states at each depth."""
-    return BeamSearchTask(
-        model,
-        initial,
-        engine=engine,
-        beam_width=beam_width,
-        max_depth=max_depth,
-        time_budget_s=time_budget_s,
-        k_assignments=k_assignments,
-        seed=seed,
-        final_cap=final_cap,
-    ).run()
-
-
-def exhaustive_search(
-    model: CostModel,
-    initial: DTNode,
-    engine: Optional[RuleEngine] = None,
-    max_states: int = 2000,
-    k_assignments: int = 5,
-    seed: int = 0,
-    final_cap: int = 4000,
-) -> SearchResult:
-    """BFS over the whole (deduplicated) state space, up to ``max_states``."""
-    return ExhaustiveSearchTask(
-        model,
-        initial,
-        engine=engine,
-        max_states=max_states,
-        k_assignments=k_assignments,
-        seed=seed,
-        final_cap=final_cap,
-    ).run()

@@ -39,8 +39,8 @@ incumbent before the first iteration.
 The search is *resumable*: :meth:`MCTS.open` performs the setup (root,
 frontier rebuild, warm seeding) and returns an :class:`MCTSTask` whose
 ``step(n_iterations=..., slice_s=...)`` runs bounded slices of the
-iteration loop — the unit the multi-session scheduler time-slices.
-:meth:`MCTS.search` is now exactly ``open`` + one unbounded ``step`` +
+iteration loop — the unit the multi-session scheduler time-slices.  A
+monolithic run is ``open(...).run()``: one unbounded ``step`` +
 ``result``, so monolithic and sliced runs share every code path and are
 bit-for-bit identical at equal iteration counts.
 """
@@ -57,12 +57,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..cost import CostModel
 from ..difftree import DTNode
 from ..rules import RuleEngine, default_engine
-from .common import (
-    SearchResult,
-    SearchTask,
-    StateEvaluator,
-    normalized_reward,
-)
+from .common import SearchTask, StateEvaluator, normalized_reward
 
 #: The compressing (forward) rules used by the biased rollout policy.
 _FORWARD_RULES = ("Lift", "Any2All", "Optional", "Multi")
@@ -230,12 +225,6 @@ class MCTS:
         # while it actively runs.
         self.evaluator.clock.pause()
         return task
-
-    def search(
-        self, initial: DTNode, warm_states: Sequence[DTNode] = ()
-    ) -> SearchResult:
-        """Monolithic convenience: ``open`` + step to completion + result."""
-        return self.open(initial, warm_states=warm_states).run()
 
     # -- internals -----------------------------------------------------------
 
@@ -480,15 +469,3 @@ class MCTSTask(SearchTask):
         self.evaluator.stats.iterations += 1
         return True
 
-
-def mcts_search(
-    model: CostModel,
-    initial: DTNode,
-    engine: Optional[RuleEngine] = None,
-    config: MCTSConfig = MCTSConfig(),
-    warm_states: Sequence[DTNode] = (),
-) -> SearchResult:
-    """Convenience wrapper: run one MCTS search (optionally warm-started)."""
-    return MCTS(model, engine=engine, config=config).search(
-        initial, warm_states=warm_states
-    )

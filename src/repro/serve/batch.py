@@ -18,11 +18,8 @@ failing the batch.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import List, Optional, Sequence
 
-from .. import memo as _memo
 from ..core import GeneratedInterface, GenerationConfig, generate_interface
 from ..layout import Screen
 from .stream import QueryLike
@@ -81,11 +78,13 @@ def generate_interfaces_batch(
     if executor == "serial" or len(jobs) <= 1:
         return [_generate_one(job) for job in jobs]
 
-    # Pool threads start from the default gates: bind the caller's.
-    threaded = _memo.bind_gates(_generate_one)
+    # Imported here so ``import repro`` does not load multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     if executor == "thread":
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(threaded, jobs))
+            return list(pool.map(_generate_one, jobs))
     try:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             return list(pool.map(_generate_one, jobs))
@@ -96,4 +95,4 @@ def generate_interfaces_batch(
         # a thread-pool re-run is a safe (if slower) recovery and honors
         # the no-fail contract of this fallback.
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(threaded, jobs))
+            return list(pool.map(_generate_one, jobs))

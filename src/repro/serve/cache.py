@@ -28,9 +28,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
-from .. import memo as _memo
 from ..core import GeneratedInterface, GenerationConfig
-from ..difftree import initial_difftree, wrap_ast
+from ..difftree import wrap_ast
 from ..layout import Screen
 from ..sqlast import Node
 
@@ -79,12 +78,7 @@ def log_key_fast(query_keys: Sequence[str]) -> str:
     """Set-fingerprint key derivation over per-query canonical keys.
 
     Order- and duplication-insensitive (the distinct keys are sorted),
-    which is the same granularity as the reference derivation below —
-    but the two *texts* hash different material, so the derivations
-    yield different digests for the same log by construction.  Both are
-    deterministic; each mode's keys are stable across runs and
-    processes.  ``bench_ingest.py`` asserts exactly this relationship
-    (cross-mode divergence, within-mode agreement).
+    deterministic, and stable across runs and processes.
     """
     if not query_keys:
         raise ValueError("need at least one input query")
@@ -92,28 +86,9 @@ def log_key_fast(query_keys: Sequence[str]) -> str:
     return hashlib.md5("|".join(distinct).encode("utf-8")).hexdigest()
 
 
-def log_key_reference(queries: Sequence[Node]) -> str:
-    """Historical key derivation: the initial difftree's canonical key.
-
-    Rebuilds and normalizes a difftree over the full log per probe —
-    the pre-PR-5 behavior, kept as the reference-mode derivation and as
-    the oracle the fast derivation's *granularity* is checked against
-    (both deduplicate and ignore order).
-    """
-    if not queries:
-        raise ValueError("need at least one input query")
-    return initial_difftree(queries).canonical_key
-
-
 def log_key(queries: Sequence[Node]) -> str:
-    """Deterministic fingerprint of the query *set*.
-
-    Dispatches on the fast-path gate: :func:`log_key_fast` over the
-    memoized per-query fingerprints normally, :func:`log_key_reference`
-    when fast paths are disabled (the benchmark's reference mode).
-    """
-    if not _memo.fast_paths_enabled():
-        return log_key_reference(queries)
+    """Deterministic fingerprint of the query *set*: :func:`log_key_fast`
+    over the memoized per-query fingerprints."""
     if not queries:
         raise ValueError("need at least one input query")
     return log_key_fast([query_key(ast) for ast in queries])

@@ -18,11 +18,10 @@ import zlib
 from bisect import bisect_left, bisect_right, insort
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .. import memo as _memo
 from ..difftree import wrap_ast
-from ..memo import INGEST
+from ..memo import INGEST, BoundedLRU
 from ..sqlast import Node, parse
-from .cache import log_key_fast, log_key_reference
+from .cache import log_key_fast
 
 QueryLike = Union[str, Node]
 
@@ -45,12 +44,15 @@ class LogStream:
     """One session's append-only SQL log with parse-once AST caching.
 
     Args:
-        parse_cache: optional shared ``sql text -> AST`` cache.  Sessions
-            routed to the same shard share one, so a query text seen in
-            any of them is never parsed twice.
+        parse_cache: optional shared ``sql text -> AST`` cache (a dict or
+            a :class:`~repro.memo.BoundedLRU`).  Sessions routed to the
+            same shard share one, so a query text seen in any of them is
+            not parsed twice while it stays cached.
     """
 
-    def __init__(self, parse_cache: Optional[Dict[str, Node]] = None) -> None:
+    def __init__(
+        self, parse_cache: Optional[Union[Dict[str, Node], BoundedLRU]] = None
+    ) -> None:
         self._sql: List[str] = []
         self._asts: List[Node] = []
         self._query_keys: List[str] = []
@@ -69,9 +71,7 @@ class LogStream:
         #: without rescanning the log.
         self._key_counts: Dict[str, int] = {}
         self._log_key: Optional[str] = None
-        self._parse_cache: Dict[str, Node] = (
-            parse_cache if parse_cache is not None else {}
-        )
+        self._parse_cache = parse_cache if parse_cache is not None else {}
         #: Ingestion counters: total appends vs. appends that skipped the
         #: parser because the text was already in the cache.
         self.parses = 0
@@ -147,15 +147,13 @@ class LogStream:
     def log_key(self) -> str:
         """The session's current log fingerprint (incrementally maintained).
 
-        Same digest as ``cache.log_key(self.asts())`` in either gate
-        mode, but O(1) on the fast path when the distinct-key set hasn't
-        grown since the last probe — the per-append re-keying of the
-        whole log used to dominate ingest time.
+        Same digest as ``cache.log_key(self.asts())``, but O(1) when the
+        distinct-key set hasn't grown since the last probe — the
+        per-append re-keying of the whole log used to dominate ingest
+        time.
         """
         if not self._asts:
             raise ValueError("need at least one input query")
-        if not _memo.fast_paths_enabled():
-            return log_key_reference(self._asts)
         key = self._log_key
         if key is None:
             key = self._log_key = log_key_fast(self._distinct_keys)
@@ -270,6 +268,12 @@ class LogStream:
         return self.remove(range(drop_before))
 
 
+#: Entries per shard parse cache.  Bounded because the cache outlives the
+#: sessions that filled it: dropped and evicted sessions' texts (and the
+#: ASTs they keep alive) age out instead of accumulating.
+SHARD_PARSE_CACHE_CAPACITY = 1024
+
+
 class _Shard:
     """One router shard: a lock, a shared parse cache, and its streams."""
 
@@ -277,7 +281,7 @@ class _Shard:
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
-        self.parse_cache: Dict[str, Node] = {}
+        self.parse_cache = BoundedLRU(SHARD_PARSE_CACHE_CAPACITY)
         self.streams: Dict[str, LogStream] = {}
 
 

@@ -250,17 +250,14 @@ def parse(sql: str) -> N.Node:
     Raises:
         ParseError or LexError on malformed input.
     """
-    if _memo.fast_paths_enabled():
-        cached = _PARSE_MEMO.get(sql)
-        if cached is not None:
-            INGEST.parse_memo_hits += 1
-            return cached
-        INGEST.parses += 1
-        ast = Parser(sql).parse_query()
-        _PARSE_MEMO[sql] = ast
-        return ast
+    cached = _PARSE_MEMO.get(sql)
+    if cached is not None:
+        INGEST.parse_memo_hits += 1
+        return cached
     INGEST.parses += 1
-    return Parser(sql).parse_query()
+    ast = Parser(sql).parse_query()
+    _PARSE_MEMO[sql] = ast
+    return ast
 
 
 def parse_many(sqls) -> List[N.Node]:

@@ -17,14 +17,12 @@ _RENDER_MEMO = _memo.memo_table(4096, name="sqlast.render")
 
 def to_sql(node: N.Node) -> str:
     """Render an AST back to SQL text (memoized on the interned node)."""
-    if _memo.fast_paths_enabled():
-        cached = _RENDER_MEMO.get(node)
-        if cached is not None:
-            return cached
-        text = _render(node)
-        _RENDER_MEMO[node] = text
-        return text
-    return _render(node)
+    cached = _RENDER_MEMO.get(node)
+    if cached is not None:
+        return cached
+    text = _render(node)
+    _RENDER_MEMO[node] = text
+    return text
 
 
 def _render(node: N.Node) -> str:

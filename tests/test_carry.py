@@ -6,7 +6,7 @@ survival rules, payload round-trip), the serve-layer integration
 tree), log retention with bounded recompute (``LogStream.remove`` /
 ``retain``, ``CompiledSequence.without``, the ``search.carry.*``
 retention counters), the ``PendingSearch.finish()`` double-call
-contract, and slice-invariance of carried runs for all five strategies.
+contract, and slice-invariance of carried MCTS runs.
 """
 
 import gc
@@ -20,12 +20,6 @@ from repro.cost.kernel import CompiledSequence
 from repro.difftree import initial_difftree
 from repro.layout import Screen
 from repro.search import CarriedTree, MCTS, MCTSConfig
-from repro.search.baselines import (
-    BeamSearchTask,
-    ExhaustiveSearchTask,
-    GreedySearchTask,
-    RandomSearchTask,
-)
 from repro.search.carry import STAT_DECAY, STATS
 from repro.search.mcts import _TreeNode
 from repro.serve import IncrementalGenerator, LogStream
@@ -336,34 +330,16 @@ class TestRetention:
 
 
 class TestSlicedParity:
-    """Iteration-sliced runs are bit-identical to monolithic runs."""
+    """An iteration-sliced carried run is bit-identical to a monolithic one.
+
+    The baselines' sliced-parity tests live in ``test_scheduler.py``.
+    """
 
     def _assert_identical(self, mono, sliced):
         assert mono.best_cost == sliced.best_cost
         assert mono.best.tree.canonical_key == sliced.best.tree.canonical_key
         assert mono.stats == sliced.stats
         assert [c for _, c in mono.history] == [c for _, c in sliced.history]
-
-    def _drive(self, make_task, total=None):
-        mono, sliced = make_task(), make_task()
-        if total is None:  # self-terminating strategy
-            mono.step()
-            while not sliced.done:
-                sliced.step(n_iterations=3)
-        else:
-            assert mono.step(n_iterations=total) == total
-            run = 0
-            while run < total:
-                run += sliced.step(n_iterations=2)
-        self._assert_identical(mono.result(), sliced.result())
-
-    def _fixture(self, n=2):
-        # The model is built inside each task factory call: kernel
-        # counters are cumulative per model, so sharing one would make
-        # the second run's stats snapshot include the first run's work.
-        queries = [parse(q) for q in sdss(n)]
-        initial = initial_difftree(queries)
-        return (lambda: CostModel(queries, Screen.wide())), initial
 
     def test_mcts_carried_sliced_matches_monolithic(self):
         base = [parse(q) for q in sdss(3)]
@@ -387,42 +363,3 @@ class TestSlicedParity:
         while not sliced.done:
             sliced.step(n_iterations=3)
         self._assert_identical(mono.result(), sliced.result())
-
-    def test_random_sliced_matches_monolithic(self):
-        make_model, initial = self._fixture()
-        self._drive(
-            lambda: RandomSearchTask(
-                make_model(), initial, time_budget_s=None, seed=3, final_cap=50
-            ),
-            total=8,
-        )
-
-    def test_greedy_sliced_matches_monolithic(self):
-        make_model, initial = self._fixture()
-        self._drive(
-            lambda: GreedySearchTask(
-                make_model(), initial, time_budget_s=None, seed=3, final_cap=50
-            )
-        )
-
-    def test_beam_sliced_matches_monolithic(self):
-        make_model, initial = self._fixture()
-        self._drive(
-            lambda: BeamSearchTask(
-                make_model(),
-                initial,
-                time_budget_s=None,
-                beam_width=4,
-                max_depth=6,
-                seed=3,
-                final_cap=50,
-            )
-        )
-
-    def test_exhaustive_sliced_matches_monolithic(self):
-        make_model, initial = self._fixture()
-        self._drive(
-            lambda: ExhaustiveSearchTask(
-                make_model(), initial, max_states=120, seed=3, final_cap=50
-            )
-        )

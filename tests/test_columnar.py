@@ -5,7 +5,7 @@ interchangeability: ``from_node``/``to_node`` and the JSON payload
 round-trip interned trees to the same objects, and the encoding's
 columns obey the preorder identities (subtree = ``(pre, size)`` range).
 The memoized anti-unify/graft must build the same trees as their
-unmemoized references on every workload.  Property-based tests draw
+unmemoized oracles (``tests/oracles.py``) on every workload.  Property-based tests draw
 random query logs; workload tests cover the SDSS / TPC-H / synthetic
 generators.
 """
@@ -20,22 +20,21 @@ from repro import memo, obs
 from repro.difftree import (
     ColumnarTree,
     anti_unify,
-    anti_unify_reference,
     any_node,
-    canonical_key_reference,
     extend_difftree,
     graft,
-    graft_reference,
     initial_difftree,
     wrap_ast,
 )
 from repro.difftree.columnar import STATS
 from repro.memo import INGEST
 from repro.serve import LogStream
-from repro.serve.cache import log_key, log_key_fast, log_key_reference
+from repro.serve.cache import log_key, log_key_fast
 from repro.sqlast import SYMBOLS, head_symbol, parse
 from repro.sqlast.symbols import SymbolTable
 from repro.workloads import mixed_session_log, sdss_session_sql, tpch_session_sql
+
+from oracles import anti_unify_reference, canonical_key_reference, graft_reference
 
 _COLUMNS = ["u", "g", "r", "i"]
 _TABLES = ["stars", "galaxies"]
@@ -176,9 +175,8 @@ class TestKernelParity:
             wrapped = [wrap_ast(a) for a in asts]
             tree = initial_difftree([asts[0]])
             for query in wrapped[1:]:
-                with memo.fast_paths(False):
-                    au_ref = anti_unify_reference(tree, query)
-                    graft_ref = graft_reference(tree, query)
+                au_ref = anti_unify_reference(tree, query)
+                graft_ref = graft_reference(tree, query)
                 memo.clear_memo_caches()
                 assert anti_unify(tree, query) is au_ref
                 assert graft(tree, query) is graft_ref
@@ -189,9 +187,8 @@ class TestKernelParity:
     def test_random_pair_parity(self, sqls_a, sqls_b):
         a = initial_difftree([parse(s) for s in sqls_a])
         b = initial_difftree([parse(s) for s in sqls_b])
-        with memo.fast_paths(False):
-            au_ref = anti_unify_reference(a, b)
-            graft_ref = graft_reference(a, b)
+        au_ref = anti_unify_reference(a, b)
+        graft_ref = graft_reference(a, b)
         memo.clear_memo_caches()
         assert anti_unify(a, b) is au_ref
         assert graft(a, b) is graft_ref
@@ -199,17 +196,16 @@ class TestKernelParity:
     def test_memo_tables_consulted_with_columnar(self):
         a = wrap_ast(parse("select ra from stars where u between 1 and 2"))
         b = wrap_ast(parse("select ra, objid from stars where u between 1 and 3"))
-        with memo.fast_paths(True):
-            memo.clear_memo_caches()
-            anti_unify(a, b)
-            before = INGEST.au_memo_hits
-            anti_unify(a, b)
-            assert INGEST.au_memo_hits > before
-            tree = initial_difftree([parse("select ra from stars")])
-            graft(tree, b)
-            before = INGEST.graft_memo_hits
-            graft(tree, b)
-            assert INGEST.graft_memo_hits > before
+        memo.clear_memo_caches()
+        anti_unify(a, b)
+        before = INGEST.au_memo_hits
+        anti_unify(a, b)
+        assert INGEST.au_memo_hits > before
+        tree = initial_difftree([parse("select ra from stars")])
+        graft(tree, b)
+        before = INGEST.graft_memo_hits
+        graft(tree, b)
+        assert INGEST.graft_memo_hits > before
 
 
 class TestSymbols:
@@ -250,13 +246,11 @@ class TestObservability:
 
 
 class TestStreamLogKey:
-    def test_matches_cache_derivations_in_both_modes(self):
+    def test_matches_cache_derivation(self):
         stream = LogStream()
         stream.append(*sdss_session_sql(5, seed=47))
         assert stream.log_key() == log_key(stream.asts())
         assert stream.log_key() == log_key_fast(stream.query_keys())
-        with memo.fast_paths(False):
-            assert stream.log_key() == log_key_reference(stream.asts())
 
     def test_incremental_maintenance_under_appends_and_truncate(self):
         sqls = tpch_session_sql(6, seed=53)
@@ -271,8 +265,3 @@ class TestStreamLogKey:
         assert stream.log_key() == first
         with pytest.raises(ValueError):
             LogStream().log_key()
-
-    def test_derivations_diverge_by_construction(self):
-        stream = LogStream()
-        stream.append(*sdss_session_sql(4, seed=59))
-        assert log_key_fast(stream.query_keys()) != log_key_reference(stream.asts())

@@ -49,21 +49,21 @@ class TestStrategyRegistry:
 
     def test_duplicate_registration_rejected(self):
         @register_strategy("test_dup_strategy")
-        def runner(model, initial, engine, config, warm_states):
+        def factory(model, initial, engine, config, warm_states):
             raise NotImplementedError
 
         try:
             with pytest.raises(ValueError, match="already registered"):
-                register_strategy("test_dup_strategy")(runner)
+                register_strategy("test_dup_strategy")(factory)
         finally:
             registry._STRATEGIES.pop("test_dup_strategy", None)
 
     def test_custom_strategy_usable_in_config(self):
-        from repro.search import greedy_search
+        from repro.search import GreedySearchTask
 
         @register_strategy("test_greedy_alias", needs_time_budget=True)
-        def runner(model, initial, engine, config, warm_states):
-            return greedy_search(
+        def factory(model, initial, engine, config, warm_states):
+            return GreedySearchTask(
                 model,
                 initial,
                 engine=engine,
@@ -79,6 +79,24 @@ class TestStrategyRegistry:
             assert result.best.breakdown.feasible
         finally:
             registry._STRATEGIES.pop("test_greedy_alias", None)
+
+    def test_factory_returning_a_result_fails_at_dispatch(self):
+        # A runner written against the old contract (returning a finished
+        # SearchResult) is rejected by name before anything runs it.
+        from repro.search import GreedySearchTask
+
+        @register_strategy("test_legacy_runner", needs_time_budget=True)
+        def runner(model, initial, engine, config, warm_states):
+            return GreedySearchTask(
+                model, initial, engine=engine, time_budget_s=0.05
+            ).run()
+
+        try:
+            config = GenerationConfig(strategy="test_legacy_runner", time_budget_s=0.2)
+            with pytest.raises(TypeError, match="test_legacy_runner"):
+                generate_interface(listing1_sql(1, 2), config=config)
+        finally:
+            registry._STRATEGIES.pop("test_legacy_runner", None)
 
 
 class TestWorkloadRegistry:
@@ -179,7 +197,7 @@ class TestCapabilityEnforcement:
 
     def test_incremental_rejects_non_mcts_even_if_warm_capable(self):
         @register_strategy("test_warm_capable", supports_warm_start=True)
-        def runner(model, initial, engine, config, warm_states):
+        def factory(model, initial, engine, config, warm_states):
             raise NotImplementedError
 
         try:

@@ -19,6 +19,9 @@ from repro.difftree import (
 )
 from repro.rules import default_engine, forward_engine
 from repro.sqlast import parse
+from repro.workloads import sdss_session_sql, tpch_session_sql
+
+from oracles import enumerate_queries_reference
 
 
 def factored(queries, skip_multi=True):
@@ -137,6 +140,25 @@ class TestCounting:
     def test_enumerate_respects_limit(self, sdss_queries):
         tree = factored(sdss_queries)
         assert len(enumerate_queries(tree, limit=10)) == 10
+
+    @pytest.mark.parametrize(
+        "workload", [sdss_session_sql, tpch_session_sql], ids=["sdss", "tpch"]
+    )
+    def test_enumerate_matches_eager_reference(self, workload):
+        # The eager oracle materializes every child before the product,
+        # so it stays on 4-query logs.  Its output at a smaller limit is
+        # a prefix of its output at 300 (it appends in order and stops).
+        for seed in range(4):
+            queries = [parse(sql) for sql in workload(4, seed=seed)]
+            trees = (
+                initial_difftree(queries),
+                factored(queries),
+                factored(queries, skip_multi=False),
+            )
+            for tree in trees:
+                reference = enumerate_queries_reference(tree, limit=300)
+                for limit in (1, 7, 50, 300):
+                    assert enumerate_queries(tree, limit=limit) == reference[:limit]
 
     def test_enumerate_unique(self, fig1_queries):
         tree = factored(fig1_queries)

@@ -5,8 +5,8 @@ The contracts behind the hash-consed ingest path (ISSUE 5):
 * parsing the same query twice yields *identical* interned subtrees,
 * fingerprint equality ⇔ structural equality (property-style over the
   sdss / tpch / synthetic workloads),
-* memoized ``anti_unify``/``graft``/``normalize``/``assignment_for``
-  agree bit-for-bit with their unmemoized references,
+* memoized ``anti_unify``/``graft``/``normalize`` agree bit-for-bit
+  with their unmemoized oracles (``tests/oracles.py``),
 * the serving dedup tiers and ingest counters observe repetition.
 """
 
@@ -23,13 +23,14 @@ from repro.difftree import (
     normalize,
     wrap_ast,
 )
-from repro.difftree.antiunify import anti_unify_reference
 from repro.engine import Engine
 from repro.core import GenerationConfig
 from repro.registry import get_workload
 from repro.serve import LogStream, log_key
 from repro.sqlast import parse
 import repro.workloads  # noqa: F401  (registers the built-in workloads)
+
+import oracles
 
 FAST = GenerationConfig(time_budget_s=0.0, max_iterations=4, seed=0, final_cap=120)
 
@@ -114,19 +115,22 @@ class TestMemoParity:
         asts = workload_asts()
         wrapped = [wrap_ast(ast) for ast in asts]
         for a, b in zip(wrapped, wrapped[1:]):
-            reference = anti_unify_reference(a, b)
+            reference = oracles.anti_unify_reference(a, b)
+            memo.clear_memo_caches()
             assert anti_unify(a, b) is reference  # cold call
             assert anti_unify(a, b) is reference  # memo hit
 
     def test_graft_and_normalize_match_fast_path_off(self):
+        # The memoized graft/normalize against the unmemoized oracles.
         asts = workload_asts()
         tree = initial_difftree(asts[:8])
         for ast in asts[8:]:
+            slow = oracles.graft_reference(tree, wrap_ast(ast))
+            memo.clear_memo_caches()
             fast = graft(tree, wrap_ast(ast))
-            with memo.fast_paths(False):
-                slow = graft(tree, wrap_ast(ast))
-            assert fast.canonical_key == slow.canonical_key
+            assert fast is slow
             assert normalize(fast) is fast
+            assert oracles.normalize(fast) is fast
 
     def test_extend_difftree_counts_dedup_skipped_appends(self):
         asts = workload_asts()[:6]

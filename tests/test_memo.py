@@ -1,8 +1,8 @@
-"""The ``repro.memo`` gates: one context-local record, two switches.
+"""The ``repro.memo`` gate: one context-local record, one switch.
 
-``fast_paths`` and ``carry`` live in one ``ContextVar`` record, so a
-``with`` block in one thread never flips the path another thread runs,
-and every block restores exactly the record it replaced.
+``carry`` lives in a ``ContextVar`` record, so a ``with`` block in one
+thread never flips the path another thread runs, and every block
+restores exactly the record it replaced.
 """
 
 import threading
@@ -11,29 +11,27 @@ from repro import memo
 
 
 def test_gate_blocks_in_two_threads_do_not_interfere():
-    # A enters fast_paths(False); B then enters fast_paths(True) and
-    # exits last.  With one process-wide flag, A would see B's "on"
-    # inside its own block, and B's exit would restore A's "off" for
-    # the whole process.
+    # A enters carry(False); B then enters carry(True) and exits last.
+    # With one process-wide flag, A would see B's "on" inside its own
+    # block, and B's exit would restore A's "off" for the whole process.
     a_inside = threading.Barrier(2, timeout=10)
     b_inside = threading.Barrier(2, timeout=10)
     a_done = threading.Barrier(2, timeout=10)
     seen = {}
 
     def thread_a():
-        with memo.fast_paths(False):
+        with memo.carry(False):
             a_inside.wait()
             b_inside.wait()
-            seen["a"] = memo.fast_paths_enabled()
-            seen["a_carry"] = memo.carry_enabled()
+            seen["a"] = memo.carry_enabled()
         a_done.wait()
 
     def thread_b():
         a_inside.wait()
-        with memo.fast_paths(True):
+        with memo.carry(True):
             b_inside.wait()
             a_done.wait()
-            seen["b"] = memo.fast_paths_enabled()
+            seen["b"] = memo.carry_enabled()
 
     threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
     for thread in threads:
@@ -41,27 +39,15 @@ def test_gate_blocks_in_two_threads_do_not_interfere():
     for thread in threads:
         thread.join(timeout=30)
         assert not thread.is_alive()
-    assert seen == {"a": False, "a_carry": False, "b": True}
-    assert memo.fast_paths_enabled()
+    assert seen == {"a": False, "b": True}
     assert memo.carry_enabled()
 
 
 def test_nested_blocks_restore_the_outer_setting():
-    assert memo.fast_paths_enabled() and memo.carry_enabled()
-    with memo.fast_paths(False):
-        with memo.fast_paths(True):
-            assert memo.fast_paths_enabled()
-        assert not memo.fast_paths_enabled()
-    assert memo.fast_paths_enabled()
-
-
-def test_carry_is_subordinate_to_fast_paths():
-    with memo.fast_paths(False):
-        assert not memo.carry_enabled()
-        with memo.carry(True):
-            assert not memo.carry_enabled()
+    assert memo.carry_enabled()
     with memo.carry(False):
-        assert memo.fast_paths_enabled()
+        with memo.carry(True):
+            assert memo.carry_enabled()
         assert not memo.carry_enabled()
     assert memo.carry_enabled()
 
@@ -70,9 +56,9 @@ def test_bind_gates_carries_the_callers_gates_into_a_thread():
     results = {}
 
     def probe(name):
-        results[name] = (memo.fast_paths_enabled(), memo.carry_enabled())
+        results[name] = memo.carry_enabled()
 
-    with memo.fast_paths(False):
+    with memo.carry(False):
         bound = memo.bind_gates(probe)
         plain = threading.Thread(target=probe, args=("plain",))
         carried = threading.Thread(target=bound, args=("bound",))
@@ -80,4 +66,4 @@ def test_bind_gates_carries_the_callers_gates_into_a_thread():
             thread.start()
             thread.join(timeout=30)
             assert not thread.is_alive()
-    assert results == {"plain": (True, True), "bound": (False, False)}
+    assert results == {"plain": True, "bound": False}

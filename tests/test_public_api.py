@@ -67,6 +67,7 @@ def test_legacy_entry_points_still_importable():
 def test_import_and_generate_do_not_load_numpy():
     # The package is pure stdlib: importing it and serving one log must
     # not pull numpy in (it costs start-up time and resident memory).
+    # Nor the process-pool machinery, which only a pooled batch uses.
     import repro
 
     code = (
@@ -74,7 +75,8 @@ def test_import_and_generate_do_not_load_numpy():
         "from repro import Engine\n"
         "from repro.workloads import listing1_sql\n"
         "Engine().generate(listing1_sql())\n"
-        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        "for name in ('numpy', 'multiprocessing', 'concurrent.futures.process'):\n"
+        "    assert name not in sys.modules, f'{name} was imported'\n"
     )
     src = pathlib.Path(repro.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))

@@ -15,17 +15,19 @@ import threading
 import pytest
 
 from repro import Engine, GenerationConfig, generate_interface
-from repro.cost import BoundedLRU
+from repro.cost import BoundedLRU, CostModel
 from repro.core import open_search_task, prepare_search
+from repro.difftree import initial_difftree
 from repro.engine import POLICIES, SessionScheduler
+from repro.layout import Screen
 from repro.search import (
     BeamSearchTask,
     ExhaustiveSearchTask,
     GreedySearchTask,
     RandomSearchTask,
     TaskClock,
-    exhaustive_search,
 )
+from repro.sqlast import parse
 from repro.workloads import listing1_sql, sdss_session_sql
 
 #: Iteration-capped, seed-fixed: equal work regardless of wall clock.
@@ -161,7 +163,9 @@ class TestSlicingParity:
         asts, screen, model, initial, engine = prepare_search(
             LOG, config=DETERMINISTIC
         )
-        mono = exhaustive_search(model, initial, engine=engine, max_states=60)
+        mono = ExhaustiveSearchTask(
+            model, initial, engine=engine, max_states=60
+        ).run()
         _, _, model2, initial2, engine2 = prepare_search(
             LOG, config=DETERMINISTIC
         )
@@ -197,6 +201,81 @@ class TestSlicingParity:
                 sliced_result.difftree.canonical_key
                 == mono_report.difftree.canonical_key
             )
+
+    # -- monolithic vs sliced, full result ------------------------------------
+
+    def _assert_identical(self, mono, sliced):
+        assert mono.best_cost == sliced.best_cost
+        assert mono.best.tree.canonical_key == sliced.best.tree.canonical_key
+        assert mono.stats == sliced.stats
+        assert [c for _, c in mono.history] == [c for _, c in sliced.history]
+
+    def _drive(self, make_task, total=None):
+        mono, sliced = make_task(), make_task()
+        if total is None:  # self-terminating strategy
+            mono.step()
+            while not sliced.done:
+                sliced.step(n_iterations=3)
+        else:
+            assert mono.step(n_iterations=total) == total
+            run = 0
+            while run < total:
+                run += sliced.step(n_iterations=2)
+        self._assert_identical(mono.result(), sliced.result())
+
+    def _fixture(self, n=2):
+        # The model is built inside each task factory call: kernel
+        # counters are cumulative per model, so sharing one would make
+        # the second run's stats snapshot include the first run's work.
+        queries = [parse(q) for q in sdss_session_sql(n, seed=5)]
+        initial = initial_difftree(queries)
+        return (lambda: CostModel(queries, Screen.wide())), initial
+
+    def test_random_sliced_matches_monolithic(self):
+        # Short walks: unbiased 200-step walks grow large states, and
+        # slicing is exercised by the walk count, not the walk length.
+        make_model, initial = self._fixture()
+        self._drive(
+            lambda: RandomSearchTask(
+                make_model(),
+                initial,
+                time_budget_s=None,
+                max_walk_steps=24,
+                seed=3,
+                final_cap=50,
+            ),
+            total=8,
+        )
+
+    def test_greedy_sliced_matches_monolithic(self):
+        make_model, initial = self._fixture()
+        self._drive(
+            lambda: GreedySearchTask(
+                make_model(), initial, time_budget_s=None, seed=3, final_cap=50
+            )
+        )
+
+    def test_beam_sliced_matches_monolithic(self):
+        make_model, initial = self._fixture()
+        self._drive(
+            lambda: BeamSearchTask(
+                make_model(),
+                initial,
+                time_budget_s=None,
+                beam_width=4,
+                max_depth=6,
+                seed=3,
+                final_cap=50,
+            )
+        )
+
+    def test_exhaustive_sliced_matches_monolithic(self):
+        make_model, initial = self._fixture()
+        self._drive(
+            lambda: ExhaustiveSearchTask(
+                make_model(), initial, max_states=120, seed=3, final_cap=50
+            )
+        )
 
 
 class TestSchedulerMechanics:

@@ -9,14 +9,13 @@ from repro.difftree import expresses_all, initial_difftree
 from repro.layout import Screen
 from repro.search import (
     MCTS,
+    BeamSearchTask,
+    ExhaustiveSearchTask,
+    GreedySearchTask,
     MCTSConfig,
+    RandomSearchTask,
     StateEvaluator,
-    beam_search,
-    exhaustive_search,
-    greedy_search,
-    mcts_search,
     normalized_reward,
-    random_search,
 )
 from repro.sqlast import parse
 
@@ -78,9 +77,7 @@ class TestStateEvaluator:
 class TestMCTS:
     def test_finds_valid_interface(self, setup):
         queries, model, tree = setup
-        result = mcts_search(
-            model, tree, config=MCTSConfig(time_budget_s=1.5, seed=1)
-        )
+        result = MCTS(model, config=MCTSConfig(time_budget_s=1.5, seed=1)).open(tree).run()
         assert result.best.breakdown.feasible
         assert expresses_all(result.best_state, queries)
         assert result.strategy == "mcts"
@@ -88,14 +85,14 @@ class TestMCTS:
     def test_deterministic_under_iteration_cap(self, setup):
         queries, model, tree = setup
         config = MCTSConfig(time_budget_s=60.0, max_iterations=5, seed=7)
-        a = mcts_search(CostModel(queries, Screen.wide()), tree, config=config)
-        b = mcts_search(CostModel(queries, Screen.wide()), tree, config=config)
+        a = MCTS(CostModel(queries, Screen.wide()), config=config).open(tree).run()
+        b = MCTS(CostModel(queries, Screen.wide()), config=config).open(tree).run()
         assert a.best_cost == b.best_cost
         assert a.stats.states_evaluated == b.stats.states_evaluated
 
     def test_history_costs_monotone(self, setup):
         _, model, tree = setup
-        result = mcts_search(model, tree, config=MCTSConfig(time_budget_s=1.0, seed=2))
+        result = MCTS(model, config=MCTSConfig(time_budget_s=1.0, seed=2)).open(tree).run()
         costs = [c for _, c in result.history]
         assert costs == sorted(costs, reverse=True)
 
@@ -104,26 +101,25 @@ class TestMCTS:
         from repro.cost import sampled_evaluation
 
         initial_cost = sampled_evaluation(model, tree, k=5).cost
-        result = mcts_search(model, tree, config=MCTSConfig(time_budget_s=2.0, seed=3))
+        result = MCTS(model, config=MCTSConfig(time_budget_s=2.0, seed=3)).open(tree).run()
         assert result.best_cost <= initial_cost
 
     def test_respects_iteration_cap(self, setup):
         _, model, tree = setup
-        result = mcts_search(
-            model, tree, config=MCTSConfig(time_budget_s=60.0, max_iterations=2, seed=0)
-        )
+        config = MCTSConfig(time_budget_s=60.0, max_iterations=2, seed=0)
+        result = MCTS(model, config=config).open(tree).run()
         assert result.stats.iterations <= 2
 
     def test_fanout_recorded(self, setup):
         _, model, tree = setup
-        result = mcts_search(model, tree, config=MCTSConfig(time_budget_s=1.0, seed=0))
+        result = MCTS(model, config=MCTSConfig(time_budget_s=1.0, seed=0)).open(tree).run()
         assert result.stats.max_fanout >= 1
 
 
 class TestBaselines:
     def test_random_search_valid(self, setup):
         queries, model, tree = setup
-        result = random_search(model, tree, time_budget_s=1.0, seed=1)
+        result = RandomSearchTask(model, tree, time_budget_s=1.0, seed=1).run()
         assert result.best.breakdown.feasible
         assert expresses_all(result.best_state, queries)
         assert result.strategy == "random"
@@ -132,35 +128,38 @@ class TestBaselines:
         queries, model, tree = setup
         from repro.cost import sampled_evaluation
 
-        result = greedy_search(model, tree, time_budget_s=2.0, seed=1)
+        result = GreedySearchTask(model, tree, time_budget_s=2.0, seed=1).run()
         assert result.best_cost <= sampled_evaluation(model, tree, k=5).cost
 
     def test_greedy_with_restarts(self, setup):
         _, model, tree = setup
-        result = greedy_search(model, tree, time_budget_s=2.0, restarts=2, seed=1)
+        result = GreedySearchTask(
+            model, tree, time_budget_s=2.0, restarts=2, seed=1
+        ).run()
         assert result.best.breakdown.feasible
 
     def test_beam_search_valid(self, setup):
         queries, model, tree = setup
-        result = beam_search(model, tree, beam_width=4, max_depth=6, time_budget_s=3.0)
+        result = BeamSearchTask(
+            model, tree, beam_width=4, max_depth=6, time_budget_s=3.0
+        ).run()
         assert result.best.breakdown.feasible
         assert expresses_all(result.best_state, queries)
 
     def test_exhaustive_explores_dedicated_states(self, setup):
         _, model, tree = setup
-        result = exhaustive_search(model, tree, max_states=60)
+        result = ExhaustiveSearchTask(model, tree, max_states=60).run()
         assert result.stats.states_evaluated >= 10
 
     def test_exhaustive_is_lower_bound_for_others(self, setup):
         """On this tiny log exhaustive BFS finds the optimum within its
         horizon; MCTS with a decent budget should match it."""
         queries, model, tree = setup
-        exact = exhaustive_search(
+        exact = ExhaustiveSearchTask(
             CostModel(queries, Screen.wide()), tree, max_states=400
-        )
-        mcts = mcts_search(
+        ).run()
+        mcts = MCTS(
             CostModel(queries, Screen.wide()),
-            tree,
             config=MCTSConfig(time_budget_s=4.0, seed=5),
-        )
+        ).open(tree).run()
         assert mcts.best_cost <= exact.best_cost * 1.1 + 1e-9

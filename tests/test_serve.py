@@ -13,7 +13,7 @@ from repro.difftree import (
     initial_difftree,
     wrap_ast,
 )
-from repro.search import MCTSConfig, mcts_search
+from repro.search import MCTS, MCTSConfig
 from repro.serve import (
     DEFAULT_SESSION,
     InterfaceCache,
@@ -105,6 +105,18 @@ class TestSessionRouter:
         assert router.drop("a")
         assert not router.drop("a")
         assert len(router.stream("a")) == 0
+
+    def test_parse_cache_bounded_after_sessions_drop(self):
+        # The shard cache outlives its sessions: the texts (and ASTs) of
+        # dropped sessions must age out instead of accumulating.
+        from repro.serve.stream import SHARD_PARSE_CACHE_CAPACITY
+
+        router = SessionRouter(num_shards=1)
+        for i in range(SHARD_PARSE_CACHE_CAPACITY + 50):
+            router.append(f"s{i}", f"select objid from stars where u < {i}")
+            router.drop(f"s{i}")
+        assert router.sessions() == []
+        assert len(router._shards[0].parse_cache) == SHARD_PARSE_CACHE_CAPACITY
 
 
 class TestInterfaceCache:
@@ -212,17 +224,13 @@ class TestWarmStartedSearch:
         model = CostModel(queries, Screen.wide())
         initial = initial_difftree(queries)
         # A known-good state: a prior (longer) search's winner.
-        prior = mcts_search(
+        prior = MCTS(
             CostModel(queries, Screen.wide()),
-            initial,
             config=MCTSConfig(time_budget_s=1.5, seed=0),
-        )
-        warm = mcts_search(
-            model,
-            initial,
-            config=MCTSConfig(time_budget_s=0.2, seed=1),
-            warm_states=[prior.best_state],
-        )
+        ).open(initial).run()
+        warm = MCTS(model, config=MCTSConfig(time_budget_s=0.2, seed=1)).open(
+            initial, warm_states=[prior.best_state]
+        ).run()
         assert warm.stats.warm_states_seeded == 1
         # The seeded incumbent is a floor: the tiny-budget warm run can
         # never end worse than the seed it was given.
@@ -242,15 +250,13 @@ class TestWarmStartedSearch:
         """A later search over the same log can continue from a prior
         instance's transposition table: known states are reused and
         their unexpanded frontier re-enters selection."""
-        from repro.search import MCTS
-
         queries = as_asts(listing1_sql(1, 4))
         initial = initial_difftree(queries)
         first = MCTS(
             CostModel(queries, Screen.wide()),
             config=MCTSConfig(time_budget_s=0.4, seed=0),
         )
-        first.search(initial)
+        first.open(initial).run()
         table_size = len(first.nodes)
         assert table_size > 1
 
@@ -259,22 +265,21 @@ class TestWarmStartedSearch:
             config=MCTSConfig(time_budget_s=0.4, seed=1),
             node_table=first.nodes,
         )
-        result = resumed.search(initial)
+        result = resumed.open(initial).run()
         assert resumed.nodes is first.nodes
         assert len(resumed.nodes) >= table_size
         assert result.best.breakdown.feasible
 
     def test_injected_evaluator_carries_incumbent(self):
-        from repro.search import MCTS, StateEvaluator
+        from repro.search import StateEvaluator
 
         queries = as_asts(listing1_sql(1, 4))
         model = CostModel(queries, Screen.wide())
         initial = initial_difftree(queries)
-        prior = mcts_search(
+        prior = MCTS(
             CostModel(queries, Screen.wide()),
-            initial,
             config=MCTSConfig(time_budget_s=1.0, seed=0),
-        )
+        ).open(initial).run()
         evaluator = StateEvaluator(model, seed=0)
         evaluator.seed_incumbent(prior.best_state)
         floor = evaluator.best.cost
@@ -283,17 +288,16 @@ class TestWarmStartedSearch:
             config=MCTSConfig(time_budget_s=0.2, seed=1),
             evaluator=evaluator,
         )
-        result = mcts.search(initial)
+        result = mcts.open(initial).run()
         # The reused evaluator's incumbent is a floor for the new run.
         assert result.best_cost <= floor + 1e-9
 
     def test_frontier_stats_recorded(self):
         queries = as_asts(listing1_sql(1, 3))
-        result = mcts_search(
+        result = MCTS(
             CostModel(queries, Screen.wide()),
-            initial_difftree(queries),
             config=MCTSConfig(time_budget_s=0.5, seed=0),
-        )
+        ).open(initial_difftree(queries)).run()
         assert result.stats.frontier_peak >= 1
 
 
@@ -392,12 +396,13 @@ class TestBatch:
                 ]
 
     def test_process_pool_that_cannot_start_falls_back_to_threads(self, monkeypatch):
-        import repro.serve.batch as batch
+        # The batch imports its pool at call time, from concurrent.futures.
+        import concurrent.futures
 
         def no_pool(*args, **kwargs):
             raise OSError("process pools are unavailable")
 
-        monkeypatch.setattr(batch, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         logs = [listing1_sql(1, 2), listing1_sql(3, 4)]
         serial = generate_interfaces_batch(logs, config=CAPPED, executor="serial")
         results = generate_interfaces_batch(logs, config=CAPPED, max_workers=2)
