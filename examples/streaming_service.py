@@ -35,6 +35,8 @@ def main() -> None:
 
     # An unchanged log is a pure cache hit: no search at all.
     repeat = session.interface()
+    assert repeat.source == "cache"
+    assert repeat.result is report.result
     print(
         f"repeat: source={repeat.source} in {repeat.timings['total_s'] * 1000:.1f} ms "
         f"(same interface: {repeat.result is report.result}, "

@@ -1,7 +1,7 @@
 """The session-oriented Engine facade over generate/serve.
 
 One long-lived object owns every piece of serving state the caller used
-to hand-wire — the rule engine, the parse-once AST caches (inside the
+to hand-wire — the rule engine, the per-session logs (inside the
 :class:`~repro.serve.SessionRouter`), the :class:`~repro.serve.InterfaceCache`,
 the warm-start/compiled-sequence carry-over of
 :class:`~repro.serve.IncrementalGenerator`, and the batch worker pool —
@@ -34,7 +34,7 @@ from collections import OrderedDict, deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core import GeneratedInterface, GenerationConfig, prepare_search, run_search
-from ..difftree import as_asts, wrap_ast
+from ..difftree import as_asts
 from ..layout import Screen
 from ..memo import INGEST
 from ..obs import collecting as _collecting, emit_report as _emit_report, trace as _trace
@@ -48,6 +48,7 @@ from ..serve import (
     SessionRouter,
     context_key,
     generate_interfaces_batch,
+    query_key,
 )
 from ..serve.stream import QueryLike
 from ..sqlast import Node
@@ -145,7 +146,7 @@ class Engine:
         rules: custom rule engine (default: the paper's full set,
             filtered by ``config.exclude_rules``).
         cache: interface cache to consult/populate (default: fresh LRU).
-        router: session router for ingestion (default: 8 shards).
+        router: session router for ingestion (default: a fresh one).
         warm_top_k: elite transposition-table states carried between a
             session's runs (incremental path).
         executor: default batch executor — ``"process"``, ``"thread"``,
@@ -207,6 +208,8 @@ class Engine:
         self._direct_searches = 0
         #: Restore provenance per rehydrated session (reports carry it).
         self._restored: Dict[str, Dict] = {}
+        #: Sessions a scheduler script is running on: never evicted.
+        self._running: set = set()
 
     # -- introspection ------------------------------------------------------
 
@@ -229,11 +232,9 @@ class Engine:
 
     @property
     def ingest_stats(self) -> Dict[str, int]:
-        """Ingest-path counters: process-wide memo/intern activity plus
-        the per-stream parse/dedup totals of this engine's sessions."""
-        stats = INGEST.snapshot()
-        stats.update(self.router.ingest_totals())
-        return stats
+        """Ingest-path counters: the process-wide parse, intern and memo
+        activity of :data:`repro.memo.INGEST`, whichever verb ingested."""
+        return INGEST.snapshot()
 
     @staticmethod
     def workload(name: str, *args, **kwargs):
@@ -294,7 +295,7 @@ class Engine:
                 self.cache.put(
                     key,
                     generated,
-                    query_keys=tuple(wrap_ast(ast).canonical_key for ast in asts),
+                    query_keys=tuple(map(query_key, asts)),
                     ctx=self._ctx,
                 )
                 report = GenerationReport(
@@ -329,7 +330,8 @@ class Engine:
         refreshes its recency, and the least recently used sessions past
         the bound are evicted via :meth:`drop_session` — releasing their
         log streams *and* the incremental service's warm-start carry,
-        not just the handle.
+        not just the handle.  Sessions a scheduler script is running on
+        are skipped until the script ends.
         """
         self._incremental_service()  # fail fast on incapable strategies
         evicted: List[str] = []
@@ -339,10 +341,13 @@ class Engine:
                 handle = LogSession(self, session_id)
                 self._sessions[session_id] = handle
             self._sessions.move_to_end(session_id)
-            if self.max_sessions is not None:
-                while len(self._sessions) > self.max_sessions:
-                    old_id, _ = self._sessions.popitem(last=False)
-                    evicted.append(old_id)
+            if self.max_sessions and len(self._sessions) > self.max_sessions:
+                evicted = [
+                    sid for sid in self._sessions
+                    if sid != session_id and sid not in self._running
+                ][: len(self._sessions) - self.max_sessions]
+                for old_id in evicted:
+                    del self._sessions[old_id]
         for old_id in evicted:
             # Outside the handle lock: eviction must also drop the
             # warm-start/compiled-sequence carry, the log stream, and
@@ -352,7 +357,7 @@ class Engine:
         return handle
 
     def sessions(self) -> List[str]:
-        """Ids of every session the router currently holds."""
+        """Ids of every session the router holds (appended to, not read)."""
         return self.router.sessions()
 
     def drop_session(self, session_id: str) -> bool:
@@ -524,9 +529,7 @@ class Engine:
             self.cache.put(
                 key,
                 generated,
-                query_keys=tuple(
-                    wrap_ast(ast).canonical_key for ast in generated.queries
-                ),
+                query_keys=tuple(map(query_key, generated.queries)),
                 ctx=self._ctx,
             )
             report = GenerationReport(

@@ -22,9 +22,9 @@ from ..core import GeneratedInterface
 #: 3 added ``provenance.snapshot`` (set when the session was rehydrated
 #: from a durable snapshot); version 4 added ``provenance.carry`` (set
 #: when the search rebased a carried tree — nodes carried / invalidated
-#: / re-keyed / reopened).  All additive, so older consumers keep
-#: reading newer envelopes.
-REPORT_SCHEMA_VERSION = 4
+#: / re-keyed / reopened).  Versions 2-4 were additive; version 5 removed
+#: the per-stream parse counters from ``provenance.ingest``.
+REPORT_SCHEMA_VERSION = 5
 
 #: Phase keys every report's ``timings`` dict carries (0.0 when a phase
 #: did not run for that verb — e.g. a cache hit searches for 0 s).

@@ -35,6 +35,10 @@ in an admission queue, and their wait is reported as ``queue_wait_s``),
 **per-session accounting** (slices, preemptions, iterations, first-
 interface latency), and **cancellation**.
 
+A script that ends (done, failed or cancelled) registers its session
+through :meth:`Engine.session`, so scheduled sessions obey the engine's
+``max_sessions`` bound; a session whose script is running is not evicted.
+
 Thread-safety: :meth:`SessionScheduler.run` accepts ``workers > 1``.
 Scheduler bookkeeping is lock-protected, and a *lease* guarantees at
 most one worker ever steps a given session's task — per-session work
@@ -46,7 +50,7 @@ shared interface cache — who hits whose entry is timing-dependent, the
 same way it is order-dependent for serial callers; the interfaces are
 still valid and deterministic per search, but which session pays for
 the search may differ.)  Shared structures (interface cache, session
-router shards, cost-model LRUs) carry their own locks.
+router, cost-model LRUs) carry their own locks.
 """
 
 from __future__ import annotations
@@ -225,6 +229,7 @@ class SessionScheduler:
                 submitted_at=time.perf_counter(),
             )
             self._tickets[session_id] = ticket
+            self.engine._running.add(session_id)
             if self.max_active is None or self._active_count() < self.max_active:
                 self._admit(ticket)
             else:
@@ -270,7 +275,8 @@ class SessionScheduler:
                 self._pending.pop(session_id, None)
                 self._rollback_chunk(session_id)
                 self._admit_next()
-            return True
+        self._release(session_id)
+        return True
 
     # -- the scheduling loop -------------------------------------------------
 
@@ -304,10 +310,12 @@ class SessionScheduler:
                     ticket.state = "failed"
                 ticket.error = repr(exc)
                 self._admit_next()
+            self._release(session_id)
             return True
         with self._lock:
             self._leased.discard(session_id)
             if ticket.state == "cancelled":
+                # cancel() registered the session when it ended the ticket.
                 self._pending.pop(session_id, None)
                 self._rollback_chunk(session_id)
                 self._admit_next()
@@ -329,8 +337,11 @@ class SessionScheduler:
                 if ticket.chunk_index >= len(ticket.chunks):
                     ticket.state = "done"
                     self._admit_next()
-            if not ticket.finished:
+            finished = ticket.finished
+            if not finished:
                 self._runnable.append(session_id)
+        if finished:
+            self._release(session_id)
         return True
 
     def run(self, workers: int = 1, poll_s: float = 0.0005) -> List[SessionTicket]:
@@ -365,6 +376,11 @@ class SessionScheduler:
         return self.tickets()
 
     # -- internals -----------------------------------------------------------
+
+    def _release(self, session_id: str) -> None:
+        """A script ended: register its session, now evictable (no lock held)."""
+        self.engine._running.discard(session_id)
+        self.engine.session(session_id)
 
     def _active_count(self) -> int:
         return sum(
@@ -449,6 +465,7 @@ class SessionScheduler:
                     self._chunk_baseline.setdefault(
                         session_id, self._service.log_length(session_id)
                     )
+                self.engine._touch_session(session_id)
                 self._service.append(*chunk, session_id=session_id)
                 pending = self._service.open_search(session_id)
                 opened = True

@@ -151,8 +151,8 @@ class IngestCounters:
     """Process-wide ingest instrumentation (see :data:`INGEST`).
 
     Attributes:
-        parses: actual parser runs (memo/cache misses).
-        parse_memo_hits: ``parse()`` calls served from the global memo.
+        parses: actual parser runs (``parse()`` memo misses).
+        parse_memo_hits: ``parse()`` calls served by its memo (the one parse cache).
         node_intern_hits: AST :class:`~repro.sqlast.nodes.Node`
             constructions that returned an existing interned instance.
         dtnode_intern_hits: same, for difftree
@@ -163,8 +163,6 @@ class IngestCounters:
         graft_memo_hits: memoized top-level ``graft`` hits.
         dedup_skipped_appends: appended queries an existing difftree
             already expressed (``extend_difftree`` skipped the graft).
-        text_dedup_hits: appends served by the normalized-text dedup
-            tier of :class:`~repro.serve.stream.LogStream`.
     """
 
     parses: int = 0
@@ -176,7 +174,6 @@ class IngestCounters:
     au_memo_hits: int = 0
     graft_memo_hits: int = 0
     dedup_skipped_appends: int = 0
-    text_dedup_hits: int = 0
 
     def snapshot(self) -> Dict[str, int]:
         """Plain-dict snapshot (stable keys, JSON-native values)."""

@@ -68,8 +68,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from ..difftree import DTNode, Path, assignment_for
-from ..difftree.columnar import ColumnarTree
+from ..difftree import DTNode, Path, assignment_for, tree_from_payload, tree_payload
 from ..difftree.express import changed_choices
 from ..obs import REGISTRY as _OBS_REGISTRY
 from ..sqlast import nodes as N
@@ -392,7 +391,7 @@ class CarriedTree:
     # -- wire format (snapshot persistence) ----------------------------------
 
     def to_payload(self) -> Dict[str, Any]:
-        """JSON-native encoding (columnar states, parent links by index).
+        """JSON-native encoding (tree-payload states, parent links by index).
 
         Node order is preserved — the restore side must rebuild the
         table in the same insertion order or the frontier heap's
@@ -404,7 +403,7 @@ class CarriedTree:
             universe = self.universes.get(key)
             encoded.append(
                 {
-                    "state": ColumnarTree.from_node(node.state).to_payload(),
+                    "state": tree_payload(node.state),
                     "parent": (
                         index_of[node.parent_key]
                         if node.parent_key is not None
@@ -438,7 +437,7 @@ class CarriedTree:
         nodes: Dict[str, _TreeNode] = {}
         universes: Dict[str, Optional[FrozenSet[Path]]] = {}
         for i, raw in enumerate(raw_nodes):
-            state = ColumnarTree.from_payload(raw["state"]).to_node()
+            state = tree_from_payload(raw["state"])
             key = state.canonical_key
             parent = raw["parent"]
             if not isinstance(parent, int) or parent >= i or parent < -1:

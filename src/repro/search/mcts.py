@@ -65,6 +65,34 @@ _FORWARD_RULES = ("Lift", "Any2All", "Optional", "Multi")
 #: Score drift below this is treated as exact when validating heap entries.
 _SCORE_EPS = 1e-12
 
+#: Per-step probability of ending a walk early — keeps walks well below
+#: the cap on states whose neighborhoods never dry up (bidirectional rules).
+WALK_STOP_PROB = 0.03
+
+#: Probability that a rollout step samples only the *compressing* rules
+#: (:data:`_FORWARD_RULES`).  Unbiased walks are dominated by Distribute
+#: moves (hundreds per state) and rarely visit the well-factored region;
+#: this informed-rollout bias restores signal while keeping inverse
+#: moves available for escaping local structure.
+ROLLOUT_FORWARD_BIAS = 0.75
+
+#: Probability of also scoring an *intermediate* walk state (the paper scores
+#: only the final one; this lets the incumbent catch states a walk passes).
+WALK_EVAL_PROB = 0.3
+
+#: Expansion samples at most this many neighbors (mid-space fanouts reach
+#: the hundreds); the rest stay reachable by re-expanding their siblings.
+MAX_CHILDREN = 24
+
+#: At most this many of an expansion's new children get a random walk
+#: (every child is still evaluated directly).  The paper walks from *all*
+#: neighbors with a ~60 s budget; the cap suits second-scale budgets.
+ROLLOUTS_PER_EXPANSION = 6
+
+#: At most this fraction of the time budget may go to evaluating warm
+#: states before the search loop, so seeding cannot starve the search.
+WARM_SEED_BUDGET_FRAC = 0.5
+
 
 @dataclass(frozen=True)
 class MCTSConfig:
@@ -77,33 +105,6 @@ class MCTSConfig:
             (the paper's ``k``).
         time_budget_s: wall-clock stop (paper: ~60 s; benches use less).
         max_iterations: hard iteration cap (0 = unlimited).
-        walk_stop_prob: per-step probability of ending a walk early —
-            keeps expected walk length well below the cap on states whose
-            neighborhoods never dry up (bidirectional rules).
-        max_children: expansion samples at most this many neighbors when
-            a state's fanout explodes (mid-space fanouts reach the
-            hundreds); the rest remain reachable via later re-expansion
-            of their siblings.
-        rollouts_per_expansion: at most this many of the new children get
-            a random-walk simulation per iteration (every child is still
-            directly evaluated).  The paper simulates from *all*
-            neighbors with a ~60 s budget; capping keeps iterations
-            cheap enough for second-scale budgets.
-        rollout_forward_bias: probability that a rollout step samples
-            only the *compressing* rules (Lift/Any2All/Optional/Multi).
-            With the bidirectional rule set, unbiased walks are dominated
-            by Distribute moves (hundreds per state) and rarely visit the
-            well-factored region; biasing the rollout policy — a standard
-            informed-rollout technique — restores signal while keeping
-            inverse moves available for escaping local structure.
-        walk_eval_prob: probability of also evaluating an *intermediate*
-            walk state (the paper scores only the final state; sampling a
-            few interior states lets the incumbent catch good states a
-            walk merely passes through).
-        warm_seed_budget_frac: at most this fraction of the time budget
-            may be spent evaluating warm-start states before the search
-            loop — seeding many large states must not starve the search
-            itself.
         seed: RNG seed; fixed seed ⇒ reproducible searches.
         final_cap: widget-enumeration cap for the final phase.
     """
@@ -113,12 +114,6 @@ class MCTSConfig:
     k_assignments: int = 5
     time_budget_s: float = 5.0
     max_iterations: int = 0
-    walk_stop_prob: float = 0.03
-    rollout_forward_bias: float = 0.75
-    walk_eval_prob: float = 0.3
-    max_children: int = 24
-    rollouts_per_expansion: int = 6
-    warm_seed_budget_frac: float = 0.5
     seed: int = 0
     final_cap: int = 4000
 
@@ -233,14 +228,14 @@ class MCTS:
     ) -> None:
         """Inject known-good states as direct children of the root.
 
-        At most ``warm_seed_budget_frac`` of a finite time budget may be
+        At most :data:`WARM_SEED_BUDGET_FRAC` of a finite time budget may be
         spent here (measured on the task clock, which is live during
         ``open``); an iteration-capped run without a time budget seeds
         every warm state — slicing must stay deterministic.
         """
         config = self.config
         seed_budget = (
-            config.time_budget_s * config.warm_seed_budget_frac
+            config.time_budget_s * WARM_SEED_BUDGET_FRAC
             if config.time_budget_s > 0
             else math.inf
         )
@@ -306,14 +301,14 @@ class MCTS:
 
         # Sample moves *before* materializing successors: applying a move
         # costs O(subtree), so building every neighbor of a large serving
-        # state (fanouts reach the thousands) just to sample max_children
+        # state (fanouts reach the thousands) just to sample MAX_CHILDREN
         # of them afterwards would dominate the iteration.
         moves = self.engine.moves(node.state)
         self.evaluator.stats.max_fanout = max(
             self.evaluator.stats.max_fanout, len(moves)
         )
-        if len(moves) > self.config.max_children:
-            moves = self.rng.sample(moves, self.config.max_children)
+        if len(moves) > MAX_CHILDREN:
+            moves = self.rng.sample(moves, MAX_CHILDREN)
         # Phase 1 — materialize and dedupe the whole child cohort without
         # evaluating anything: applying moves is pure tree work, so the
         # expansion's evaluation demand is known up front.
@@ -343,8 +338,8 @@ class MCTS:
         # order.  Direct evaluation keeps the incumbent exact for states
         # one move away; one simulation per child (paper: "a random walk
         # ... from all of its immediate neighbor states" — capped by
-        # rollouts_per_expansion for small budgets).
-        simulations_left = self.config.rollouts_per_expansion
+        # ROLLOUTS_PER_EXPANSION for small budgets).
+        simulations_left = ROLLOUTS_PER_EXPANSION
         for child_key, successor in cohort:
             direct = self._reward_of(successor)
             if simulations_left > 0:
@@ -393,11 +388,11 @@ class MCTS:
         config = self.config
         current = state
         for _ in range(config.max_walk_steps):
-            if config.walk_stop_prob and self.rng.random() < config.walk_stop_prob:
+            if self.rng.random() < WALK_STOP_PROB:
                 break
             if time.perf_counter() >= self._deadline:
                 break
-            if self.rng.random() < config.rollout_forward_bias:
+            if self.rng.random() < ROLLOUT_FORWARD_BIAS:
                 move = self.engine.random_move(
                     current, self.rng, rule_names=_FORWARD_RULES
                 )
@@ -409,7 +404,7 @@ class MCTS:
                 break
             current = self.engine.apply(current, move)
             self.evaluator.stats.walk_steps += 1
-            if config.walk_eval_prob and self.rng.random() < config.walk_eval_prob:
+            if self.rng.random() < WALK_EVAL_PROB:
                 self._reward_of(current)
         return self._reward_of(current)
 

@@ -3,8 +3,9 @@
 The serving layer over the one-shot :func:`repro.generate_interface`
 pipeline:
 
-* :class:`LogStream` / :class:`SessionRouter` — sharded append-only
-  ingestion with parse-once AST caching.
+* :class:`LogStream` / :class:`SessionRouter` — per-session append-only
+  logs, parsed through ``parse``'s memo (the one parse cache) and keyed
+  by :func:`log_key`.
 * :class:`InterfaceCache` — LRU keyed by the canonical key of the
   normalized log; exact hits skip search entirely, prefix hits feed
   warm starts.

@@ -1,15 +1,16 @@
 """LRU interface cache keyed by a fingerprint of the normalized log.
 
-The cache key is built from the cached per-query fingerprints
+The cache key is :func:`log_key`, built from the per-query fingerprints
 (:func:`query_key` — the wrapped AST's canonical key, memoized on the
 interned AST): the sorted distinct fingerprints identify the query *set*
 deterministically, so a repeated log, or one that merely re-orders or
 repeats queries, hits the same entry — at the cost of a few dict lookups
 per probe instead of rebuilding and normalizing an initial difftree over
-the full log.  (The cached widget tree expresses every query regardless
-of order; only the sequential-usability cost term is order-sensitive, so
-an order-permuted hit returns a valid interface whose reported cost was
-measured under the cached order.)
+the full log.  Sessions key through the same function, cached per
+:class:`~repro.serve.LogStream`.  (The cached widget tree expresses
+every query regardless of order; only the sequential-usability cost
+term is order-sensitive, so an order-permuted hit returns a valid
+interface whose reported cost was measured under the cached order.)
 
 Screen geometry and generation settings are folded into the key too —
 the same log on a phone screen is a different interface.
@@ -74,24 +75,18 @@ def query_key(ast: Node) -> str:
     return wrap_ast(ast).canonical_key
 
 
-def log_key_fast(query_keys: Sequence[str]) -> str:
-    """Set-fingerprint key derivation over per-query canonical keys.
-
-    Order- and duplication-insensitive (the distinct keys are sorted),
-    deterministic, and stable across runs and processes.
-    """
-    if not query_keys:
-        raise ValueError("need at least one input query")
-    distinct = sorted(set(query_keys))
-    return hashlib.md5("|".join(distinct).encode("utf-8")).hexdigest()
-
-
 def log_key(queries: Sequence[Node]) -> str:
-    """Deterministic fingerprint of the query *set*: :func:`log_key_fast`
-    over the memoized per-query fingerprints."""
+    """Deterministic fingerprint of the query *set* — the one log key.
+
+    Sorted distinct per-query fingerprints (:func:`query_key`), hashed:
+    order- and duplication-insensitive, and stable across runs and
+    processes.  :meth:`repro.serve.LogStream.log_key` caches it per
+    stream.
+    """
     if not queries:
         raise ValueError("need at least one input query")
-    return log_key_fast([query_key(ast) for ast in queries])
+    distinct = sorted({query_key(ast) for ast in queries})
+    return hashlib.md5("|".join(distinct).encode("utf-8")).hexdigest()
 
 
 def context_key(screen: Screen, config: GenerationConfig) -> str:

@@ -217,7 +217,7 @@ class IncrementalGenerator:
             warm-starting seeds its transposition table.
         engine: custom rule engine (default: full paper rule set).
         cache: interface cache to consult/populate (default: fresh LRU).
-        router: session router to ingest through (default: 8 shards).
+        router: session router to ingest through (default: a fresh one).
         warm_top_k: how many elite transposition-table states (beyond
             the best) to extend and re-seed on the next run.
         carry_max_nodes: harvest cap of the carried search tree — at
@@ -274,10 +274,6 @@ class IncrementalGenerator:
 
     def log_length(self, session_id: str = DEFAULT_SESSION) -> int:
         return len(self.router.stream(session_id))
-
-    def ingest_stats(self) -> Dict[str, int]:
-        """Per-stream ingest totals across this generator's sessions."""
-        return self.router.ingest_totals()
 
     def drop_session(self, session_id: str = DEFAULT_SESSION) -> bool:
         """Forget a session's stream and warm-start carry; True if it existed.
@@ -428,9 +424,8 @@ class IncrementalGenerator:
             if not asts:
                 raise ValueError(f"session {session_id!r} has an empty log")
 
-            # The stream maintains its log fingerprint incrementally
-            # (O(1) when the distinct-query set hasn't grown), replacing
-            # the per-probe whole-log re-key that dominated ingest time.
+            # The stream caches its log key until the log changes, so
+            # re-serving an unchanged session re-keys nothing.
             key = f"{stream.log_key()}:{self._ctx}"
             timings["parse_s"] = time.perf_counter() - parse_started
             with self._lock:

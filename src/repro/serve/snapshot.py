@@ -6,9 +6,9 @@ transposition-table states (the warm start), the compiled query
 sequences carried between runs, and the session's current
 :class:`~repro.serve.cache.InterfaceCache` entry.
 :class:`SessionSnapshot` captures all of it as one JSON-native payload
-(columnar difftree wire format for every tree — see
-:meth:`repro.difftree.columnar.ColumnarTree.to_payload`) and restores
-it into any engine sharing the capture-time screen/config context.
+(every tree written by :func:`repro.difftree.columnar.tree_payload`)
+and restores it into any engine sharing the capture-time screen/config
+context.
 
 The restore contract follows the snapshot-isolation checking
 discipline: restored state must be **observationally indistinguishable**
@@ -38,8 +38,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..core import GeneratedInterface, prepare_search
 from ..cost import CompiledSequence
-from ..difftree import DTNode
-from ..difftree.columnar import ColumnarTree
+from ..difftree import DTNode, tree_from_payload, tree_payload
 from ..obs import trace as _trace
 from ..search.common import SearchResult, SearchStats
 from .cache import context_key
@@ -53,6 +52,14 @@ _STATS_FIELDS = {f.name for f in dataclasses.fields(SearchStats)}
 
 class SnapshotError(ValueError):
     """A snapshot payload is corrupt, stale, or context-incompatible."""
+
+
+def _optional_tree(payload: Optional[Dict[str, Any]]) -> Optional[DTNode]:
+    """The tree in a slot that may hold none (``None`` or the marker a
+    never-searched session writes for ``best``: no state, not corruption)."""
+    if payload is None or payload.get("absent_state"):
+        return None
+    return tree_from_payload(payload)
 
 
 def _encode_vector(vector) -> List[Any]:
@@ -79,12 +86,12 @@ class SessionSnapshot:
             different screen or config is a *different* interface.
         queries: the replayable log — one entry per ingested query,
             ``{"sql": text}`` for text appends or ``{"ast": payload}``
-            (columnar wire format) for AST-only appends.
+            (tree wire format) for AST-only appends.
         log_len: how many leading queries the carried warm state covers
             (the ``_SessionState.log_len`` of the incremental service).
-        best: columnar payload of the previous run's winning difftree
+        best: tree payload of the previous run's winning difftree
             (absent-state marker when the session never searched).
-        elite: columnar payloads of the carried elite states.
+        elite: tree payloads of the carried elite states.
         cached: the session's current cache entry, replayable without a
             search: the winner's difftree payload + decision vector +
             search diagnostics (strategy/elapsed/history/stats) + the
@@ -126,8 +133,7 @@ class SessionSnapshot:
             sql = stream.sql()
             asts = stream.asts()
             queries: List[Dict[str, Any]] = [
-                {"sql": text} if text else
-                {"ast": ColumnarTree.from_node(ast).to_payload()}
+                {"sql": text} if text else {"ast": tree_payload(ast)}
                 for text, ast in zip(sql, asts)
             ]
             exported = service.export_session(session_id)
@@ -143,8 +149,11 @@ class SessionSnapshot:
                 ctx=context_key(engine.screen, engine.config),
                 queries=queries,
                 log_len=log_len,
-                best=ColumnarTree.payload_of(best),
-                elite=[ColumnarTree.payload_of(tree) for tree in elite],
+                best=(
+                    {"version": 2, "absent_state": True}
+                    if best is None else tree_payload(best)
+                ),
+                elite=[tree_payload(tree) for tree in elite],
                 carry=carried.to_payload() if carried is not None else None,
             )
             if asts:
@@ -169,7 +178,7 @@ class SessionSnapshot:
                 "schema; cannot encode a replayable snapshot"
             )
         return {
-            "difftree": ColumnarTree.from_node(search.best.tree).to_payload(),
+            "difftree": tree_payload(search.best.tree),
             "vector": _encode_vector(vector),
             "cost": search.best.breakdown.total,
             "strategy": search.strategy,
@@ -277,14 +286,12 @@ class SessionSnapshot:
                 )
             try:
                 replayed = [
-                    q["sql"] if q.get("sql")
-                    else ColumnarTree.from_payload(q["ast"]).to_node()
+                    q["sql"] if q.get("sql") else tree_from_payload(q["ast"])
                     for q in self.queries
                 ]
-                best = ColumnarTree.node_of(self.best)
+                best = _optional_tree(self.best)
                 elite = tuple(
-                    tree for tree in
-                    (ColumnarTree.node_of(p) for p in self.elite)
+                    tree for tree in map(_optional_tree, self.elite)
                     if tree is not None
                 )
             except (KeyError, ValueError, TypeError) as exc:
@@ -345,7 +352,7 @@ class SessionSnapshot:
         )
         entry = self.cached
         try:
-            tree = ColumnarTree.from_payload(entry["difftree"]).to_node()
+            tree = tree_from_payload(entry["difftree"])
         except (KeyError, ValueError, TypeError) as exc:
             raise SnapshotError(f"corrupt cached difftree payload: {exc}") from exc
         kernel = model.kernel_for(tree)

@@ -14,14 +14,10 @@ from .lexer import Token, tokenize
 from .nodes import Node
 from .parser import parse, parse_many
 from .printer import to_sql
-from .symbols import SYMBOLS, SymbolTable, head_symbol
 
 __all__ = [
     "nodes",
     "Node",
-    "SymbolTable",
-    "SYMBOLS",
-    "head_symbol",
     "Token",
     "tokenize",
     "parse",

@@ -1,9 +1,10 @@
-"""Columnar wire format, merge-kernel parity, symbols, wiring.
+"""Tree wire format, merge-kernel parity, stream log key.
 
-The columnar contract (``repro/difftree/columnar.py``) is *exact*
-interchangeability: ``from_node``/``to_node`` and the JSON payload
-round-trip interned trees to the same objects, and the encoding's
-columns obey the preorder identities (subtree = ``(pre, size)`` range).
+The wire-format contract (``repro/difftree/columnar.py``) is *exact*
+interchangeability: ``tree_from_payload`` of a JSON round trip of
+``tree_payload(t)`` is ``t`` itself (interning lands the decoded tree on
+the natively built object), and the payload bytes equal the version-2
+payloads earlier releases wrote (the literal payloads below).
 The memoized anti-unify/graft must build the same trees as their
 unmemoized oracles (``tests/oracles.py``) on every workload.  Property-based tests draw
 random query logs; workload tests cover the SDSS / TPC-H / synthetic
@@ -16,22 +17,22 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro import memo, obs
+from repro import memo
 from repro.difftree import (
-    ColumnarTree,
     anti_unify,
     any_node,
     extend_difftree,
     graft,
     initial_difftree,
+    opt_node,
+    tree_from_payload,
+    tree_payload,
     wrap_ast,
 )
-from repro.difftree.columnar import STATS
 from repro.memo import INGEST
 from repro.serve import LogStream
-from repro.serve.cache import log_key, log_key_fast
-from repro.sqlast import SYMBOLS, head_symbol, parse
-from repro.sqlast.symbols import SymbolTable
+from repro.serve.cache import log_key
+from repro.sqlast import parse
 from repro.workloads import mixed_session_log, sdss_session_sql, tpch_session_sql
 
 from oracles import anti_unify_reference, canonical_key_reference, graft_reference
@@ -83,33 +84,79 @@ def session_trees(log):
     return asts, trees
 
 
-def check_encoding_invariants(tree):
-    """Every structural identity the parallel columns promise."""
-    ct = ColumnarTree.from_node(tree)
-    assert ct.n == tree.size
-    assert ct.to_node() is tree
-    assert ct.parent[0] == -1
-    for i in range(ct.n):
-        node = ct.nodes[i]
-        assert ct.size[i] == node.size
-        # Children sit at sibling hops inside the (pre, size) range.
-        kids = []
-        j = i + 1
-        while j < i + ct.size[i]:
-            kids.append(j)
-            j += ct.size[j]
-        assert j == i + ct.size[i]
-        assert [ct.nodes[j] for j in kids] == list(node.children)
-        for j in kids:
-            assert ct.parent[j] == i
-        # absent: the slot can consume zero AST children.
-        if ct.is_ast or node.kind == "ALL":
-            expected = 0
-        elif node.kind == "ANY":
-            expected = int(any(ct.absent[j] for j in kids))
-        else:  # OPT, MULTI, EMPTY
-            expected = 1
-        assert ct.absent[i] == expected
+def round_trip(tree):
+    """``tree`` written, sent through JSON text, and read back."""
+    return tree_from_payload(json.loads(json.dumps(tree_payload(tree))))
+
+
+def subtrees(tree):
+    """Every node of ``tree``, preorder."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
+
+
+#: ``SELECT objid, ra FROM stars WHERE u < 5 AND g < 5`` as an AST, and
+#: the difftree ``extend_difftree`` grows from ``... WHERE u < 5`` by
+#: ``SELECT objid FROM stars`` and ``SELECT ra FROM stars WHERE g < 5``,
+#: both as version-2 payloads copied from the encoder this format
+#: replaced.  Repeated heads share one ``heads`` entry.
+AST_PAYLOAD = {
+    "version": 2, "ast": True, "n": 14,
+    "heads": [
+        ["ALL", "Select", None], ["ALL", "Project", None],
+        ["ALL", "ColExpr", "objid"], ["ALL", "ColExpr", "ra"],
+        ["ALL", "From", None], ["ALL", "Table", "stars"],
+        ["ALL", "Where", None], ["ALL", "And", None],
+        ["ALL", "BiExpr", "<"], ["ALL", "ColExpr", "u"],
+        ["ALL", "NumExpr", 5], ["ALL", "ColExpr", "g"],
+    ],
+    "head": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 8, 11, 10],
+    "parent": [-1, 0, 1, 1, 0, 4, 0, 6, 7, 8, 8, 7, 11, 11],
+    "absent": [0] * 14,
+}
+DIFFTREE_PAYLOAD = {
+    "version": 2, "ast": False, "n": 14,
+    "heads": [
+        ["ALL", "Select", None], ["ALL", "Project", None], ["ANY", None, None],
+        ["ALL", "ColExpr", "objid"], ["ALL", "ColExpr", "ra"],
+        ["ALL", "From", None], ["ALL", "Table", "stars"], ["OPT", None, None],
+        ["ALL", "Where", None], ["ALL", "BiExpr", "<"],
+        ["ALL", "ColExpr", "g"], ["ALL", "ColExpr", "u"],
+        ["ALL", "NumExpr", 5],
+    ],
+    "head": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 2, 10, 11, 12],
+    "parent": [-1, 0, 1, 2, 2, 0, 5, 0, 7, 8, 9, 10, 10, 9],
+    "absent": [0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0],
+}
+#: An ``ANY`` with an ``OPT`` alternative absorbs (``absent`` 1 on both).
+ANY_OPT_PAYLOAD = {
+    "version": 2, "ast": False, "n": 12,
+    "heads": [
+        ["ANY", None, None], ["OPT", None, None], ["ALL", "Select", None],
+        ["ALL", "Project", None], ["ALL", "ColExpr", "ra"],
+        ["ALL", "From", None], ["ALL", "Table", "stars"],
+        ["ALL", "ColExpr", "objid"],
+    ],
+    "head": [0, 1, 2, 3, 4, 5, 6, 2, 3, 7, 5, 6],
+    "parent": [-1, 0, 1, 2, 3, 2, 5, 0, 7, 8, 7, 10],
+    "absent": [1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+}
+
+
+def literal_trees():
+    ast = parse("select objid, ra from stars where u < 5 and g < 5")
+    grown = extend_difftree(
+        initial_difftree([parse("select objid from stars where u < 5")]),
+        [parse("select objid from stars"), parse("select ra from stars where g < 5")],
+    )
+    any_opt = any_node([
+        opt_node(wrap_ast(parse("select ra from stars"))),
+        wrap_ast(parse("select objid from stars")),
+    ])
+    return [(AST_PAYLOAD, ast), (DIFFTREE_PAYLOAD, grown), (ANY_OPT_PAYLOAD, any_opt)]
 
 
 class TestRoundTrip:
@@ -117,36 +164,60 @@ class TestRoundTrip:
         for log in workload_logs():
             asts, trees = session_trees(log)
             for ast in asts:
-                assert ColumnarTree.from_node(ast).to_node() is ast
-                check_encoding_invariants(wrap_ast(ast))
+                assert round_trip(ast) is ast
+                assert round_trip(wrap_ast(ast)) is wrap_ast(ast)
             for tree in trees:
-                check_encoding_invariants(tree)
+                assert round_trip(tree) is tree
 
     @given(query_log())
     @settings(max_examples=40, deadline=None)
     def test_random_trees_round_trip(self, sqls):
         asts = [parse(s) for s in sqls]
         tree = initial_difftree(asts)
-        check_encoding_invariants(tree)
-        assert ColumnarTree.from_node(tree).to_node() is tree
+        assert round_trip(tree) is tree
+        for ast in asts:
+            assert round_trip(ast) is ast
 
     def test_payload_round_trip(self):
         for log in workload_logs():
             _, trees = session_trees(log)
             for tree in trees[-2:]:
-                payload = json.loads(json.dumps(ColumnarTree.from_node(tree).to_payload()))
-                assert ColumnarTree.from_payload(payload).to_node() is tree
+                payload = json.loads(json.dumps(tree_payload(tree)))
+                assert payload == tree_payload(tree)
+                assert tree_from_payload(payload) is tree
 
     def test_payload_round_trip_ast_mode(self):
         ast = parse(sdss_session_sql(3, seed=5)[0])
-        ct = ColumnarTree.from_node(ast)
-        assert ct.is_ast
-        payload = json.loads(json.dumps(ct.to_payload()))
-        assert ColumnarTree.from_payload(payload).to_node() is ast
+        payload = json.loads(json.dumps(tree_payload(ast)))
+        assert payload["ast"] is True
+        assert set(payload["absent"]) == {0}
+        assert tree_from_payload(payload) is ast
 
     def test_payload_version_check(self):
         with pytest.raises(ValueError):
-            ColumnarTree.from_payload({"version": 99})
+            tree_from_payload({"version": 99})
+        version_one = dict(tree_payload(wrap_ast(parse("select ra from stars"))))
+        version_one["version"] = 1
+        with pytest.raises(ValueError, match="version"):
+            tree_from_payload(version_one)
+
+
+class TestLiteralPayloads:
+    @pytest.mark.parametrize("index", range(3))
+    def test_encoder_writes_the_literal_payload(self, index):
+        payload, tree = literal_trees()[index]
+        assert json.dumps(tree_payload(tree)) == json.dumps(payload)
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_literal_payload_decodes_to_the_native_tree(self, index):
+        payload, tree = literal_trees()[index]
+        assert tree_from_payload(json.loads(json.dumps(payload))) is tree
+
+    def test_tampered_absent_column_rejected(self):
+        payload = json.loads(json.dumps(DIFFTREE_PAYLOAD))
+        payload["absent"][7] = 0
+        with pytest.raises(ValueError, match="absent"):
+            tree_from_payload(payload)
 
 
 class TestCanonicalKeyReference:
@@ -154,7 +225,7 @@ class TestCanonicalKeyReference:
         for log in workload_logs():
             _, trees = session_trees(log)
             for tree in trees:
-                for node in ColumnarTree.from_node(tree).nodes:
+                for node in subtrees(tree):
                     assert node.canonical_key == canonical_key_reference(node)
 
     def test_cold_large_tree_key_matches_reference(self):
@@ -208,60 +279,49 @@ class TestKernelParity:
         assert INGEST.graft_memo_hits > before
 
 
-class TestSymbols:
-    def test_interning_is_bijective_and_stable(self):
-        table = SymbolTable()
-        sid = table.id_of(("ALL", "Select", None))
-        assert table.id_of(("ALL", "Select", None)) == sid
-        assert table.symbol_of(sid) == ("ALL", "Select", None)
-        assert ("ALL", "Select", None) in table
-        other = table.id_of(("ANY", None, None))
-        assert other != sid
-        assert len(table) == 2
-        assert table.stats() == {"symbols": 2}
-
-    def test_head_symbol_equality_iff_id_equality(self):
-        a = head_symbol("ALL", "ColExpr", "ra")
-        b = head_symbol("ALL", "ColExpr", "ra")
-        c = head_symbol("ALL", "ColExpr", "dec")
-        assert a == b and a != c
-        assert SYMBOLS.symbol_of(a) == ("ALL", "ColExpr", "ra")
-
-
-class TestObservability:
-    def test_columnar_metrics_registered(self):
-        tree = wrap_ast(parse("select objid from galaxies where g between 3 and 4"))
-        before = STATS.encodes
-        ColumnarTree._encode(tree)
-        assert STATS.encodes == before + 1
-        snap = obs.snapshot()
-        assert "difftree.columnar.encodes" in snap
-        assert "sqlast.symbols.symbols" in snap
-        assert "cache.difftree.columnar.encode.hits" in snap
-
-    def test_encode_memo_serves_repeat_encodings(self):
-        tree = wrap_ast(parse("select ra from stars where i between 5 and 6"))
-        first = ColumnarTree.from_node(tree)
-        assert ColumnarTree.from_node(tree) is first
-
-
 class TestStreamLogKey:
     def test_matches_cache_derivation(self):
         stream = LogStream()
         stream.append(*sdss_session_sql(5, seed=47))
         assert stream.log_key() == log_key(stream.asts())
-        assert stream.log_key() == log_key_fast(stream.query_keys())
 
     def test_incremental_maintenance_under_appends_and_truncate(self):
         sqls = tpch_session_sql(6, seed=53)
         stream = LogStream()
         stream.append(sqls[0])
         first = stream.log_key()
-        stream.append(sqls[0])  # duplicate: key unchanged, cache valid
+        stream.append(sqls[0])  # duplicate: same query set, same key
         assert stream.log_key() == first
         stream.append(*sqls[1:])
+        assert stream.log_key() == log_key(stream.asts())
+        stream.remove([1])
         assert stream.log_key() == log_key(stream.asts())
         stream.truncate(1)
         assert stream.log_key() == first
         with pytest.raises(ValueError):
             LogStream().log_key()
+
+    def test_key_is_cached_until_the_log_changes(self, monkeypatch):
+        import repro.serve.stream as stream_module
+
+        calls = []
+        real = stream_module.log_key
+
+        def counting(asts):
+            calls.append(len(asts))
+            return real(asts)
+
+        monkeypatch.setattr(stream_module, "log_key", counting)
+        stream = LogStream()
+        stream.append(*sdss_session_sql(4, seed=3))
+        stream.log_key()
+        stream.log_key()
+        assert calls == [4]
+        for mutate in (
+            lambda: stream.append(sdss_session_sql(4, seed=3)[0]),
+            lambda: stream.remove([0]),
+            lambda: stream.truncate(2),
+        ):
+            mutate()
+            assert stream.log_key() == real(stream.asts())
+        assert calls == [4, 5, 4, 2]

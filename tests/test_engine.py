@@ -284,8 +284,23 @@ class TestEngine:
         session.interface()
         assert session.drop()
         assert not session.drop()
-        # Reading the length auto-creates a fresh, empty stream.
+        # A dropped session reads as an empty log.
         assert session.log_length == 0
+
+    def test_reads_do_not_create_sessions(self):
+        engine = Engine(config=FAST, max_sessions=2)
+        session = engine.session("a")
+        session.append(*listing1_sql(1, 2))
+        engine.drop_session("a")
+        assert session.log_length == 0
+        for ghost in ("b", "c", "d"):
+            snapshot = engine.snapshot_session(ghost)
+            assert snapshot.generation == 0 and snapshot.best["absent_state"]
+        assert engine.sessions() == []
+        # Only an append registers a session, within max_sessions.
+        for sid in ("e", "f", "g"):
+            engine.session(sid).append(listing1_sql()[0])
+        assert sorted(engine.sessions()) == ["f", "g"]
 
     def test_generate_batch_order_and_cache(self):
         engine = Engine(config=FAST, executor="serial")
@@ -344,7 +359,7 @@ class TestGenerationReport:
         report = Engine(config=FAST).generate(listing1_sql(1, 3))
         payload = report.to_dict()
         roundtrip = json.loads(json.dumps(payload))
-        assert roundtrip["schema_version"] == 4
+        assert roundtrip["schema_version"] == 5
         assert roundtrip["source"] == "search"
         assert roundtrip["strategy"] == "mcts"
         assert roundtrip["log_size"] == 3

@@ -157,30 +157,32 @@ class TestLogKey:
 
 
 class TestStreamDedupTier:
-    def test_whitespace_duplicate_skips_reparse(self):
+    """Repeated and whitespace-variant texts dedup through ``parse``'s
+    memo and hash-consing: one interned AST, one query key."""
+
+    def test_whitespace_variant_lands_on_same_ast(self):
         stream = LogStream()
         stream.append("select objid from stars where u < 5")
         stream.append("select   objid from stars\n where u < 5")
-        assert stream.parses == 1
-        assert stream.parse_hits == 1
-        assert stream.dedup_hits == 1
+        assert stream.ast(0) is stream.ast(1)
         assert stream.query_keys()[0] == stream.query_keys()[1]
 
     def test_quoted_strings_opt_out_of_normalization(self):
         stream = LogStream()
         stream.append("select objid from stars where name = 'a  b'")
         stream.append("select objid from stars where name = 'a b'")
-        assert stream.parses == 2
-        assert stream.dedup_hits == 0
+        assert stream.ast(0) is not stream.ast(1)
         assert stream.query_keys()[0] != stream.query_keys()[1]
 
     def test_exact_duplicate_still_counts_as_parse_hit(self):
+        sql = "select objid from stars where u < 7304.0625"
         stream = LogStream()
-        stream.append("select objid from stars where u < 5")
-        stream.append("select objid from stars where u < 5")
-        assert stream.parses == 1
-        assert stream.parse_hits == 1
-        assert stream.dedup_hits == 0
+        parses, hits = memo.INGEST.parses, memo.INGEST.parse_memo_hits
+        stream.append(sql)
+        stream.append(sql)
+        assert memo.INGEST.parses - parses == 1
+        assert memo.INGEST.parse_memo_hits - hits == 1
+        assert stream.ast(0) is stream.ast(1)
 
 
 class TestIngestReporting:
@@ -192,17 +194,20 @@ class TestIngestReporting:
         assert report.ingest_stats  # sampled
         payload = report.to_dict()
         ingest = payload["provenance"]["ingest"]
-        assert payload["schema_version"] == 4
+        assert payload["schema_version"] == 5
+        assert set(ingest) == set(memo.INGEST.snapshot())
         for key in (
             "parses",
+            "parse_memo_hits",
             "node_intern_hits",
             "dtnode_intern_hits",
             "au_memo_hits",
             "dedup_skipped_appends",
-            "stream_parses",
         ):
             assert key in ingest
             assert isinstance(ingest[key], int)
+        # Schema 5 dropped the per-stream and whitespace-tier counters.
+        assert not any(key.startswith(("stream_", "text_")) for key in ingest)
 
     def test_engine_ingest_stats_grow_with_repetition(self):
         engine = Engine(config=FAST)
@@ -214,5 +219,5 @@ class TestIngestReporting:
         session.append(*queries)  # exact repeats: dedup tiers engage
         session.interface()
         after = engine.ingest_stats
-        assert after["stream_parse_hits"] > before["stream_parse_hits"]
+        assert after["parse_memo_hits"] > before["parse_memo_hits"]
         assert after["dedup_skipped_appends"] >= before["dedup_skipped_appends"]

@@ -127,21 +127,22 @@ class TestAbsorbedSources:
 
     def test_builtin_memo_tables_present_in_snapshot(self):
         # An engine an earlier test left in a reference cycle still holds
-        # the "serve.cache"/"serve.router" names until the collector runs,
-        # so this engine's sources would register as "#2" and the plain
-        # names would vanish if that collection happened mid-test.
+        # the "serve.cache" name until the collector runs, so this
+        # engine's cache would register as "#2" and the plain name would
+        # vanish if that collection happened mid-test.
         gc.collect()
-        engine = Engine(config=TINY)  # kept alive: its cache/router are weak sources
+        engine = Engine(config=TINY)  # kept alive: its cache is a weak source
         engine.generate(LOG)
         snap = obs.snapshot()
         for name in (
             "cache.sqlast.parse.hits",
             "cache.difftree.anti_unify.hits",
             "ingest.parses",
+            "ingest.parse_memo_hits",
             "serve.cache.hits",
-            "serve.router.stream_parses",
         ):
             assert name in snap, f"missing {name}"
+        assert not any(name.startswith("serve.router") for name in snap)
 
     def test_live_cost_model_caches_registered(self):
         """Per-instance caches appear while their owner lives and vanish
@@ -253,7 +254,7 @@ class TestReportIntegration:
     def test_schema_has_trace_and_phase_timings(self):
         report = Engine(config=TINY).generate(LOG)
         payload = report.to_dict()
-        assert payload["schema_version"] == REPORT_SCHEMA_VERSION == 4
+        assert payload["schema_version"] == REPORT_SCHEMA_VERSION == 5
         assert payload["trace"] == []  # disabled -> no spans, key present
         for phase in TIMING_PHASES:
             assert phase in payload["timings"]

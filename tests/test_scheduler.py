@@ -568,6 +568,36 @@ class TestSessionEviction:
         with pytest.raises(ValueError, match="max_sessions"):
             Engine(config=TINY, max_sessions=0)
 
+    def test_scheduled_sessions_obey_max_sessions(self):
+        engine = Engine(config=TINY, max_sessions=2)
+        scheduler = engine.scheduler(slice_iterations=1)
+        for i in range(6):
+            scheduler.submit(f"s{i}", [sdss_session_sql(1, seed=i)])
+        tickets = scheduler.run()
+        assert all(t.state == "done" for t in tickets)
+        assert sorted(engine.router.sessions()) == ["s4", "s5"]
+        assert sorted(engine._incremental._sessions) == ["s4", "s5"]
+
+    def test_running_scripts_are_not_evicted(self):
+        """Short scripts end (and register) while long ones still run;
+        the long ones must keep their logs through every chunk, also
+        when the caller holds a handle for one of them."""
+        engine = Engine(config=TINY, max_sessions=1)
+        engine.session("long0")
+        scheduler = engine.scheduler(slice_iterations=1)
+        short = {f"short{i}": [sdss_session_sql(1, seed=i)] for i in range(3)}
+        long = {
+            f"long{i}": [sdss_session_sql(2, seed=10 + i)[j:j + 1] for j in range(2)]
+            for i in range(2)
+        }
+        for sid, chunks in {**long, **short}.items():
+            scheduler.submit(sid, chunks)
+        tickets = {t.session_id: t for t in scheduler.run()}
+        assert all(t.state == "done" for t in tickets.values())
+        for sid in long:
+            assert [r.log_size for r in tickets[sid].reports] == [1, 2]
+        assert len(engine.router.sessions()) == 1
+
 
 class TestBoundedLRUThreadSafety:
     def test_concurrent_hammer_preserves_bound(self):

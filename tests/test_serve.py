@@ -13,6 +13,7 @@ from repro.difftree import (
     initial_difftree,
     wrap_ast,
 )
+from repro.memo import INGEST
 from repro.search import MCTS, MCTSConfig
 from repro.serve import (
     DEFAULT_SESSION,
@@ -34,31 +35,39 @@ FAST = GenerationConfig(time_budget_s=0.3, seed=0)
 CAPPED = GenerationConfig(time_budget_s=0.0, max_iterations=3, seed=0, final_cap=50)
 
 
+def unique_sql(n):
+    """A query text no other test parses (``parse``'s memo is process-wide)."""
+    return f"select objid from stars where u < {n}.0625"
+
+
 class TestLogStream:
-    def test_append_and_version(self):
+    def test_append_returns_length(self):
         stream = LogStream()
         assert len(stream) == 0
         assert stream.append(listing1_sql()[0]) == 1
-        assert stream.version == 1
+        assert stream.append(*listing1_sql(1, 2)) == 3
+        assert len(stream) == 3
 
     def test_parse_once(self):
         stream = LogStream()
-        sql = listing1_sql()[0]
+        sql = unique_sql(7301)
+        parses, hits = INGEST.parses, INGEST.parse_memo_hits
         stream.append(sql, sql, sql)
-        assert stream.parses == 1
-        assert stream.parse_hits == 2
+        assert INGEST.parses - parses == 1
+        assert INGEST.parse_memo_hits - hits == 2
         assert len(stream) == 3
+        assert len(set(map(id, stream.asts()))) == 1
 
-    def test_shared_parse_cache(self):
-        cache = {}
-        a = LogStream(parse_cache=cache)
-        b = LogStream(parse_cache=cache)
-        sql = listing1_sql()[0]
+    def test_streams_share_one_parse(self):
+        # parse's memo is the one parse cache: a text parsed for one
+        # stream is not parsed again for another.
+        a, b = LogStream(), LogStream()
+        sql = unique_sql(7302)
+        parses = INGEST.parses
         a.append(sql)
         b.append(sql)
-        assert a.parses == 1
-        assert b.parses == 0
-        assert b.parse_hits == 1
+        assert INGEST.parses - parses == 1
+        assert a.ast(0) is b.ast(0)
 
     def test_ast_append(self):
         stream = LogStream()
@@ -86,18 +95,14 @@ class TestSessionRouter:
         assert len(router.stream("a")) == 1
         assert len(router.stream("b")) == 2
 
-    def test_sharding_stable(self):
-        a = SessionRouter(num_shards=8)
-        b = SessionRouter(num_shards=8)
-        for sid in ("alpha", "beta", "gamma"):
-            assert a.shard_of(sid) == b.shard_of(sid)
-
-    def test_same_shard_shares_parse_cache(self):
-        router = SessionRouter(num_shards=1)
-        sql = listing1_sql()[0]
+    def test_sessions_share_one_parse(self):
+        router = SessionRouter()
+        sql = unique_sql(7303)
+        parses = INGEST.parses
         router.append("a", sql)
         router.append("b", sql)
-        assert router.stream("b").parses == 0
+        assert INGEST.parses - parses == 1
+        assert router.stream("a").ast(0) is router.stream("b").ast(0)
 
     def test_drop(self):
         router = SessionRouter()
@@ -106,17 +111,21 @@ class TestSessionRouter:
         assert not router.drop("a")
         assert len(router.stream("a")) == 0
 
-    def test_parse_cache_bounded_after_sessions_drop(self):
-        # The shard cache outlives its sessions: the texts (and ASTs) of
-        # dropped sessions must age out instead of accumulating.
-        from repro.serve.stream import SHARD_PARSE_CACHE_CAPACITY
-
-        router = SessionRouter(num_shards=1)
-        for i in range(SHARD_PARSE_CACHE_CAPACITY + 50):
-            router.append(f"s{i}", f"select objid from stars where u < {i}")
-            router.drop(f"s{i}")
+    def test_reads_do_not_register_sessions(self):
+        router = SessionRouter()
+        assert len(router.stream("ghost")) == 0
+        assert router.truncate("ghost", 0) == 0
+        assert router.remove("ghost", [0]) == ()
+        assert router.retain("ghost", last_n=1) == ()
         assert router.sessions() == []
-        assert len(router._shards[0].parse_cache) == SHARD_PARSE_CACHE_CAPACITY
+        router.append("real", listing1_sql()[0])
+        assert router.sessions() == ["real"]
+
+    def test_failed_first_append_registers_nothing(self):
+        router = SessionRouter()
+        with pytest.raises(TypeError):
+            router.append("bad", 42)
+        assert router.sessions() == []
 
 
 class TestInterfaceCache:

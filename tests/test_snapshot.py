@@ -192,6 +192,38 @@ class TestRejection:
         with pytest.raises(SnapshotError):
             other.restore_snapshot(payload)
 
+    @pytest.mark.parametrize("slot", ["best", "carry", "cached"])
+    def test_out_of_range_head_index_refused(self, slot):
+        payload = self.payload()
+        tree = {
+            "best": lambda: payload["best"],
+            "carry": lambda: payload["carry"]["nodes"][0]["state"],
+            "cached": lambda: payload["cached"]["difftree"],
+        }[slot]()
+        tree["head"][-1] = len(tree["heads"])
+        other = Engine(config=TINY)
+        with pytest.raises(SnapshotError):
+            other.restore_snapshot(payload)
+
+    def test_negative_head_index_refused(self):
+        # A negative index would otherwise land on another head from the
+        # end of the table and silently restore a different tree.
+        payload = self.payload()
+        best = payload["best"]
+        all_heads = [j for j, head in enumerate(best["heads"]) if head[0] == "ALL"]
+        node = best["head"].index(all_heads[-1])
+        best["head"][node] = all_heads[-2] - len(best["heads"])
+        other = Engine(config=TINY)
+        with pytest.raises(SnapshotError, match="head index"):
+            other.restore_snapshot(payload)
+
+    def test_root_parent_must_be_minus_one(self):
+        payload = self.payload()
+        payload["best"]["parent"][0] = 0
+        other = Engine(config=TINY)
+        with pytest.raises(SnapshotError, match="root parent"):
+            other.restore_snapshot(payload)
+
     def test_malformed_carry_refused(self):
         payload = self.payload()
         payload["carry"] = {"universes": []}  # no nodes
@@ -265,10 +297,9 @@ def _child_payload(workload, queue):
 
 class TestCrossProcess:
     def test_two_processes_payloads_restore_to_identical_fingerprints(self):
-        # The symbol re-interning regression (PR 8): two processes build
-        # their own symbol tables, so shipped payloads carry ids that
-        # mean nothing here — from_payload must re-intern heads through
-        # this process's SYMBOLS, landing both payloads on the same
+        # Payloads written by other processes must decode through this
+        # process's interning constructors (no process-local id may
+        # leak into the wire format), landing both payloads on the same
         # canonical trees and costs.
         ctx = multiprocessing.get_context(
             "fork"

@@ -40,9 +40,6 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 #: (path relative to src/, global name) pairs allowed to remain.
 ALLOWLIST = {
     ("repro/memo.py", "INGEST"),
-    # Registered with repro.obs via register_source("difftree.columnar", ...);
-    # kept as a plain-slots singleton because the encode loop bumps it.
-    ("repro/difftree/columnar.py", "STATS"),
     # Registered via register_source("search.carry", ...); plain-field
     # singleton because harvest/rebase/retention paths bump it per node.
     ("repro/search/carry.py", "STATS"),
