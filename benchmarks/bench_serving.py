@@ -1,8 +1,8 @@
 """BENCH-SERVE: concurrent multi-session scheduling vs FIFO serving.
 
-The scheduling claim (ISSUE 4 / `repro.engine.SessionScheduler`): when N
-sessions with growing query logs arrive together, time-slicing their
-searches round-robin delivers every session's *first* interface after
+The scheduling claim (`repro.engine.SessionScheduler`): when N
+sessions with growing query logs arrive together, slicing their
+searches round-robin on one thread delivers every session's *first* interface after
 roughly the cohort's first-step work, while FIFO serving makes session N
 wait for every predecessor's *entire* script — so the scheduler's p95
 first-interface latency beats FIFO by >= 2x at equal per-search

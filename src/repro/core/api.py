@@ -185,7 +185,7 @@ def prepare_search(
 # SearchTask and declares its capabilities; the dispatch in
 # open_search_task() enforces them, replacing the per-strategy
 # _require_cold checks.  run_search() runs the task to completion, and the
-# scheduler time-slices the same task.
+# scheduler slices the same task.
 
 
 @register_strategy(

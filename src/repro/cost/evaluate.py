@@ -27,6 +27,11 @@ from ..widgets.tree import ORIENTATIONS, SIZE_CLASSES, WidgetNode
 from .kernel import CostBreakdown, CostKernel
 from .model import CostModel
 
+#: Sweeps coordinate descent makes over the decisions before it stops,
+#: fixpoint or not.
+DESCENT_ROUNDS = 6
+
+
 @dataclass(frozen=True)
 class EvaluatedInterface:
     """A widget tree together with its cost under a model."""
@@ -58,20 +63,17 @@ def sampled_evaluation(
     tree: DTNode,
     k: int = 5,
     rng: Optional[random.Random] = None,
-    include_greedy: bool = True,
 ) -> EvaluatedInterface:
     """Best of ``k`` sampled widget assignments for ``tree``.
 
-    Samples are decision vectors drawn with the same RNG consumption as
-    chooser-driven derivation; only the winner becomes a widget tree.
+    The greedy vector is always the first sample; the other ``k - 1`` are
+    decision vectors drawn with the same RNG consumption as
+    chooser-driven derivation.  Only the winner becomes a widget tree.
     """
     rng = rng or random.Random(0)
     kernel = model.kernel_for(tree)
-    vectors: List[List[object]] = []
-    if include_greedy:
-        vectors.append(kernel.schema.greedy_vector())
-        k = max(0, k - 1)
-    for _ in range(k):
+    vectors: List[List[object]] = [kernel.schema.greedy_vector()]
+    for _ in range(max(0, k - 1)):
         vectors.append(kernel.schema.random_vector(rng))
     best_vector: Optional[Tuple[object, ...]] = None
     best: Optional[CostBreakdown] = None
@@ -108,9 +110,7 @@ def exhaustive_evaluation(
     return coordinate_descent(model, tree)
 
 
-def coordinate_descent(
-    model: CostModel, tree: DTNode, max_rounds: int = 6
-) -> EvaluatedInterface:
+def coordinate_descent(model: CostModel, tree: DTNode) -> EvaluatedInterface:
     """Optimize decisions one at a time until a fixpoint (local optimum).
 
     Each trial move is one kernel delta (patch + breakdown), not a full
@@ -125,7 +125,7 @@ def coordinate_descent(
     kernel.set_vector(vector)
     current = kernel.breakdown()
     best_vector = tuple(vector)
-    for _ in range(max_rounds):
+    for _ in range(DESCENT_ROUNDS):
         improved = False
         for index in widget_indices:
             original = vector[index]

@@ -46,6 +46,13 @@ __all__ = ["CostModel", "CostWeights", "CostBreakdown"]
 #: Cache-miss sentinel (``None`` is a legitimate cached value).
 _MISSING = object()
 
+#: How many per-difftree compiled kernels a model keeps (bounded LRU —
+#: long sessions evict cold kernels one at a time, never wholesale).
+KERNEL_CACHE_SIZE = 512
+
+#: Bound of a model's per-difftree assignment cache.
+ASSIGNMENT_CACHE_SIZE = 4096
+
 
 class CostModel:
     """Evaluates widget trees against a query sequence and a screen.
@@ -54,10 +61,6 @@ class CostModel:
         queries: the input query log, in session order.
         screen: the output screen constraint.
         weights: linear weights of the cost terms.
-        kernel_cache_size: how many per-difftree compiled kernels to keep
-            (bounded LRU — long sessions evict cold kernels one at a
-            time, never wholesale).
-        assignment_cache_size: bound of the per-difftree assignment cache.
     """
 
     def __init__(
@@ -65,8 +68,6 @@ class CostModel:
         queries: Sequence[N.Node],
         screen: Screen,
         weights: CostWeights = CostWeights(),
-        kernel_cache_size: int = 512,
-        assignment_cache_size: int = 4096,
     ) -> None:
         if not queries:
             raise ValueError("cost model needs at least one query")
@@ -75,10 +76,10 @@ class CostModel:
         self.weights = weights
         #: difftree canonical key -> per-query assignments (bounded LRU).
         self._assignment_cache = BoundedLRU(
-            assignment_cache_size, name="cost.assignments"
+            ASSIGNMENT_CACHE_SIZE, name="cost.assignments"
         )
         #: difftree canonical key -> compiled kernel (bounded LRU).
-        self._kernels = BoundedLRU(kernel_cache_size, name="cost.kernels")
+        self._kernels = BoundedLRU(KERNEL_CACHE_SIZE, name="cost.kernels")
         #: difftree canonical key -> prior-run CompiledSequence to extend
         #: (seeded by repro.serve across grafted generations).
         self._carried_sequences: Dict[str, CompiledSequence] = {}

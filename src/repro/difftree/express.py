@@ -268,15 +268,6 @@ class CompiledChanges:
         """
         return frozenset(self.paths)
 
-    def paths_of_pairs(self, start: int) -> FrozenSet[Path]:
-        """Union of changed paths over ``pair_paths[start:]``.
-
-        The *delta* of an append: with ``start`` at the old pair count,
-        this is exactly the set of choice paths the appended queries
-        touch — the invalidation scope of the FO+MOD-style maintainable
-        search state.
-        """
-        return frozenset(p for pair in self.pair_paths[start:] for p in pair)
 
 # -- enumeration / counting ----------------------------------------------------
 

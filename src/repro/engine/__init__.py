@@ -16,10 +16,10 @@ of the serving story::
 
     reports = engine.generate_batch([log_a, log_b])   # process-pool fan-out
 
-    scheduler = engine.scheduler()             # concurrent multi-session serving
+    scheduler = engine.scheduler()             # many sessions, sliced in turn
     scheduler.submit("analyst-1", [log_a[:5], log_a[5:]])
     scheduler.submit("analyst-2", [log_b])
-    tickets = scheduler.run()                  # time-sliced, fair, warm-started
+    tickets = scheduler.run()                  # round-robin, warm-started
 
 Every verb returns a :class:`GenerationReport` — the uniform
 JSON-serializable envelope (scheduler deliveries add scheduling

@@ -14,8 +14,8 @@ and exposes these verbs:
   cached + warm-started under the hood).
 * :meth:`Engine.generate_batch` — many independent logs across a
   process pool.
-* :meth:`Engine.scheduler` — many concurrent sessions time-sliced
-  fairly over this engine's shared state.
+* :meth:`Engine.scheduler` — many concurrent sessions sliced in turn
+  over this engine's shared state.
 * :meth:`Engine.snapshot_session` / :meth:`Engine.restore_snapshot` —
   capture a session's warm state as a versioned JSON-native payload and
   rebuild it, in this engine or another one with the same context.
@@ -62,7 +62,10 @@ class LogSession:
     Obtained from :meth:`Engine.session`; the engine keeps one handle
     per id, so repeated ``session("a")`` calls share history.  All
     state (log, warm-start carry, cache) lives in the owning engine —
-    the handle is just the session-scoped view of it.
+    the handle is just the session-scoped view of it.  Every write and
+    serve goes through :meth:`Engine.session`, which refreshes the
+    session's recency and applies ``max_sessions``: a handle kept past
+    its session's eviction re-registers the session within the bound.
     """
 
     def __init__(self, engine: "Engine", session_id: str) -> None:
@@ -82,7 +85,7 @@ class LogSession:
 
     def append(self, *queries: QueryLike) -> int:
         """Append queries (SQL text or ASTs); returns the new log length."""
-        self._engine._touch_session(self.session_id)
+        self._engine.session(self.session_id)
         return self._engine.router.append(self.session_id, *queries)
 
     def interface(self) -> GenerationReport:
@@ -92,7 +95,7 @@ class LogSession:
         (zero search), an appended one warm-starts from the previous
         run's extended difftree, elites, and compiled sequences.
         """
-        self._engine._touch_session(self.session_id)
+        self._engine.session(self.session_id)
         report = self._engine._session_interface(self.session_id)
         self._history.append(report)
         return report
@@ -105,7 +108,7 @@ class LogSession:
         recompute, not dropped (see
         :meth:`repro.serve.IncrementalGenerator.remove`).
         """
-        self._engine._touch_session(self.session_id)
+        self._engine.session(self.session_id)
         return self._engine._incremental_service().remove(
             indices, session_id=self.session_id
         )
@@ -121,7 +124,7 @@ class LogSession:
         ``retain(max_age_s=3600)`` drops everything ingested more than
         an hour ago; combining both applies the stricter bound.
         """
-        self._engine._touch_session(self.session_id)
+        self._engine.session(self.session_id)
         return self._engine._incremental_service().retain(
             last_n=last_n, max_age_s=max_age_s, session_id=self.session_id
         )
@@ -146,9 +149,6 @@ class Engine:
         rules: custom rule engine (default: the paper's full set,
             filtered by ``config.exclude_rules``).
         cache: interface cache to consult/populate (default: fresh LRU).
-        router: session router for ingestion (default: a fresh one).
-        warm_top_k: elite transposition-table states carried between a
-            session's runs (incremental path).
         executor: default batch executor — ``"process"``, ``"thread"``,
             or ``"serial"``.
         max_workers: default batch pool size.
@@ -169,8 +169,6 @@ class Engine:
         config: Optional[GenerationConfig] = None,
         rules: Optional[RuleEngine] = None,
         cache: Optional[InterfaceCache] = None,
-        router: Optional[SessionRouter] = None,
-        warm_top_k: int = 4,
         executor: str = "process",
         max_workers: Optional[int] = None,
         max_history: Optional[int] = 64,
@@ -178,8 +176,6 @@ class Engine:
     ) -> None:
         if executor not in EXECUTORS:
             raise ValueError(f"executor must be one of {EXECUTORS}, got {executor!r}")
-        if warm_top_k < 0:
-            raise ValueError(f"warm_top_k must be >= 0, got {warm_top_k}")
         if max_history is not None and max_history < 0:
             raise ValueError(f"max_history must be >= 0 or None, got {max_history}")
         if max_sessions is not None and max_sessions < 1:
@@ -188,8 +184,7 @@ class Engine:
         self.config = config or GenerationConfig()
         self.rules = rules
         self.cache = cache if cache is not None else InterfaceCache()
-        self.router = router if router is not None else SessionRouter()
-        self.warm_top_k = warm_top_k
+        self.router = SessionRouter()
         self.executor = executor
         self.max_workers = max_workers
         self.max_history = max_history
@@ -200,7 +195,7 @@ class Engine:
         #: batch verbs do not).
         self._incremental: Optional[IncrementalGenerator] = None
         #: Live session handles in least-recently-used order (guarded:
-        #: scheduler workers touch sessions from multiple threads).
+        #: callers may share one engine across threads).
         self._sessions: "OrderedDict[str, LogSession]" = OrderedDict()
         self._sessions_lock = threading.Lock()
         #: Searches run by the one-shot/batch verbs (the incremental
@@ -252,11 +247,11 @@ class Engine:
     ) -> GenerationReport:
         """One-shot, cache-aware generation for a full log.
 
-        A log already served by this engine (exactly, or permuted /
-        duplicated — the cache key is order-insensitive) returns from
-        the cache without searching; otherwise the configured strategy
-        runs (capabilities enforced declaratively by the registry) and
-        the result is cached for future one-shot *and* session calls.
+        A log this engine already served — the same queries in the same
+        order, repeats included — returns from the cache without
+        searching; otherwise the configured strategy runs (capabilities
+        enforced declaratively by the registry) and the result is cached
+        for future one-shot *and* session calls.
         """
         t0 = time.perf_counter()
         spans: List[Dict] = []
@@ -366,18 +361,6 @@ class Engine:
             self._sessions.pop(session_id, None)
         return self._drop_session_state(session_id)
 
-    def _touch_session(self, session_id: str) -> None:
-        """Refresh a session's LRU recency on actual use.
-
-        ``max_sessions`` eviction must track *use* (appends and serves
-        through a retained handle), not just :meth:`session` lookups —
-        otherwise an actively-served session could be evicted mid-
-        conversation while its idle siblings survive.
-        """
-        with self._sessions_lock:
-            if session_id in self._sessions:
-                self._sessions.move_to_end(session_id)
-
     def _drop_session_state(self, session_id: str) -> bool:
         """Release everything beyond the handle (stream, warm carry, and
         restore provenance — a reused id is a fresh session)."""
@@ -389,34 +372,25 @@ class Engine:
     def scheduler(
         self,
         slice_iterations: Optional[int] = 16,
-        slice_s: Optional[float] = None,
         policy: str = "round_robin",
-        max_active: Optional[int] = None,
     ) -> SessionScheduler:
         """A :class:`~repro.engine.scheduler.SessionScheduler` over this engine.
 
         The concurrent-serving verb: submit many sessions' growing-log
-        scripts and let the scheduler time-slice their searches fairly
-        instead of serving them FIFO.  Shares the engine's cache,
-        router, and warm-start state, so scheduler-served sessions mix
-        freely with :meth:`generate` / :meth:`session` calls.
+        scripts and let the scheduler slice their searches in turn
+        instead of serving them FIFO.  The scheduler runs on the
+        caller's thread.  It shares the engine's cache, router, and
+        warm-start state, so scheduler-served sessions mix freely with
+        :meth:`generate` / :meth:`session` calls.
 
         Args:
-            slice_iterations: search iterations per slice (``None`` =
-                slice only by ``slice_s``/completion).
-            slice_s: optional wall-clock bound per slice.
-            policy: ``"round_robin"`` (fair rotation), ``"deadline"``
-                (earliest target latency first), or ``"fifo"``
+            slice_iterations: search iterations per ``round_robin``
+                slice (``None`` = a slice runs the search to completion).
+            policy: ``"round_robin"`` (fair rotation) or ``"fifo"``
                 (no preemption — the blocking baseline).
-            max_active: admission control — concurrent sessions holding
-                search state (``None`` = unlimited).
         """
         return SessionScheduler(
-            self,
-            slice_iterations=slice_iterations,
-            slice_s=slice_s,
-            policy=policy,
-            max_active=max_active,
+            self, slice_iterations=slice_iterations, policy=policy
         )
 
     # -- snapshots ----------------------------------------------------------
@@ -460,7 +434,6 @@ class Engine:
                 engine=self.rules,
                 cache=self.cache,
                 router=self.router,
-                warm_top_k=self.warm_top_k,
             )
         return self._incremental
 

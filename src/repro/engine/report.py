@@ -23,8 +23,10 @@ from ..core import GeneratedInterface
 #: from a durable snapshot); version 4 added ``provenance.carry`` (set
 #: when the search rebased a carried tree — nodes carried / invalidated
 #: / re-keyed / reopened).  Versions 2-4 were additive; version 5 removed
-#: the per-stream parse counters from ``provenance.ingest``.
-REPORT_SCHEMA_VERSION = 5
+#: the per-stream parse counters from ``provenance.ingest``, and version 6
+#: removed the admission-queue wait from ``scheduling`` (the scheduler has
+#: no admission queue).
+REPORT_SCHEMA_VERSION = 6
 
 #: Phase keys every report's ``timings`` dict carries (0.0 when a phase
 #: did not run for that verb — e.g. a cache hit searches for 0 s).
@@ -83,8 +85,7 @@ class GenerationReport:
             schema_version 2.
         scheduling: scheduler provenance when the interface was produced
             by a :class:`~repro.engine.SessionScheduler` (``None``
-            otherwise): the policy, how long the session waited for
-            admission (``queue_wait_s``), submission-to-delivery
+            otherwise): the ``policy``, submission-to-delivery
             ``latency_s``, and how the search was sliced (``slices``,
             ``preemptions``, ``iterations``).
         snapshot: restore provenance when the serving session was

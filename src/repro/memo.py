@@ -33,7 +33,6 @@ import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, fields
-from functools import wraps
 from typing import (
     Any,
     Callable,
@@ -57,9 +56,10 @@ class BoundedLRU:
     recency-refresh on ``get`` and the evicting ``__setitem__`` are
     pop-then-reinsert sequences that corrupt the dict if interleaved, so
     every operation holds the lock — evaluators, cost models, and the
-    ingest memo tables shared across the concurrent session scheduler's
-    workers stay consistent.  ``values()``/``items()`` return
-    point-in-time snapshots (callers iterate without holding the lock).
+    ingest memo tables shared by callers on several threads (one Engine
+    shared across threads, ``generate_batch``'s thread pool) stay
+    consistent.  ``values()``/``items()`` return point-in-time snapshots
+    (callers iterate without holding the lock).
 
     Every table keeps uniform ``hits`` / ``misses`` / ``evictions``
     counters, snapshotted by :meth:`stats`.  Passing ``name`` registers
@@ -198,8 +198,7 @@ _OBS_REGISTRY.register_source("ingest", INGEST.snapshot)
 # -- gates ----------------------------------------------------------------------
 #
 # One switch, held in a context-local record so a ``with`` block in one
-# thread (a scheduler worker, a test) never flips the path another thread
-# runs:
+# thread (a caller, a test) never flips the path another thread runs:
 #
 # * ``carry`` — carrying the MCTS search tree across a serving session's
 #   appends (:mod:`repro.search.carry`).  Off, serving re-explores the
@@ -226,26 +225,6 @@ def carry(enabled: bool) -> Iterator[None]:
         yield
     finally:
         _GATES.reset(token)
-
-
-def bind_gates(fn: Callable[..., Any]) -> Callable[..., Any]:
-    """``fn`` wrapped to run under the caller's current gate settings.
-
-    New threads start from the default gates; worker threads that do a
-    caller's work (the session scheduler) run through this so a caller's
-    ``with carry(False)`` reaches them.
-    """
-    gates = _GATES.get()
-
-    @wraps(fn)
-    def bound(*args: Any, **kwargs: Any) -> Any:
-        token = _GATES.set(gates)
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            _GATES.reset(token)
-
-    return bound
 
 
 # -- memo-table registry --------------------------------------------------------

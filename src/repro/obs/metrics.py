@@ -21,9 +21,9 @@ Two kinds of metrics live here:
   owner, so registering every cache at construction cannot leak caches;
   dead sources are pruned on the next snapshot or registration.
 
-All operations are thread-safe: the scheduler's workers observe spans
-and bump counters concurrently, and the losslessness of those updates is
-part of the test contract (``tests/test_obs.py``).
+All operations are thread-safe: callers sharing one Engine across
+threads, and ``generate_batch``'s thread pool, observe spans and bump
+counters concurrently.
 """
 
 from __future__ import annotations

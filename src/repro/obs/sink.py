@@ -14,8 +14,8 @@ A sink is anything with ``write(record: dict)``.  Two implementations:
   and short-lived introspection.
 
 Writes are serialized under a lock and each record is dumped to a single
-string before writing, so concurrent scheduler workers can never
-interleave partial lines — every line of the log parses on its own.
+string before writing, so threads writing one log can never interleave
+partial lines — every line of the log parses on its own.
 """
 
 from __future__ import annotations

@@ -23,13 +23,14 @@ manager after a single module-global check: the instrumented hot paths
 pay one function call and one ``with`` — nanoseconds — which the
 ``bench_obs`` gate verifies is statistically zero.
 
-Collectors are **thread-local** by design: per-session work is
-single-threaded (the scheduler's lease guarantees it), so a worker's
-spans can never leak into another session's report.  A search sliced
-across different worker threads accumulates its spans in the
-:class:`~repro.serve.incremental.PendingSearch` it belongs to — each
-slice's worker pushes the pending's span list as its collector for the
-duration of the slice.
+Collectors are **thread-local** by design, so spans recorded on one
+thread (a caller sharing the Engine, a ``generate_batch`` pool thread)
+never leak into a report collected on another.  A search the scheduler
+slices accumulates its spans in the
+:class:`~repro.serve.incremental.PendingSearch` it belongs to: each
+slice collects into its own list, and the scheduler moves that list onto
+the pending search, so a report carries only its own session's spans
+although sessions interleave slice by slice on one thread.
 """
 
 from __future__ import annotations

@@ -55,7 +55,7 @@ class StrategySpec:
             warm_states)`` returning an *opened*
             :class:`~repro.search.common.SearchTask`.  A monolithic run
             is one unbounded step of the task, and the multi-session
-            scheduler time-slices the same task.
+            scheduler slices the same task.
         supports_warm_start: whether the strategy can consume seed states
             (a transposition table / incumbent).  Dispatchers reject
             ``warm_states`` for strategies without this capability, and
@@ -145,7 +145,7 @@ def register_strategy(
 
     The factory returns an opened :class:`~repro.search.common.SearchTask`:
     :func:`repro.core.run_search` runs it to completion, and the
-    multi-session scheduler time-slices it.
+    multi-session scheduler slices it.
 
     Raises:
         RegistryError: if ``name`` is already registered.

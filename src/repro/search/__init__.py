@@ -1,7 +1,7 @@
 """Search strategies: MCTS (the paper's contribution) and baselines.
 
 Every strategy is a resumable :class:`SearchTask` (``open`` → ``step`` →
-``result``) the multi-session scheduler time-slices; ``run()`` is the
+``result``) the multi-session scheduler slices; ``run()`` is the
 monolithic run, one unbounded step.  Construct a baseline task directly
 (``RandomSearchTask(model, initial, ...).run()``); MCTS opens through its
 search instance (``MCTS(model, config=...).open(initial).run()``).

@@ -13,7 +13,7 @@
 
 Every baseline is a resumable :class:`~repro.search.common.SearchTask`
 state machine — construct (open) → ``step()`` → ``result()`` — so the
-multi-session scheduler can time-slice them exactly like MCTS;
+multi-session scheduler can slice them exactly like MCTS;
 ``run()`` is one unbounded step.  One unit of work per strategy: a full
 random walk, one hill-climbing sweep (or restart hop), one beam level,
 one BFS expansion.

@@ -249,7 +249,6 @@ class CarriedTree:
         new_initial: DTNode,
         boundary: Optional[N.Node],
         appended: Sequence[N.Node],
-        decay: float = STAT_DECAY,
     ) -> Tuple[Dict[str, _TreeNode], Dict[str, int]]:
         """Re-key the carried table onto the grown difftree.
 
@@ -322,7 +321,7 @@ class CarriedTree:
                     invalidated += 1
                     lost_child.add(parent_key)
                     continue
-            table[key] = _copy_node(node, parent_key, decay)
+            table[key] = _copy_node(node, parent_key, STAT_DECAY)
             survived[key] = key
             carried += 1
             if delta:

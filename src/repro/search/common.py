@@ -11,7 +11,7 @@ state machine (``open`` at construction → repeated :meth:`SearchTask.step`
 → :meth:`SearchTask.result`) instead of a blocking run-to-completion
 function.  A task owns its RNG (through its evaluator) and its
 :class:`TaskClock`, which accumulates only *active* stepping time — so a
-task sliced across a multi-session scheduler consumes its ``time_budget_s``
+task sliced by the multi-session scheduler consumes its ``time_budget_s``
 at the same rate as a monolithic run, and iteration-sliced runs are
 bit-for-bit identical to monolithic ones at equal totals.
 """
@@ -324,10 +324,8 @@ class SearchTask:
       (RNG, evaluator cache, incumbent, frontier) lives in the task, and
       the task's :class:`TaskClock` is paused between slices so no
       wall-clock check fires differently.
-    * ``step(slice_s=...)`` additionally bounds the slice by wall clock —
-      the preemption knob of the multi-session scheduler.  The slice
-      deadline also propagates into ``self._deadline`` so long inner
-      loops (random walks) yield mid-unit.
+    * The time budget's end propagates into ``self._deadline`` so long
+      inner loops (random walks) yield mid-unit.
     * The task is ``done`` when its strategy exhausts itself
       (:meth:`_iterate` returns False), its ``max_iterations`` cap is
       reached, or its active-time budget is spent.  A slice boundary
@@ -340,8 +338,7 @@ class SearchTask:
     strategy must have *some* stop condition).
 
     :meth:`result` may be called at any time — before completion it
-    packages the incumbent found so far (the scheduler's cancellation
-    path still gets the best interface seen).
+    packages the incumbent found so far.
     """
 
     #: Name recorded on the :class:`SearchResult` (subclasses override).
@@ -358,8 +355,8 @@ class SearchTask:
         self.time_budget_s = time_budget_s
         self.max_iterations = max_iterations
         self.final_cap = final_cap
-        #: Wall-clock deadline for the current slice's inner loops
-        #: (min of slice end and budget end; ``inf`` when unconstrained).
+        #: Wall-clock end of the time budget for the current unit's inner
+        #: loops (``inf`` when unconstrained).
         self._deadline = math.inf
         self._finished = False
         #: Units of work performed (== ``stats.iterations`` for MCTS).
@@ -396,12 +393,8 @@ class SearchTask:
 
     # -- the state machine --------------------------------------------------
 
-    def step(
-        self,
-        n_iterations: Optional[int] = None,
-        slice_s: Optional[float] = None,
-    ) -> int:
-        """Run up to ``n_iterations`` units / ``slice_s`` seconds.
+    def step(self, n_iterations: Optional[int] = None) -> int:
+        """Run up to ``n_iterations`` units.
 
         Returns the number of units performed (0 once ``done``).  With no
         arguments, runs until the task terminates on its own stop
@@ -418,9 +411,6 @@ class SearchTask:
         clock.resume()
         performed = 0
         try:
-            slice_end = (
-                time.perf_counter() + slice_s if slice_s is not None else math.inf
-            )
             while True:
                 if self.max_iterations and self.iterations >= self.max_iterations:
                     self._finished = True
@@ -431,14 +421,7 @@ class SearchTask:
                     break
                 if n_iterations is not None and performed >= n_iterations:
                     break
-                now = time.perf_counter()
-                # Minimum-progress guarantee: the slice deadline is only
-                # honored once at least one unit ran, so an arbitrarily
-                # small slice_s still advances the task (a scheduler
-                # re-queuing zero-progress slices would otherwise spin).
-                if performed and now >= slice_end:
-                    break
-                self._deadline = min(slice_end, now + budget_left)
+                self._deadline = time.perf_counter() + budget_left
                 if not self._iterate():
                     self._finished = True
                     break

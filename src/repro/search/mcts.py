@@ -38,8 +38,8 @@ incumbent before the first iteration.
 
 The search is *resumable*: :meth:`MCTS.open` performs the setup (root,
 frontier rebuild, warm seeding) and returns an :class:`MCTSTask` whose
-``step(n_iterations=..., slice_s=...)`` runs bounded slices of the
-iteration loop — the unit the multi-session scheduler time-slices.  A
+``step(n_iterations=...)`` runs bounded slices of the iteration loop —
+the unit the multi-session scheduler slices.  A
 monolithic run is ``open(...).run()``: one unbounded ``step`` +
 ``result``, so monolithic and sliced runs share every code path and are
 bit-for-bit identical at equal iteration counts.
@@ -457,7 +457,7 @@ class MCTSTask(SearchTask):
         mcts = self.search
         if not mcts.frontier:
             return False
-        # Inner loops (move expansion, random walks) yield at the slice
+        # Inner loops (move expansion, random walks) yield at the budget
         # deadline the base class computed for this unit.
         mcts._deadline = self._deadline
         mcts._iterate()

@@ -6,9 +6,8 @@ pipeline:
 * :class:`LogStream` / :class:`SessionRouter` — per-session append-only
   logs, parsed through ``parse``'s memo (the one parse cache) and keyed
   by :func:`log_key`.
-* :class:`InterfaceCache` — LRU keyed by the canonical key of the
-  normalized log; exact hits skip search entirely, prefix hits feed
-  warm starts.
+* :class:`InterfaceCache` — LRU keyed by the log's query sequence;
+  exact hits skip search entirely, prefix hits feed warm starts.
 * :class:`IncrementalGenerator` — extends the previous difftree to
   appended queries by anti-unification and warm-starts MCTS from the
   prior run's transposition table and incumbent.

@@ -1,16 +1,14 @@
-"""LRU interface cache keyed by a fingerprint of the normalized log.
+"""LRU interface cache keyed by a fingerprint of the query sequence.
 
 The cache key is :func:`log_key`, built from the per-query fingerprints
 (:func:`query_key` — the wrapped AST's canonical key, memoized on the
-interned AST): the sorted distinct fingerprints identify the query *set*
-deterministically, so a repeated log, or one that merely re-orders or
-repeats queries, hits the same entry — at the cost of a few dict lookups
-per probe instead of rebuilding and normalizing an initial difftree over
-the full log.  Sessions key through the same function, cached per
-:class:`~repro.serve.LogStream`.  (The cached widget tree expresses
-every query regardless of order; only the sequential-usability cost
-term is order-sensitive, so an order-permuted hit returns a valid
-interface whose reported cost was measured under the cached order.)
+interned AST) in log order.  The cost ``C(W, Q)`` sums the usability
+term over *consecutive pairs* of the sequence, so two logs share an
+entry only when they are the same sequence: a reordered log, or one that
+repeats queries, is a different log with its own cost and its own entry.
+A probe costs a few dict lookups instead of rebuilding and normalizing
+an initial difftree over the full log.  Sessions key through the same
+function, cached per :class:`~repro.serve.LogStream`.
 
 Screen geometry and generation settings are folded into the key too —
 the same log on a phone screen is a different interface.
@@ -76,17 +74,17 @@ def query_key(ast: Node) -> str:
 
 
 def log_key(queries: Sequence[Node]) -> str:
-    """Deterministic fingerprint of the query *set* — the one log key.
+    """Deterministic fingerprint of the query *sequence* — the one log key.
 
-    Sorted distinct per-query fingerprints (:func:`query_key`), hashed:
-    order- and duplication-insensitive, and stable across runs and
-    processes.  :meth:`repro.serve.LogStream.log_key` caches it per
-    stream.
+    The per-query fingerprints (:func:`query_key`) in log order, repeats
+    kept, hashed: every hit is the exact log that was served, and the
+    key is stable across runs and processes.
+    :meth:`repro.serve.LogStream.log_key` caches it per stream.
     """
     if not queries:
         raise ValueError("need at least one input query")
-    distinct = sorted({query_key(ast) for ast in queries})
-    return hashlib.md5("|".join(distinct).encode("utf-8")).hexdigest()
+    keys = [query_key(ast) for ast in queries]
+    return hashlib.md5("|".join(keys).encode("utf-8")).hexdigest()
 
 
 def context_key(screen: Screen, config: GenerationConfig) -> str:

@@ -7,9 +7,10 @@ is one anti-unification away from a valid — and usually near-optimal —
 state for the first ``n + m``.  :class:`IncrementalGenerator` exploits
 that in three layers:
 
-1. **Exact cache** — an unchanged (or permuted/duplicated) log is served
-   straight from :class:`~repro.serve.cache.InterfaceCache` with *zero*
-   search iterations.
+1. **Exact cache** — an unchanged log (the same queries in the same
+   order) is served straight from
+   :class:`~repro.serve.cache.InterfaceCache` with *zero* search
+   iterations.
 2. **Session warm start** — on appends, the previous run's best difftree
    (and its elite transposition-table states) are extended to the new
    queries via :func:`~repro.difftree.extend_difftree` and injected into
@@ -71,6 +72,15 @@ from .stream import QueryLike, SessionRouter
 #: Session id used by the single-session convenience paths.
 DEFAULT_SESSION = "default"
 
+#: How many elite transposition-table states (beyond the best) a session
+#: extends and re-seeds on its next run.
+WARM_TOP_K = 4
+
+#: Harvest cap of the carried search tree: at most this many
+#: transposition-table nodes (most-visited first, parent-closed) survive
+#: between a session's runs.
+CARRY_MAX_NODES = 256
+
 
 @dataclass
 class _SessionState:
@@ -129,8 +139,8 @@ class PendingSearch:
         self._state = state
         self._finished = False
         #: Spans collected for this pending search (open + steps + finish).
-        #: The scheduler's lease keeps per-session work single-threaded, so
-        #: plain-list appends are race-free.
+        #: One caller steps a pending search at a time, so plain-list
+        #: appends are race-free.
         self.spans: List[dict] = []
         #: Per-phase wall-clock seconds (``parse_s``/``difftree_s``/...),
         #: filled by :meth:`IncrementalGenerator.open_search` and
@@ -153,8 +163,8 @@ class PendingSearch:
         """Package the search outcome and commit the session carry.
 
         Idempotent-guarded: a pending search is finished once.  Callable
-        before the task is ``done`` too — cancellation still commits the
-        best interface found so far.
+        before the task is ``done`` too — it commits the best interface
+        found so far.
         """
         if self.cached is not None:
             return self.cached
@@ -193,7 +203,7 @@ class PendingSearch:
                         self._mcts,
                         model,
                         log_len=len(self._asts),
-                        max_nodes=service.carry_max_nodes,
+                        max_nodes=CARRY_MAX_NODES,
                     )
                 else:
                     state.tree = None
@@ -218,11 +228,6 @@ class IncrementalGenerator:
         engine: custom rule engine (default: full paper rule set).
         cache: interface cache to consult/populate (default: fresh LRU).
         router: session router to ingest through (default: a fresh one).
-        warm_top_k: how many elite transposition-table states (beyond
-            the best) to extend and re-seed on the next run.
-        carry_max_nodes: harvest cap of the carried search tree — at
-            most this many transposition-table nodes (most-visited
-            first, parent-closed) survive between a session's runs.
     """
 
     def __init__(
@@ -232,8 +237,6 @@ class IncrementalGenerator:
         engine: Optional[RuleEngine] = None,
         cache: Optional[InterfaceCache] = None,
         router: Optional[SessionRouter] = None,
-        warm_top_k: int = 4,
-        carry_max_nodes: int = 256,
     ) -> None:
         config = config or GenerationConfig()
         if not strategy_spec(config.strategy).supports_warm_start:
@@ -254,13 +257,12 @@ class IncrementalGenerator:
         self.engine = engine
         self.cache = cache if cache is not None else InterfaceCache()
         self.router = router if router is not None else SessionRouter()
-        self.warm_top_k = warm_top_k
-        self.carry_max_nodes = carry_max_nodes
         self._sessions: Dict[str, _SessionState] = {}
         self._ctx = context_key(self.screen, self.config)
-        #: Guards the per-session carry table and counters — scheduler
-        #: workers open/finish searches for different sessions
-        #: concurrently.  Searches themselves run outside the lock.
+        #: Guards the per-session carry table and counters — callers
+        #: sharing one Engine across threads may open/finish searches
+        #: for different sessions concurrently.  Searches themselves run
+        #: outside the lock.
         self._lock = threading.Lock()
         #: How many actual searches this generator has run (cache hits
         #: don't count — the zero-new-iterations contract).
@@ -520,7 +522,7 @@ class IncrementalGenerator:
         if state.best is not None:
             appended = asts[state.log_len :]
             add(extend_difftree(state.best, appended))
-            for tree in state.elite[: self.warm_top_k]:
+            for tree in state.elite[:WARM_TOP_K]:
                 add(extend_difftree(tree, appended))
         else:
             match = self.cache.longest_prefix(
@@ -552,4 +554,4 @@ class IncrementalGenerator:
             key=lambda node: node.mean_reward(),
             reverse=True,
         )
-        return tuple(node.state for node in ranked[: self.warm_top_k])
+        return tuple(node.state for node in ranked[:WARM_TOP_K])

@@ -96,7 +96,7 @@ class LogStream:
         """Roll the log back to its first ``length`` queries.
 
         The scheduler's undo for a chunk whose interface was never
-        delivered (cancelled or failed script): appended-but-unserved
+        delivered (a failed script): appended-but-unserved
         queries must not pollute the session's log.  Returns the new
         length; a ``length`` at or beyond the current end is a no-op.
         """

@@ -42,8 +42,8 @@ class TestLogKeyStability:
         assert a.canonical_key == b.canonical_key
 
     def test_reordered_log_same_key(self):
-        """Normalization sorts ANY alternatives, so the initial state —
-        and hence the cache key — is order-insensitive."""
+        """Normalization sorts ANY alternatives, so the initial state is
+        order-insensitive (the cache key is not: it keys the sequence)."""
         forward = initial_difftree([parse(q) for q in LOG])
         backward = initial_difftree([parse(q) for q in reversed(LOG)])
         assert structurally_equal(forward, backward)

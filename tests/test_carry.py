@@ -22,7 +22,7 @@ from repro.layout import Screen
 from repro.search import CarriedTree, MCTS, MCTSConfig
 from repro.search.carry import STAT_DECAY, STATS
 from repro.search.mcts import _TreeNode
-from repro.serve import IncrementalGenerator, LogStream
+from repro.serve import IncrementalGenerator, LogStream, log_key
 from repro.sqlast import parse
 
 TINY = GenerationConfig(time_budget_s=0.0, max_iterations=3, seed=0, final_cap=50)
@@ -245,17 +245,19 @@ class TestRetention:
         with pytest.raises(IndexError):
             stream.remove([5])
 
-    def test_remove_keeps_log_key_for_duplicates(self):
+    def test_remove_changes_log_key_for_duplicates(self):
         stream = LogStream()
         log = sdss(2)
         stream.append(log[0], log[0], log[1])
         key = stream.log_key()
-        # Dropping one copy of a repeated query leaves the distinct set
-        # (and hence the cached fingerprint) untouched.
+        # Dropping one copy of a repeated query shortens the sequence,
+        # so the key changes although the distinct set does not.
         stream.remove([0])
-        assert stream.log_key() == key
-        stream.remove([0])  # the last copy: the distinct set shrinks
         assert stream.log_key() != key
+        assert stream.log_key() == log_key(stream.asts())
+        shorter = stream.log_key()
+        stream.remove([0])  # the last copy
+        assert stream.log_key() not in (key, shorter)
 
     def test_retain_last_n(self):
         stream = LogStream()

@@ -290,8 +290,9 @@ class TestStreamLogKey:
         stream = LogStream()
         stream.append(sqls[0])
         first = stream.log_key()
-        stream.append(sqls[0])  # duplicate: same query set, same key
-        assert stream.log_key() == first
+        stream.append(sqls[0])  # duplicate: a longer sequence, a new key
+        assert stream.log_key() != first
+        assert stream.log_key() == log_key(stream.asts())
         stream.append(*sqls[1:])
         assert stream.log_key() == log_key(stream.asts())
         stream.remove([1])

@@ -14,6 +14,7 @@ from repro import (
     Screen,
     generate_interface,
 )
+from repro.cost import CostModel
 from repro.difftree import as_asts, expresses_all, initial_difftree
 from repro.engine import (
     get_workload,
@@ -24,6 +25,7 @@ from repro.engine import (
     workload_names,
     workload_spec,
 )
+from repro.sqlast import parse
 from repro.workloads import listing1_sql
 
 #: A fast config for tests that exercise plumbing, not search quality.
@@ -359,7 +361,7 @@ class TestGenerationReport:
         report = Engine(config=FAST).generate(listing1_sql(1, 3))
         payload = report.to_dict()
         roundtrip = json.loads(json.dumps(payload))
-        assert roundtrip["schema_version"] == 5
+        assert roundtrip["schema_version"] == 6
         assert roundtrip["source"] == "search"
         assert roundtrip["strategy"] == "mcts"
         assert roundtrip["log_size"] == 3
@@ -391,3 +393,43 @@ class TestScreenInKey:
         narrow = Engine(config=FAST, screen=Screen.narrow(), cache=wide.cache)
         wide.generate(log)
         assert narrow.generate(log).source == "search"
+
+
+class TestSequenceKey:
+    """A served report is right for the exact query sequence it was
+    served for: ``C(W, Q)`` sums over consecutive pairs, so a log that
+    repeats queries is a different log from its distinct set."""
+
+    CONFIG = GenerationConfig(time_budget_s=0, max_iterations=2, seed=0)
+
+    def _distinct(self, n):
+        distinct = []
+        for sql in Engine.workload("sdss", 12, seed=0):
+            if sql not in distinct:
+                distinct.append(sql)
+        assert len(distinct) >= n
+        return distinct[:n]
+
+    def _rescore(self, engine, sqls, report):
+        model = CostModel(
+            [parse(sql) for sql in sqls], engine.screen, weights=engine.config.weights
+        )
+        return model.evaluate(report.difftree, report.widget_tree).total
+
+    def test_repeated_log_is_served_for_its_own_sequence(self):
+        log = self._distinct(4)
+        engine = Engine(config=self.CONFIG)
+        session = engine.session("s")
+        session.append(*log)
+        first = session.interface()
+        assert first.source == "search"
+        assert first.cost == self._rescore(engine, log, first)
+
+        session.append(*log)
+        second = session.interface()
+        assert second.source == "search"
+        assert second.log_size == session.log_length == 8
+        assert second.cost == self._rescore(engine, log + log, second)
+
+        fresh = Engine(config=self.CONFIG).generate(log + log)
+        assert engine.generate(log + log).cost == fresh.cost

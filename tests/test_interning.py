@@ -142,10 +142,15 @@ class TestMemoParity:
 
 
 class TestLogKey:
-    def test_order_and_duplication_insensitive(self):
+    def test_order_and_duplication_sensitive(self):
+        """The key is the query sequence: C(W, Q) sums over consecutive
+        pairs, so a reordered or repeated log is a different log."""
         asts = workload_asts()[:6]
-        assert log_key(asts) == log_key(list(reversed(asts)))
-        assert log_key(asts) == log_key(asts + asts)
+        assert len(set(asts)) == 6
+        assert log_key(asts) == log_key(list(asts))
+        assert log_key(asts) != log_key(list(reversed(asts)))
+        assert log_key(asts) != log_key(asts + asts)
+        assert log_key(asts[:1]) != log_key(asts[:1] * 2)
 
     def test_different_logs_differ(self):
         asts = workload_asts()
@@ -194,7 +199,7 @@ class TestIngestReporting:
         assert report.ingest_stats  # sampled
         payload = report.to_dict()
         ingest = payload["provenance"]["ingest"]
-        assert payload["schema_version"] == 5
+        assert payload["schema_version"] == 6
         assert set(ingest) == set(memo.INGEST.snapshot())
         for key in (
             "parses",

@@ -51,19 +51,3 @@ def test_nested_blocks_restore_the_outer_setting():
         assert not memo.carry_enabled()
     assert memo.carry_enabled()
 
-
-def test_bind_gates_carries_the_callers_gates_into_a_thread():
-    results = {}
-
-    def probe(name):
-        results[name] = memo.carry_enabled()
-
-    with memo.carry(False):
-        bound = memo.bind_gates(probe)
-        plain = threading.Thread(target=probe, args=("plain",))
-        carried = threading.Thread(target=bound, args=("bound",))
-        for thread in (plain, carried):
-            thread.start()
-            thread.join(timeout=30)
-            assert not thread.is_alive()
-    assert results == {"plain": True, "bound": False}

@@ -6,11 +6,11 @@ Three contracts:
   absorbed ad-hoc sources (memo tables, caches, ingest/kernel counters)
   all surface through one registry snapshot under stable dotted names.
 * **Attribution** — spans collected while producing a report belong to
-  exactly that report, including under the multi-worker scheduler (the
-  lossless / non-interleaved guarantee).
+  exactly that report, including when the scheduler interleaves many
+  sessions slice by slice (the lossless / non-interleaved guarantee).
 * **Replay** — every Engine verb's telemetry ``report`` record equals
   ``report.to_dict()`` byte-for-byte, and the JSONL log parses line by
-  line even when written from concurrent workers.
+  line even when written from concurrent threads.
 """
 
 import gc
@@ -254,7 +254,7 @@ class TestReportIntegration:
     def test_schema_has_trace_and_phase_timings(self):
         report = Engine(config=TINY).generate(LOG)
         payload = report.to_dict()
-        assert payload["schema_version"] == REPORT_SCHEMA_VERSION == 5
+        assert payload["schema_version"] == REPORT_SCHEMA_VERSION == 6
         assert payload["trace"] == []  # disabled -> no spans, key present
         for phase in TIMING_PHASES:
             assert phase in payload["timings"]
@@ -333,7 +333,8 @@ class TestSchedulerObservability:
         }
 
     def test_concurrent_scheduler_spans_lossless_and_attributed(self):
-        """workers=4: every delivered report carries exactly its own
+        """Round robin at one iteration per slice interleaves the
+        sessions: every delivered report carries exactly its own
         session's spans — no losses, no cross-session interleaving."""
         scripts = self._scripts()
         sink = MemoryTelemetry()
@@ -342,7 +343,7 @@ class TestSchedulerObservability:
             scheduler = engine.scheduler(slice_iterations=1)
             for sid, chunks in scripts.items():
                 scheduler.submit(sid, chunks)
-            tickets = scheduler.run(workers=4)
+            tickets = scheduler.run()
         assert all(t.state == "done" for t in tickets)
         for ticket in tickets:
             assert len(ticket.reports) == 2
@@ -367,7 +368,7 @@ class TestSchedulerObservability:
             scheduler = engine.scheduler(slice_iterations=1)
             for sid, chunks in scripts.items():
                 scheduler.submit(sid, chunks)
-            tickets = scheduler.run(workers=4)
+            tickets = scheduler.run()
         expected = [
             json.dumps(r.to_dict(), sort_keys=True)
             for t in tickets
@@ -380,17 +381,32 @@ class TestSchedulerObservability:
         assert sorted(recorded) == sorted(expected)
 
     def test_concurrent_jsonl_lines_all_parse(self, tmp_path):
-        """Concurrent workers writing one file: every line is valid JSON
-        (single-string dump + single locked write — no interleaving)."""
-        path = str(tmp_path / "sched.jsonl")
-        scripts = self._scripts(4)
-        with obs.observed(True, telemetry=path):
-            engine = Engine(config=TINY)
-            scheduler = engine.scheduler(slice_iterations=1)
-            for sid, chunks in scripts.items():
-                scheduler.submit(sid, chunks)
-            scheduler.run(workers=4)
-            obs.telemetry_sink().flush()
-            records = read_telemetry(path)
-        assert len(records) > 0
-        assert len(read_telemetry(path, record_type="report")) == 8
+        """Threads writing one file: every line is valid JSON (single-
+        string dump + single locked write — no interleaving)."""
+        path = str(tmp_path / "threads.jsonl")
+        payload = Engine(config=TINY).generate(LOG).to_dict()
+        threads, per_thread = 4, 25
+        with TelemetryLog(path, flush_every=1) as log:
+
+            def writer(worker: int) -> None:
+                for seq in range(per_thread):
+                    log.write(
+                        {"type": "report", "worker": worker, "seq": seq,
+                         "report": payload}
+                    )
+
+            pool = [
+                threading.Thread(target=writer, args=(worker,))
+                for worker in range(threads)
+            ]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        records = read_telemetry(path, record_type="report")
+        assert len(records) == threads * per_thread
+        for worker in range(threads):
+            mine = [r for r in records if r["worker"] == worker]
+            assert [r["seq"] for r in mine] == list(range(per_thread))
+        assert all(r["report"] == payload for r in records)

@@ -142,12 +142,16 @@ class TestInterfaceCache:
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
 
-    def test_reordered_log_hits_same_entry(self):
+    def test_reordered_log_keys_a_different_entry(self):
+        """A reordered log has other consecutive pairs, hence another
+        cost: it must not hit the entry served for the original order."""
         cache = InterfaceCache()
         queries = as_asts(listing1_sql(1, 3))
         key_fwd = InterfaceCache.key_for(queries, Screen.wide(), FAST)
         key_rev = InterfaceCache.key_for(list(reversed(queries)), Screen.wide(), FAST)
-        assert key_fwd == key_rev
+        assert key_fwd != key_rev
+        cache.put(key_fwd, self._result(2))
+        assert cache.get(key_rev) is None
 
     def test_screen_and_config_in_key(self):
         queries = as_asts(listing1_sql(1, 3))
