@@ -17,7 +17,7 @@ choices".  This module implements that extension:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from ..difftree import Assignment, DTNode, Path, assignment_for
 from ..sqlast import Node

@@ -10,21 +10,23 @@ product is small, coordinate descent otherwise.
 
 All paths run through the compiled kernel (:mod:`repro.cost.kernel`):
 candidates are *decision vectors*, scored against flat arrays with delta
-re-evaluation between enumeration neighbors, and only the winning vector
-is materialized back into a real widget tree.  Candidate order, RNG
-consumption, and tie-breaking replicate the pre-kernel implementations
-exactly, so results are bit-for-bit unchanged — just cheaper.
+re-evaluation between enumeration neighbors.  An evaluation keeps its
+winning vector and the kernel's decision schema, and derives the widget
+tree only when :attr:`EvaluatedInterface.widget_tree` is first read: of
+the thousands of states a search scores, only the delivered winner pays
+for one.  Candidate order, RNG consumption, and tie-breaking replicate
+the pre-kernel implementations exactly, so results are bit-for-bit
+unchanged — just cheaper.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..difftree import DTNode
-from ..widgets.tree import ORIENTATIONS, SIZE_CLASSES, WidgetNode
-from .kernel import CostBreakdown, CostKernel
+from ..widgets.tree import ORIENTATIONS, SIZE_CLASSES, DecisionSchema, WidgetNode
+from .kernel import CostBreakdown, CostKernel, materialize_vector
 from .model import CostModel
 
 #: Sweeps coordinate descent makes over the decisions before it stops,
@@ -32,13 +34,54 @@ from .model import CostModel
 DESCENT_ROUNDS = 6
 
 
-@dataclass(frozen=True)
 class EvaluatedInterface:
-    """A widget tree together with its cost under a model."""
+    """A widget tree together with its cost under a model.
 
-    tree: DTNode
-    widget_tree: WidgetNode
-    breakdown: CostBreakdown
+    Built either from a widget tree (``EvaluatedInterface(tree=,
+    widget_tree=, breakdown=)``) or, by the evaluators here, with
+    ``widget_tree=None`` and the winning decision vector and its
+    kernel's schema; the widget tree is then derived on the first read
+    of :attr:`widget_tree` and kept.  Two threads reading at once may
+    each derive it; the trees are equal.  Equality compares tree,
+    widget tree and breakdown.
+    """
+
+    __slots__ = ("_tree", "_widget_tree", "_breakdown", "_schema", "_vector")
+
+    def __init__(
+        self,
+        tree: DTNode,
+        widget_tree: Optional[WidgetNode],
+        breakdown: CostBreakdown,
+        *,
+        schema: Optional[DecisionSchema] = None,
+        vector: Optional[Tuple[object, ...]] = None,
+    ) -> None:
+        if widget_tree is None and (schema is None or vector is None):
+            raise TypeError(
+                "EvaluatedInterface needs a widget_tree or a schema and vector"
+            )
+        self._tree = tree
+        self._widget_tree = widget_tree
+        self._breakdown = breakdown
+        self._schema = schema
+        self._vector = vector
+
+    @property
+    def tree(self) -> DTNode:
+        return self._tree
+
+    @property
+    def breakdown(self) -> CostBreakdown:
+        return self._breakdown
+
+    @property
+    def widget_tree(self) -> WidgetNode:
+        built = self._widget_tree
+        if built is None:
+            built = materialize_vector(self._tree, self._schema, self._vector)
+            self._widget_tree = built
+        return built
 
     @property
     def cost(self) -> float:
@@ -49,12 +92,29 @@ class EvaluatedInterface:
         """Feasibility-aware comparison key (see CostBreakdown.rank)."""
         return self.breakdown.rank
 
+    def _fields(self) -> Tuple[DTNode, WidgetNode, CostBreakdown]:
+        return (self._tree, self.widget_tree, self._breakdown)
 
-def _materialized(
-    kernel: CostKernel, vector: Sequence[object], breakdown: CostBreakdown
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EvaluatedInterface):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"EvaluatedInterface(tree={self._tree!r}, "
+            f"widget_tree={self.widget_tree!r}, breakdown={self._breakdown!r})"
+        )
+
+
+def _evaluated(
+    kernel: CostKernel, vector: Tuple[object, ...], breakdown: CostBreakdown
 ) -> EvaluatedInterface:
     return EvaluatedInterface(
-        kernel.tree, kernel.materialize(vector), breakdown
+        kernel.tree, None, breakdown, schema=kernel.schema, vector=vector
     )
 
 
@@ -83,7 +143,7 @@ def sampled_evaluation(
             best = breakdown
             best_vector = tuple(vector)
     assert best is not None and best_vector is not None
-    return _materialized(kernel, best_vector, best)
+    return _evaluated(kernel, best_vector, best)
 
 
 def exhaustive_evaluation(
@@ -106,7 +166,7 @@ def exhaustive_evaluation(
                 best = breakdown
                 best_vector = vector
         assert best is not None and best_vector is not None
-        return _materialized(kernel, best_vector, best)
+        return _evaluated(kernel, best_vector, best)
     return coordinate_descent(model, tree)
 
 
@@ -160,7 +220,7 @@ def coordinate_descent(model: CostModel, tree: DTNode) -> EvaluatedInterface:
             kernel.apply_delta(index, original)
         if not improved:
             break
-    return _materialized(kernel, best_vector, current)
+    return _evaluated(kernel, best_vector, current)
 
 
 def worst_sampled_evaluation(
@@ -192,4 +252,4 @@ def worst_sampled_evaluation(
     breakdown = worst if worst is not None else fallback
     vector = worst_vector if worst_vector is not None else fallback_vector
     assert breakdown is not None and vector is not None
-    return _materialized(kernel, vector, breakdown)
+    return _evaluated(kernel, vector, breakdown)

@@ -32,6 +32,17 @@ The kernel is a two-level pipeline:
   it touched, its ancestor chain of bounding boxes, and the query pairs
   whose changed-choice sets include it.
 
+Both levels compile per difftree state, but most of their inputs are
+memoized per interned subtree below them: the matcher reuses the first
+assignment of every ``ALL`` slot across states
+(:class:`repro.difftree.Matcher`), and the skeleton derivation reuses
+``domain_of``, ``candidates_for`` and option labels
+(:mod:`repro.widgets`), so a state pays mostly for the subtree its rule
+move rewrote.  A scored state needs a cost, not a widget tree:
+:func:`materialize_vector` — the one derivation behind
+:meth:`CostKernel.materialize` — runs only when a caller reads
+:attr:`repro.cost.EvaluatedInterface.widget_tree`.
+
 Bitwise-parity invariant
     ``apply_delta`` followed by :meth:`CostKernel.breakdown` must equal
     a from-scratch :meth:`CostModel.evaluate_reference` of the
@@ -66,7 +77,6 @@ from ..widgets.library import SIZE_CLASSES, widget_type
 from ..widgets.tree import (
     ORIENTATIONS,
     DecisionSchema,
-    OrientationDecision,
     ReplayChooser,
     WidgetDecision,
     WidgetNode,
@@ -81,6 +91,7 @@ __all__ = [
     "CostKernel",
     "CostWeights",
     "KernelStats",
+    "materialize_vector",
 ]
 
 
@@ -813,8 +824,7 @@ class CostKernel:
 
     def materialize(self, vector: Sequence[object]) -> WidgetNode:
         """Derive the real widget tree behind a decision vector."""
-        widgets, orientations = self.schema.tables(vector)
-        return derive_widget_tree(self.tree, ReplayChooser(widgets, orientations))
+        return materialize_vector(self.tree, self.schema, vector)
 
     def iter_enumeration(
         self, cap: int = 5000
@@ -835,3 +845,16 @@ class CostKernel:
                 for delta in deltas:
                     self.apply_delta(delta.index, delta.value)
             yield tuple(vector), self.breakdown()
+
+
+def materialize_vector(
+    tree: DTNode, schema: DecisionSchema, vector: Sequence[object]
+) -> WidgetNode:
+    """Derive the widget tree of ``tree`` behind one decision vector.
+
+    The one derivation behind both :meth:`CostKernel.materialize` and the
+    widget tree an :class:`~repro.cost.EvaluatedInterface` builds on its
+    first read, which holds the schema rather than the kernel.
+    """
+    widgets, orientations = schema.tables(vector)
+    return derive_widget_tree(tree, ReplayChooser(widgets, orientations))

@@ -10,10 +10,10 @@ workloads, which are single-table).
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..sqlast import nodes as N
-from .storage import Database, ResultSet, SchemaError, Table
+from .storage import Database, ResultSet, Table
 
 
 class ExecutionError(Exception):

@@ -35,7 +35,19 @@ FrozenAssignment = FrozenSet[Tuple[Path, Any]]
 
 
 class Matcher:
-    """Single-use matcher binding one difftree to one query AST."""
+    """Single-use matcher binding one difftree to one query AST.
+
+    An ``ALL`` slot consumes exactly one AST node, so every way of
+    matching it ends at the same position, and what follows it in the
+    enclosing sequence depends only on that position: if its first inner
+    assignment leads to no full match, no later one does, and only the
+    first can appear in the canonical first assignment.  That first
+    assignment depends only on the interned ``(slot, node)`` pair, so it
+    is memoized path-relative and prefixed with the caller's path on use
+    — every difftree state that shares the subtree reuses it.  The
+    unmemoized matcher lives with the tests as the parity oracle
+    (``tests/oracles.py``).
+    """
 
     def __init__(self, root: DTNode, ast: N.Node) -> None:
         self.root = root
@@ -73,8 +85,17 @@ class Matcher:
             node = nodes[j]
             if node.label != slot.label or node.value != slot.value:
                 return
-            for choices in self._assign_seq(slot.children, node.children, 0, 0, path):
-                yield j + 1, choices
+            first = _SLOT_MEMO.get((slot, node), _ASSIGN_MISS)
+            if first is _ASSIGN_MISS:
+                first = next(
+                    self._assign_seq(slot.children, node.children, 0, 0, ()), None
+                )
+                _SLOT_MEMO[(slot, node)] = first
+            if first is None:
+                return
+            if path:
+                first = tuple((path + sub_path, value) for sub_path, value in first)
+            yield j + 1, first
             return
         if kind == ANY:
             for index, alt in enumerate(slot.children):
@@ -147,6 +168,10 @@ class Matcher:
 #: cannot express the query).  Interned nodes make the key a fingerprint
 #: pair; the bounded table holds strong refs, so capacity bounds memory.
 _ASSIGN_MEMO = _memo.memo_table(16384, name="difftree.assign")
+#: ``(ALL slot, AST node) -> first inner choice items``, paths relative
+#: to the slot (or None when the slot cannot match the node).  One
+#: sdss-grow serving session fills about 13,000 entries.
+_SLOT_MEMO = _memo.memo_table(65536, name="difftree.slot")
 _ASSIGN_MISS = object()
 
 

@@ -63,9 +63,12 @@ class LogSession:
     per id, so repeated ``session("a")`` calls share history.  All
     state (log, warm-start carry, cache) lives in the owning engine —
     the handle is just the session-scoped view of it.  Every write and
-    serve goes through :meth:`Engine.session`, which refreshes the
-    session's recency and applies ``max_sessions``: a handle kept past
-    its session's eviction re-registers the session within the bound.
+    serve registers the session the way :meth:`Engine.session` does,
+    refreshing its recency and applying ``max_sessions``: a handle kept
+    past its session's eviction re-registers *itself* within the bound,
+    so ``engine.session(id)`` returns it and its history stays whole.
+    If another handle was registered under the id in between, reports
+    served through the stale handle land in that handle's history.
     """
 
     def __init__(self, engine: "Engine", session_id: str) -> None:
@@ -85,7 +88,7 @@ class LogSession:
 
     def append(self, *queries: QueryLike) -> int:
         """Append queries (SQL text or ASTs); returns the new log length."""
-        self._engine.session(self.session_id)
+        self._engine._register(self.session_id, self)
         return self._engine.router.append(self.session_id, *queries)
 
     def interface(self) -> GenerationReport:
@@ -95,9 +98,9 @@ class LogSession:
         (zero search), an appended one warm-starts from the previous
         run's extended difftree, elites, and compiled sequences.
         """
-        self._engine.session(self.session_id)
+        owner = self._engine._register(self.session_id, self)
         report = self._engine._session_interface(self.session_id)
-        self._history.append(report)
+        owner._history.append(report)
         return report
 
     def remove(self, indices: Sequence[int]) -> int:
@@ -108,7 +111,7 @@ class LogSession:
         recompute, not dropped (see
         :meth:`repro.serve.IncrementalGenerator.remove`).
         """
-        self._engine.session(self.session_id)
+        self._engine._register(self.session_id, self)
         return self._engine._incremental_service().remove(
             indices, session_id=self.session_id
         )
@@ -124,7 +127,7 @@ class LogSession:
         ``retain(max_age_s=3600)`` drops everything ingested more than
         an hour ago; combining both applies the stricter bound.
         """
-        self._engine.session(self.session_id)
+        self._engine._register(self.session_id, self)
         return self._engine._incremental_service().retain(
             last_n=last_n, max_age_s=max_age_s, session_id=self.session_id
         )
@@ -328,12 +331,20 @@ class Engine:
         not just the handle.  Sessions a scheduler script is running on
         are skipped until the script ends.
         """
+        return self._register(session_id)
+
+    def _register(
+        self, session_id: str, stale: Optional[LogSession] = None
+    ) -> LogSession:
+        """The handle registered under ``session_id``, registering one if
+        the id is absent: ``stale`` (a handle kept past its session's
+        eviction) or else a fresh handle."""
         self._incremental_service()  # fail fast on incapable strategies
         evicted: List[str] = []
         with self._sessions_lock:
             handle = self._sessions.get(session_id)
             if handle is None:
-                handle = LogSession(self, session_id)
+                handle = stale if stale is not None else LogSession(self, session_id)
                 self._sessions[session_id] = handle
             self._sessions.move_to_end(session_id)
             if self.max_sessions and len(self._sessions) > self.max_sessions:

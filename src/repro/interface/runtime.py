@@ -9,7 +9,7 @@ visualization — the full loop the paper describes for its interfaces.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..database import Database, ResultSet, execute
 from ..difftree import (
@@ -22,7 +22,6 @@ from ..difftree import (
     OPT,
     Path,
     assignment_for,
-    unwrap_ast,
 )
 from ..sqlast import Node, to_sql
 from ..vis import ChartSpec, recommend_chart

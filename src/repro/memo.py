@@ -4,8 +4,11 @@ Structural interning (:mod:`repro.sqlast.nodes`, :mod:`repro.difftree.dtnodes`)
 makes equal subtrees *identical* objects, which turns every pure function
 over trees into a memoization candidate: ``parse``, ``wrap_ast``,
 ``normalize``, ``anti_unify``/``graft``, ``expresses``/``assignment_for``
-and ``to_sql`` all consult bounded LRU tables keyed by interned nodes, so
-ingestion cost tracks *distinct structure* instead of raw log length.
+and the matcher's first assignment per ``ALL`` slot, ``to_sql``, and the
+widget layer's ``domain_of``, ``candidates_for`` and option labels all
+consult bounded LRU tables keyed by interned nodes, so ingestion cost
+tracks *distinct structure* instead of raw log length, and a search
+state re-derives only the subtree its rule move rewrote.
 
 This module owns the pieces those layers share:
 

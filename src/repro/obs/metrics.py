@@ -33,7 +33,7 @@ import re
 import threading
 import weakref
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 #: Dotted lowercase metric names only — the stable-naming contract.
 _NAME_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_#]+)*$")

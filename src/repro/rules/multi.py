@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterator, List, Tuple
 
 from ..difftree import DTNode, Path, anti_unify_all, multi_node
-from ..difftree.dtnodes import ALL, MULTI
+from ..difftree.dtnodes import ALL
 from ..sqlast import nodes as N
 from .base import Move, Rule
 

@@ -51,7 +51,7 @@ import heapq
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cost import CostModel

@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from ..core import GeneratedInterface, GenerationConfig

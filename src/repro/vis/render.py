@@ -7,11 +7,8 @@ the full interaction loop end-to-end without a browser.
 
 from __future__ import annotations
 
-import math
-from typing import List
-
 from ..database import ResultSet
-from .recommend import BAR, BIG_NUMBER, HISTOGRAM, SCATTER, TABLE, ChartSpec
+from .recommend import BAR, BIG_NUMBER, HISTOGRAM, SCATTER, ChartSpec
 
 
 def render_chart(spec: ChartSpec, result: ResultSet, width: int = 60) -> str:

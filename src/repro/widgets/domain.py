@@ -10,15 +10,21 @@ The domain also classifies its options (numeric literals, string literals,
 numeric ranges, or arbitrary subtrees) — widget applicability and the
 appropriateness cost ``M(w)`` depend on this classification (a slider can
 express ``TOP 10/100/1000`` but not ``objid``-vs-``count(*)``).
+
+A domain and an option label are pure functions of a hash-consed
+subtree, so both are memoized per interned node: a rule move rewrites
+one subtree, and every state derived from it reuses the domains and
+labels of the subtrees the move did not touch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from ..difftree import ANY, EMPTY, MULTI, OPT, DTNode
 from ..difftree.dtnodes import ALL
+from ..memo import memo_table
 from ..sqlast import nodes as N
 
 #: Option kinds.
@@ -74,19 +80,33 @@ class ChoiceDomain:
         return [float(v) for v in self.values if v is not None]
 
 
+_OPT_DOMAIN = ChoiceDomain(kind=BOOLEAN, labels=("off", "on"), values=(False, True))
+_MULTI_DOMAIN = ChoiceDomain(kind=COUNT, labels=("0", "1", "..."), values=(0, 1))
+
+#: Interned ``ANY`` node -> its domain (one sdss-grow serving session
+#: fills about 850 entries).
+_DOMAIN_MEMO = memo_table(8192, name="widgets.domain")
+
+
 def domain_of(node: DTNode) -> ChoiceDomain:
-    """Extract the domain of a choice node.
+    """Extract the domain of a choice node (memoized per interned node).
 
     Raises:
         ValueError: for non-choice nodes.
     """
     if node.kind == OPT:
-        return ChoiceDomain(kind=BOOLEAN, labels=("off", "on"), values=(False, True))
+        return _OPT_DOMAIN
     if node.kind == MULTI:
-        return ChoiceDomain(kind=COUNT, labels=("0", "1", "..."), values=(0, 1))
+        return _MULTI_DOMAIN
     if node.kind != ANY:
         raise ValueError(f"node kind {node.kind!r} has no domain")
+    domain = _DOMAIN_MEMO.get(node)
+    if domain is None:
+        domain = _DOMAIN_MEMO[node] = _any_domain(node)
+    return domain
 
+
+def _any_domain(node: DTNode) -> ChoiceDomain:
     labels: List[str] = []
     values: List[object] = []
     has_empty = False
@@ -166,7 +186,19 @@ def option_label(node: DTNode, limit: int = 40) -> str:
     return text
 
 
+#: Interned subtree -> its uncapped label (about 1,700 entries per
+#: sdss-grow serving session).
+_LABEL_MEMO = memo_table(16384, name="widgets.label")
+
+
 def _label(node: DTNode) -> str:
+    text = _LABEL_MEMO.get(node)
+    if text is None:
+        text = _LABEL_MEMO[node] = _compose_label(node)
+    return text
+
+
+def _compose_label(node: DTNode) -> str:
     if node.kind == EMPTY:
         return "(none)"
     if node.kind == ANY:

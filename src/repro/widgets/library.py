@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
+from ..memo import memo_table
 from .domain import BOOLEAN, COUNT, NUMERIC, RANGE, STRING, SUBTREE, ChoiceDomain
 
 # Size classes (paper: "we predefine small, medium and large ... templates").
@@ -304,12 +305,21 @@ def widget_type(name: str) -> WidgetType:
         ) from None
 
 
+#: Domain -> its candidate widgets (domains are immutable and hashable).
+_CANDIDATES_MEMO = memo_table(1024, name="widgets.candidates")
+
+
 def candidates_for(domain: ChoiceDomain) -> Tuple[WidgetType, ...]:
-    """Interaction widgets that can express ``domain``, best-``M`` first."""
+    """Interaction widgets that can express ``domain``, best-``M`` first
+    (memoized per domain)."""
+    cached = _CANDIDATES_MEMO.get(domain)
+    if cached is not None:
+        return cached
     options = [
         w
         for w in INTERACTION_WIDGETS.values()
         if w.name != "label" and w.can_express(domain)
     ]
     options.sort(key=lambda w: (w.appropriateness(domain), w.name))
-    return tuple(options)
+    _CANDIDATES_MEMO[domain] = result = tuple(options)
+    return result

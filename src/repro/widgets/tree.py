@@ -26,7 +26,7 @@ from typing import Dict, Iterator, List, Optional, Protocol, Sequence, Tuple, Un
 from ..difftree import ANY, EMPTY, MULTI, OPT, DTNode, Path
 from ..difftree.dtnodes import ALL
 from ..sqlast import nodes as N
-from .domain import BOOLEAN, ChoiceDomain, domain_of, option_label
+from .domain import ChoiceDomain, domain_of, option_label
 from .library import (
     INTERACTION_WIDGETS,
     SIZE_CLASSES,

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from typing import Iterator, List, Tuple, Union
+from typing import Any, Iterator, List, Optional, Tuple, Union
 
-from repro.difftree import ALL, ANY, EMPTY, MULTI, OPT, DTNode, any_node
+from repro.difftree import ALL, ANY, EMPTY, MULTI, OPT, Assignment, DTNode, Path, any_node
 from repro.difftree.antiunify import _graft
 from repro.difftree.normalize import normalize_shallow
 from repro.sqlast import nodes as N
@@ -112,3 +112,95 @@ def enumerate_queries_reference(
         if len(results) >= limit:
             break
     return results
+
+
+class _ReferenceMatcher:
+    """The matcher without the ``ALL``-slot memo: every inner alternative
+    of every slot is enumerated lazily, in the canonical order."""
+
+    def __init__(self, root: DTNode, ast: N.Node) -> None:
+        self.root = root
+        self.ast = ast
+        self._fail: set = set()
+
+    def _assign_one(
+        self, slot: DTNode, nodes: Tuple[N.Node, ...], j: int, path: Path
+    ) -> Iterator[Tuple[int, Tuple[Tuple[Path, Any], ...]]]:
+        kind = slot.kind
+        if kind == EMPTY:
+            yield j, ()
+            return
+        if kind == ALL:
+            if j >= len(nodes):
+                return
+            node = nodes[j]
+            if node.label != slot.label or node.value != slot.value:
+                return
+            for choices in self._assign_seq(slot.children, node.children, 0, 0, path):
+                yield j + 1, choices
+            return
+        if kind == ANY:
+            for index, alt in enumerate(slot.children):
+                for end, choices in self._assign_one(alt, nodes, j, path + (index,)):
+                    yield end, choices + ((path, index),)
+            return
+        if kind == OPT:
+            yield j, ((path, False),)
+            for end, choices in self._assign_one(slot.children[0], nodes, j, path + (0,)):
+                yield end, choices + ((path, True),)
+            return
+        if kind == MULTI:
+            template = slot.children[0]
+            yield j, ((path, ()),)
+            frontier = [(j, ())]
+            seen = {j}
+            while frontier:
+                position, reps = frontier.pop(0)
+                for end, choices in self._assign_one(template, nodes, position, path + (0,)):
+                    if end == position:
+                        continue
+                    relative = frozenset(
+                        (sub_path[len(path) + 1 :], value) for sub_path, value in choices
+                    )
+                    new_reps = reps + (relative,)
+                    yield end, ((path, new_reps),)
+                    if end not in seen:
+                        seen.add(end)
+                        frontier.append((end, new_reps))
+            return
+        raise AssertionError(f"unreachable kind {kind!r}")
+
+    def _assign_seq(
+        self,
+        slots: Tuple[DTNode, ...],
+        nodes: Tuple[N.Node, ...],
+        i: int,
+        j: int,
+        parent_path: Path,
+    ) -> Iterator[Tuple[Tuple[Path, Any], ...]]:
+        key = (id(slots), id(nodes), i, j)
+        if key in self._fail:
+            return
+        if i == len(slots):
+            if j == len(nodes):
+                yield ()
+            else:
+                self._fail.add(key)
+            return
+        produced = False
+        for end, choices in self._assign_one(slots[i], nodes, j, parent_path + (i,)):
+            for rest in self._assign_seq(slots, nodes, i + 1, end, parent_path):
+                produced = True
+                yield choices + rest
+        if not produced:
+            self._fail.add(key)
+
+
+def first_assignment_reference(tree: DTNode, ast: N.Node) -> Optional[Assignment]:
+    """Unmemoized :func:`repro.difftree.assignment_for`: the first
+    (canonical) choice assignment expressing ``ast``, or None."""
+    matcher = _ReferenceMatcher(tree, ast)
+    for end, choices in matcher._assign_one(tree, (ast,), 0, ()):
+        if end == 1:
+            return dict(choices)
+    return None

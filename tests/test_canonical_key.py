@@ -8,8 +8,6 @@ and the MCTS transposition table dedups states by it.
 import pickle
 import random
 
-import pytest
-
 from repro.difftree import extend_difftree, initial_difftree, wrap_ast
 from repro.rules import default_engine
 from repro.sqlast import parse

@@ -12,16 +12,20 @@ import random
 
 import pytest
 
+from repro import Engine, GenerationConfig
 from repro.cost import (
     BoundedLRU,
     CompiledSequence,
     CostModel,
+    EvaluatedInterface,
     coordinate_descent,
     exhaustive_evaluation,
     sampled_evaluation,
     worst_sampled_evaluation,
 )
-from repro.difftree import CompiledChanges, changed_choices, initial_difftree
+from repro.cost import evaluate as evaluate_module
+from repro.cost import kernel as kernel_module
+from repro.difftree import changed_choices, initial_difftree
 from repro.layout import Screen
 from repro.rules import default_engine
 from repro.sqlast import parse
@@ -247,6 +251,40 @@ class TestOptimizerEquivalence:
             worst.breakdown,
             model.evaluate_reference(state, worst.widget_tree),
         )
+
+
+class TestWidgetTreeOnRead:
+    """Scored states keep their decision vector; only a read derives a tree."""
+
+    def test_only_the_delivered_winner_is_derived(self, monkeypatch):
+        derived = []
+
+        def counting(tree, schema, vector):
+            derived.append(tree)
+            return real(tree, schema, vector)
+
+        real = kernel_module.materialize_vector
+        monkeypatch.setattr(kernel_module, "materialize_vector", counting)
+        monkeypatch.setattr(evaluate_module, "materialize_vector", counting)
+        engine = Engine(config=GenerationConfig(time_budget_s=0, max_iterations=3, seed=0))
+        report = engine.generate(Engine.workload("sdss", 6, seed=0))
+        assert report.search.stats.states_evaluated > 1
+        assert len(derived) <= 1
+        first = report.result.widget_tree
+        assert report.result.widget_tree is first
+        assert derived == [report.difftree]
+
+    def test_explicit_widget_tree_is_returned(self):
+        asts, states = random_states(WORKLOADS["sdss-session"], seed=59)
+        model = CostModel(asts, Screen.wide())
+        state = states[1]
+        root = derive_widget_tree(state, RandomChooser(random.Random(3)))
+        breakdown = model.evaluate(state, root)
+        built = EvaluatedInterface(tree=state, widget_tree=root, breakdown=breakdown)
+        assert built.widget_tree is root
+        lazy = sampled_evaluation(model, state, k=3, rng=random.Random(3))
+        assert lazy.widget_tree is lazy.widget_tree
+        assert lazy == EvaluatedInterface(state, lazy.widget_tree, lazy.breakdown)
 
 
 class TestCompiledSequence:

@@ -7,7 +7,6 @@ from repro.difftree import (
     ANY,
     EMPTY,
     EMPTY_NODE,
-    MULTI,
     OPT,
     DTNode,
     all_node,

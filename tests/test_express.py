@@ -1,11 +1,16 @@
 """Tests for expressibility matching, assignments, and enumeration."""
 
+import itertools
+import random
+
 import pytest
 
+from repro import memo
 from repro.difftree import (
-    EMPTY_NODE,
+    ANY,
+    MULTI,
+    OPT,
     all_node,
-    any_node,
     assignment_for,
     changed_choices,
     count_queries,
@@ -17,11 +22,13 @@ from repro.difftree import (
     opt_node,
     wrap_ast,
 )
+from repro.difftree import express
 from repro.rules import default_engine, forward_engine
 from repro.sqlast import parse
+from repro.widgets import domain_of, option_label
 from repro.workloads import sdss_session_sql, tpch_session_sql
 
-from oracles import enumerate_queries_reference
+from oracles import enumerate_queries_reference, first_assignment_reference
 
 
 def factored(queries, skip_multi=True):
@@ -169,3 +176,89 @@ class TestCounting:
         leaf = all_node("ColExpr", "a")
         tree = all_node("Project", None, (opt_node(leaf),))
         assert count_queries(tree) == 2
+
+
+def walked_states(queries, seed, walks=2, steps=10):
+    """States visited by short random walks from the initial difftree."""
+    engine = default_engine()
+    rng = random.Random(seed)
+    states = []
+    for _ in range(walks):
+        tree = initial_difftree(queries)
+        states.append(tree)
+        for _ in range(steps):
+            move = engine.random_move(tree, rng)
+            if move is None:
+                break
+            tree = engine.apply(tree, move)
+            states.append(tree)
+    return states
+
+
+@pytest.fixture
+def walk_logs(fig1_queries):
+    """Per log (Figure 1, sdss, tpch): the log and its walked states."""
+    logs = [
+        fig1_queries,
+        [parse(sql) for sql in sdss_session_sql(6, seed=1)],
+        [parse(sql) for sql in tpch_session_sql(6, seed=1)],
+    ]
+    return [(log, walked_states(log, seed)) for seed, log in enumerate(logs)]
+
+
+def interleaved(walk_logs):
+    """States of every log, interleaved so memo hits cross states."""
+    columns = itertools.zip_longest(*(states for _, states in walk_logs))
+    return [state for column in columns for state in column if state is not None]
+
+
+class TestMemoizedMatcher:
+    """The ALL-slot memo and the per-node widget memos change no result."""
+
+    def test_assignment_for_matches_unmemoized_matcher(self, walk_logs):
+        # Every state against every query of every log, so the cases
+        # include the inexpressible pairings too.
+        queries = [query for log, _ in walk_logs for query in log]
+        states = interleaved(walk_logs)
+        expected = []
+        for state in states:
+            for query in queries:
+                reference = first_assignment_reference(state, query)
+                expected.append(None if reference is None else list(reference.items()))
+        assert any(items is not None and len(items) > 2 for items in expected)
+        assert None in expected
+
+        def served():
+            out = []
+            for state in states:
+                for query in queries:
+                    got = assignment_for(state, query)
+                    out.append(None if got is None else list(got.items()))
+            return out
+
+        memo.clear_memo_caches()
+        assert served() == expected  # cold: the tables fill as states go by
+        # Warm: drop only the (tree, query) memo, so every call runs the
+        # matcher against the filled ALL-slot memo.
+        express._ASSIGN_MEMO.clear()
+        hits = express._SLOT_MEMO.hits
+        assert served() == expected
+        assert express._SLOT_MEMO.hits > hits
+
+    def test_domains_and_labels_match_cold_and_warm(self, walk_logs):
+        nodes = {}
+        for state in interleaved(walk_logs):
+            for _, node in state.walk_paths():
+                nodes.setdefault(node, None)
+
+        def values(node):
+            domain = domain_of(node) if node.kind in (ANY, OPT, MULTI) else None
+            return domain, option_label(node), option_label(node, limit=10_000)
+
+        cold = {}
+        for node in nodes:
+            memo.clear_memo_caches()
+            cold[node] = values(node)
+        assert any(domain is not None for domain, _, _ in cold.values())
+        for node in nodes:
+            assert values(node) == cold[node]

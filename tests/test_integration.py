@@ -1,7 +1,5 @@
 """End-to-end integration tests spanning every layer of the library."""
 
-import pytest
-
 from repro import GenerationConfig, Screen, generate_interface
 from repro.datagen import make_sdss_database
 from repro.difftree import expresses_all

@@ -13,10 +13,10 @@ from repro.cost import (
     worst_sampled_evaluation,
 )
 from repro.difftree import initial_difftree
-from repro.layout import BOX_GAP, BOX_PADDING, Box, Screen, fits, measure, overflow
+from repro.layout import Box, Screen, fits, measure, overflow
 from repro.rules import forward_engine
 from repro.sqlast import parse
-from repro.widgets import GreedyChooser, WidgetNode, derive_widget_tree, domain_of
+from repro.widgets import GreedyChooser, derive_widget_tree, domain_of
 from repro.widgets.tree import WidgetNode as WN
 
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 
 from repro.sqlast import parse, to_sql
-from repro.sqlast import nodes as N
 
 
 class TestPrinter:

@@ -15,7 +15,6 @@ from repro.difftree import (
     initial_difftree,
     normalize,
     opt_node,
-    pretty,
     wrap_ast,
 )
 from repro.difftree.dtnodes import ALL
@@ -29,7 +28,6 @@ from repro.rules import (
     RuleEngine,
     UnOptionalRule,
     default_engine,
-    forward_engine,
 )
 from repro.sqlast import parse
 

@@ -17,7 +17,7 @@ from repro import Engine, GenerationConfig, generate_interface
 from repro.cost import BoundedLRU, CostModel
 from repro.core import open_search_task, prepare_search
 from repro.difftree import initial_difftree
-from repro.engine import POLICIES, SessionScheduler
+from repro.engine import POLICIES
 from repro.layout import Screen
 from repro.search import (
     BeamSearchTask,
@@ -481,6 +481,26 @@ class TestSessionEviction:
         assert list(engine._sessions) == ["d"]
         assert engine.router.sessions() == ["d"]
         assert sorted(engine._incremental._sessions) == ["d"]
+
+    def test_stale_handle_keeps_its_history(self):
+        """A handle kept past its session's eviction registers itself:
+        the registered handle is the kept one, and its history holds
+        the reports served through it before and after the eviction."""
+        engine = Engine(
+            max_sessions=1,
+            config=GenerationConfig(time_budget_s=0, max_iterations=1, seed=0),
+        )
+        queries = Engine.workload("sdss", 6, seed=0)
+        a = engine.session("a")
+        a.append(*queries[:2])
+        a.interface()
+        engine.session("b")  # evicts 'a' with its log
+        a.append(*queries[2:4])
+        a.interface()
+        assert engine.session("a") is a
+        engine.session("a").append(queries[4])
+        engine.session("a").interface()
+        assert [report.log_size for report in a.history()] == [2, 2, 3]
 
     def test_evicted_session_restarts_cleanly(self):
         engine = Engine(config=TINY, max_sessions=1)

@@ -16,7 +16,6 @@ from repro.difftree import (
 from repro.memo import INGEST
 from repro.search import MCTS, MCTSConfig
 from repro.serve import (
-    DEFAULT_SESSION,
     InterfaceCache,
     IncrementalGenerator,
     LogStream,

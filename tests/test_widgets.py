@@ -20,7 +20,6 @@ from repro.widgets import (
     COUNT,
     NUMERIC,
     RANGE,
-    SIZE_CLASSES,
     STRING,
     SUBTREE,
     GreedyChooser,
