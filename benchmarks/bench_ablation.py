@@ -1,4 +1,4 @@
-"""Ablations over the design choices DESIGN.md calls out.
+"""Ablations over the search's design choices.
 
 * A-C    — UCT exploration constant ``c``
 * A-K    — ``k`` random widget assignments per state reward

@@ -1,9 +1,8 @@
 """Shared benchmark helpers: table printing and common setups.
 
-Each benchmark regenerates one artifact of the paper's evaluation
-(EXPERIMENTS.md maps experiment ids to paper figures/tables).  Benches
-print the same rows/series the paper reports; pytest-benchmark records
-the wall-clock of the core operation.
+Each benchmark regenerates one artifact of the paper's evaluation, named
+in its module docstring.  Benches print the same rows/series the paper
+reports; pytest-benchmark records the wall-clock of the core operation.
 """
 
 from __future__ import annotations

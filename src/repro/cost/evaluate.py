@@ -11,12 +11,10 @@ product is small, coordinate descent otherwise.
 All paths run through the compiled kernel (:mod:`repro.cost.kernel`):
 candidates are *decision vectors*, scored against flat arrays with delta
 re-evaluation between enumeration neighbors.  An evaluation keeps its
-winning vector and the kernel's decision schema, and derives the widget
-tree only when :attr:`EvaluatedInterface.widget_tree` is first read: of
-the thousands of states a search scores, only the delivered winner pays
-for one.  Candidate order, RNG consumption, and tie-breaking replicate
-the pre-kernel implementations exactly, so results are bit-for-bit
-unchanged — just cheaper.
+difftree and winning vector, and derives the widget tree
+(``derive_widget_tree(tree, vector)``) only when
+:attr:`EvaluatedInterface.widget_tree` is first read: of the thousands
+of states a search scores, only the delivered winner pays for one.
 """
 
 from __future__ import annotations
@@ -25,8 +23,8 @@ import random
 from typing import List, Optional, Tuple
 
 from ..difftree import DTNode
-from ..widgets.tree import ORIENTATIONS, SIZE_CLASSES, DecisionSchema, WidgetNode
-from .kernel import CostBreakdown, CostKernel, materialize_vector
+from ..widgets.tree import ORIENTATIONS, SIZE_CLASSES, WidgetNode, derive_widget_tree
+from .kernel import CostBreakdown, CostKernel
 from .model import CostModel
 
 #: Sweeps coordinate descent makes over the decisions before it stops,
@@ -37,16 +35,16 @@ DESCENT_ROUNDS = 6
 class EvaluatedInterface:
     """A widget tree together with its cost under a model.
 
-    Built either from a widget tree (``EvaluatedInterface(tree=,
-    widget_tree=, breakdown=)``) or, by the evaluators here, with
-    ``widget_tree=None`` and the winning decision vector and its
-    kernel's schema; the widget tree is then derived on the first read
-    of :attr:`widget_tree` and kept.  Two threads reading at once may
-    each derive it; the trees are equal.  Equality compares tree,
-    widget tree and breakdown.
+    Built either from a widget tree (``EvaluatedInterface(tree,
+    widget_tree, breakdown)``) or, by the evaluators here, with
+    ``widget_tree=None`` and the winning decision vector; the widget
+    tree is then ``derive_widget_tree(tree, vector)``, derived on the
+    first read of :attr:`widget_tree` and kept.  Two threads reading at
+    once may each derive it; the trees are equal.  Equality compares
+    tree, widget tree and breakdown.
     """
 
-    __slots__ = ("_tree", "_widget_tree", "_breakdown", "_schema", "_vector")
+    __slots__ = ("_tree", "_widget_tree", "_breakdown", "_vector")
 
     def __init__(
         self,
@@ -54,17 +52,13 @@ class EvaluatedInterface:
         widget_tree: Optional[WidgetNode],
         breakdown: CostBreakdown,
         *,
-        schema: Optional[DecisionSchema] = None,
         vector: Optional[Tuple[object, ...]] = None,
     ) -> None:
-        if widget_tree is None and (schema is None or vector is None):
-            raise TypeError(
-                "EvaluatedInterface needs a widget_tree or a schema and vector"
-            )
+        if widget_tree is None and vector is None:
+            raise TypeError("EvaluatedInterface needs a widget_tree or a vector")
         self._tree = tree
         self._widget_tree = widget_tree
         self._breakdown = breakdown
-        self._schema = schema
         self._vector = vector
 
     @property
@@ -76,10 +70,16 @@ class EvaluatedInterface:
         return self._breakdown
 
     @property
+    def vector(self) -> Optional[Tuple[object, ...]]:
+        """The winning decision vector (``None`` when built from a widget
+        tree)."""
+        return self._vector
+
+    @property
     def widget_tree(self) -> WidgetNode:
         built = self._widget_tree
         if built is None:
-            built = materialize_vector(self._tree, self._schema, self._vector)
+            built = derive_widget_tree(self._tree, self._vector)
             self._widget_tree = built
         return built
 
@@ -113,9 +113,7 @@ class EvaluatedInterface:
 def _evaluated(
     kernel: CostKernel, vector: Tuple[object, ...], breakdown: CostBreakdown
 ) -> EvaluatedInterface:
-    return EvaluatedInterface(
-        kernel.tree, None, breakdown, schema=kernel.schema, vector=vector
-    )
+    return EvaluatedInterface(kernel.tree, None, breakdown, vector=vector)
 
 
 def sampled_evaluation(
@@ -127,8 +125,7 @@ def sampled_evaluation(
     """Best of ``k`` sampled widget assignments for ``tree``.
 
     The greedy vector is always the first sample; the other ``k - 1`` are
-    decision vectors drawn with the same RNG consumption as
-    chooser-driven derivation.  Only the winner becomes a widget tree.
+    :meth:`~repro.widgets.tree.DecisionSchema.random_vector` draws.
     """
     rng = rng or random.Random(0)
     kernel = model.kernel_for(tree)
@@ -174,8 +171,9 @@ def coordinate_descent(model: CostModel, tree: DTNode) -> EvaluatedInterface:
     """Optimize decisions one at a time until a fixpoint (local optimum).
 
     Each trial move is one kernel delta (patch + breakdown), not a full
-    rebuild; the loop structure and visit order match the pre-kernel
-    implementation so the fixpoint is identical.
+    rebuild.  Widget decisions are visited in choice-path order, then
+    orientations in derivation order, for at most
+    :data:`DESCENT_ROUNDS` sweeps.
     """
     kernel = model.kernel_for(tree)
     schema = kernel.schema

@@ -38,9 +38,10 @@ assignment of every ``ALL`` slot across states
 (:class:`repro.difftree.Matcher`), and the skeleton derivation reuses
 ``domain_of``, ``candidates_for`` and option labels
 (:mod:`repro.widgets`), so a state pays mostly for the subtree its rule
-move rewrote.  A scored state needs a cost, not a widget tree:
-:func:`materialize_vector` — the one derivation behind
-:meth:`CostKernel.materialize` — runs only when a caller reads
+move rewrote.  A scored state needs a cost, not a widget tree: its
+winning decision vector goes through
+:func:`repro.widgets.tree.derive_widget_tree` — the one derivation,
+also behind :meth:`CostKernel.materialize` — only when a caller reads
 :attr:`repro.cost.EvaluatedInterface.widget_tree`.
 
 Bitwise-parity invariant
@@ -76,12 +77,11 @@ from ..widgets.domain import ChoiceDomain
 from ..widgets.library import SIZE_CLASSES, widget_type
 from ..widgets.tree import (
     ORIENTATIONS,
-    DecisionSchema,
-    ReplayChooser,
     WidgetDecision,
     WidgetNode,
     decision_schema,
     derive_widget_tree,
+    enumerate_decision_vectors,
 )
 
 __all__ = [
@@ -91,7 +91,6 @@ __all__ = [
     "CostKernel",
     "CostWeights",
     "KernelStats",
-    "materialize_vector",
 ]
 
 
@@ -142,10 +141,13 @@ class CostBreakdown:
     def rank(self) -> Tuple[int, float]:
         """Total order usable even among invalid interfaces.
 
-        Feasible interfaces compare by cost; infeasible ones compare by
-        how far they overflow the screen (then by finite cost), so
-        optimizers have a gradient toward feasibility instead of a flat
-        infinite plateau.
+        Feasible interfaces compare by cost, ahead of every infeasible
+        one; infeasible ones compare by how far they overflow the screen
+        plus their finite cost.  The widget-assignment optimizers in
+        :mod:`repro.cost.evaluate` and ``StateEvaluator``'s incumbent
+        compare by it.  MCTS rewards do not: they read :attr:`total`,
+        which is infinite for every infeasible state, and
+        ``normalized_reward`` maps that to 0.
         """
         if self.feasible:
             return (0, self.m_cost + self.u_cost)
@@ -824,37 +826,22 @@ class CostKernel:
 
     def materialize(self, vector: Sequence[object]) -> WidgetNode:
         """Derive the real widget tree behind a decision vector."""
-        return materialize_vector(self.tree, self.schema, vector)
+        return derive_widget_tree(self.tree, vector)
 
     def iter_enumeration(
         self, cap: int = 5000
     ) -> Iterator[Tuple[Tuple[object, ...], CostBreakdown]]:
         """Score the full decision product via delta re-evaluation.
 
-        Yields ``(vector_snapshot, breakdown)`` in the canonical
-        enumeration order (identical candidates and tie-breaks to
-        enumerating real widget trees), applying only per-candidate
-        deltas after the first full evaluation.
+        Yields ``(vector_snapshot, breakdown)`` in the order of
+        :func:`~repro.widgets.tree.enumerate_decision_vectors`, applying
+        only each candidate's changed decisions after the first full
+        evaluation.
         """
-        from ..widgets.tree import enumerate_decision_vectors
-
-        for vector, deltas in enumerate_decision_vectors(self.schema, cap=cap):
-            if deltas is None:
+        for vector, changes in enumerate_decision_vectors(self.schema, cap=cap):
+            if changes is None:
                 self.set_vector(vector)
             else:
-                for delta in deltas:
-                    self.apply_delta(delta.index, delta.value)
+                for index, value in changes:
+                    self.apply_delta(index, value)
             yield tuple(vector), self.breakdown()
-
-
-def materialize_vector(
-    tree: DTNode, schema: DecisionSchema, vector: Sequence[object]
-) -> WidgetNode:
-    """Derive the widget tree of ``tree`` behind one decision vector.
-
-    The one derivation behind both :meth:`CostKernel.materialize` and the
-    widget tree an :class:`~repro.cost.EvaluatedInterface` builds on its
-    first read, which holds the schema rather than the kernel.
-    """
-    widgets, orientations = schema.tables(vector)
-    return derive_widget_tree(tree, ReplayChooser(widgets, orientations))

@@ -229,9 +229,9 @@ class CostModel:
         """Full cost of one (difftree, widget tree) pair.
 
         Delegates to the compiled kernel when ``root`` shares the
-        difftree's derivation topology (every tree produced by the
-        choosers does); hand-built or foreign trees fall back to
-        :meth:`evaluate_reference`.  Both paths return identical
+        difftree's derivation topology (every tree derived from one of
+        its decision vectors does); hand-built or foreign trees fall
+        back to :meth:`evaluate_reference`.  Both paths return identical
         breakdowns — the kernel's parity invariant.
         """
         kernel = self.kernel_for(tree)

@@ -8,7 +8,7 @@ expect: ``stars``, ``galaxies`` and ``quasars`` tables, each with an
 coordinates ``ra, dec`` and a redshift column.  The interface-generation
 algorithm never looks at the data — only the interaction runtime and the
 visualization demos do — so any catalog with this schema exercises the
-same code paths (see DESIGN.md, Substitutions).
+same code paths.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from ..difftree import (
     wrap_ast,
 )
 from ..sqlast import Node, diff_paths
-from ..widgets import GreedyChooser, derive_widget_tree
+from ..widgets import derive_widget_tree
 from ..widgets.tree import WidgetNode
 
 
@@ -75,7 +75,7 @@ def mine_interface(queries: Sequence[Node]) -> MiningResult:
                 bucket.append(other_sub)
 
     tree = normalize(_assemble(base, (), replacements, insertions))
-    widget_tree = derive_widget_tree(tree, GreedyChooser())
+    widget_tree = derive_widget_tree(tree)
     expressible = sum(1 for q in queries if expresses(tree, q)) / len(queries)
     return MiningResult(
         tree=tree,

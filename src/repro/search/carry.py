@@ -52,8 +52,7 @@ the counters here let the maintenance benchmark assert that only
 choice-sets anchored in dropped queries were recomputed.
 
 Everything is gated by :func:`repro.memo.carry_enabled` — disabling the
-gate (or the master fast-path gate) restores the rebuild-from-scratch
-reference path, which the maintenance benchmark uses as its parity
+gate restores the rebuild-from-scratch reference path, which the maintenance benchmark uses as its parity
 oracle, per the established gate idiom.
 
 Rewards carried across an append were normalized against the *old* log's

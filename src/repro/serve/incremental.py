@@ -31,8 +31,7 @@ choice paths, so its carry entry simply misses and the sequence is
 recompiled — correctness never depends on the carry.
 
 Warm seeding spends the same per-evaluation budget as search, so warm
-and cold runs at equal ``time_budget_s`` are directly comparable — the
-contract the incremental benchmark checks.
+and cold runs at equal ``time_budget_s`` are directly comparable.
 
 Generation is *resumable*: :meth:`IncrementalGenerator.open_search`
 builds the full warm-started machinery (cache probe, extended warm

@@ -16,10 +16,11 @@ from never-crashed state.  Concretely, after ``restore()``:
 
 * an ``interface()`` call on the unchanged log is a cache hit returning
   the *same* cost, breakdown, widget tree, and search diagnostics the
-  original session would have returned (the cached winner is shipped as
-  its decision vector and replayed through the compiled cost kernel —
-  one ``evaluate`` + one ``materialize``, bit-identical by construction,
-  cross-checked against the stored cost at restore time);
+  original session would have returned (capture ships the cached
+  winner's decision vector as the search left it; restore checks every
+  value against its decision's options, re-scores the vector through
+  the compiled cost kernel — cross-checked against the stored cost —
+  and derives the widget tree from it on first read);
 * an append + search continues from the same warm state (extended best
   + elites, recompiled sequences) and — searches being seed-fixed and
   iteration-capped deterministic — produces the same results the
@@ -160,22 +161,18 @@ class SessionSnapshot:
                 key = f"{stream.log_key()}:{snapshot.ctx}"
                 generated = engine.cache.peek(key)
                 if generated is not None:
-                    snapshot.cached = cls._encode_cached(engine, asts, generated)
+                    snapshot.cached = cls._encode_cached(generated)
             return snapshot
 
     @staticmethod
-    def _encode_cached(engine, asts, generated: GeneratedInterface) -> Dict[str, Any]:
+    def _encode_cached(generated: GeneratedInterface) -> Dict[str, Any]:
         """The cache entry as replayable data (winner vector, not trees)."""
-        _, _, model, _, _ = prepare_search(
-            asts, screen=engine.screen, config=engine.config, engine=engine.rules
-        )
         search = generated.search
-        kernel = model.kernel_for(search.best.tree)
-        vector = kernel.adopt(search.best.widget_tree)
+        vector = search.best.vector
         if vector is None:
             raise SnapshotError(
-                "cached winner's widget tree does not match its kernel "
-                "schema; cannot encode a replayable snapshot"
+                "cached winner holds a widget tree but no decision vector; "
+                "cannot encode a replayable snapshot"
             )
         return {
             "difftree": tree_payload(search.best.tree),
@@ -273,9 +270,11 @@ class SessionSnapshot:
 
         Any existing state under the same id is dropped first — a
         restore is a full replacement, not a merge.  Raises
-        :class:`SnapshotError` on context mismatch or when the replayed
-        cache entry's cost disagrees with the stored one (corrupt or
-        cross-version state must not be served).
+        :class:`SnapshotError` on context mismatch, when the cached
+        decision vector holds a value that is not an option of its
+        decision, or when the replayed cache entry's cost disagrees with
+        the stored one (corrupt or cross-version state must not be
+        served).
         """
         with _trace("serve.snapshot.restore", session=self.session_id):
             expected_ctx = context_key(engine.screen, engine.config)
@@ -343,7 +342,7 @@ class SessionSnapshot:
             return self.session_id
 
     def _restore_cached(self, engine, stream) -> None:
-        """Replay the cached winner through the kernel and re-insert it."""
+        """Re-score the cached winner's vector and re-insert the entry."""
         asts = stream.asts()
         if not asts:
             raise SnapshotError("cached entry on an empty log")
@@ -356,12 +355,23 @@ class SessionSnapshot:
         except (KeyError, ValueError, TypeError) as exc:
             raise SnapshotError(f"corrupt cached difftree payload: {exc}") from exc
         kernel = model.kernel_for(tree)
-        vector = _decode_vector(entry["vector"])
         try:
-            breakdown = kernel.evaluate(vector)
-            widget_tree = kernel.materialize(vector)
-        except (IndexError, KeyError, TypeError, ValueError) as exc:
-            raise SnapshotError(f"cached decision vector does not replay: {exc}") from exc
+            vector = tuple(_decode_vector(entry["vector"]))
+        except TypeError as exc:
+            raise SnapshotError(f"corrupt cached decision vector: {exc}") from exc
+        schema = kernel.schema
+        if len(vector) != len(schema.decisions):
+            raise SnapshotError(
+                f"cached decision vector has {len(vector)} values; its "
+                f"difftree has {len(schema.decisions)} decisions"
+            )
+        for index, value in enumerate(vector):
+            if value not in schema.options_for(index):
+                raise SnapshotError(
+                    f"cached decision vector value {index} ({value!r}) is not "
+                    "an option of its decision"
+                )
+        breakdown = kernel.evaluate(vector)
         if breakdown.total != entry["cost"]:
             raise SnapshotError(
                 f"replayed cache entry cost {breakdown.total!r} disagrees with "
@@ -370,8 +380,7 @@ class SessionSnapshot:
             )
         from ..cost import EvaluatedInterface
 
-        best = EvaluatedInterface(tree=tree, widget_tree=widget_tree,
-                                  breakdown=breakdown)
+        best = EvaluatedInterface(tree, None, breakdown, vector=vector)
         search = SearchResult(
             best=best,
             best_state=tree,

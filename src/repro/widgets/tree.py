@@ -11,17 +11,19 @@ maps to an *adder* wrapping its template's widgets.
 
 Deriving a widget tree requires decisions — which widget type and size
 class for each choice node, which orientation for each layout box.  A
-:class:`Chooser` supplies them; random, greedy and replay choosers cover
-the search's needs (random assignments during MCTS rollouts, exhaustive
-or coordinate-descent optimization at the end).
+*decision vector* supplies them, one value per decision in derivation
+order; :func:`decision_schema` records those decisions through the same
+derivation, and the search samples, enumerates and descends over
+vectors (random assignments during MCTS rollouts, exhaustive or
+coordinate-descent optimization at the end).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Protocol, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..difftree import ANY, EMPTY, MULTI, OPT, DTNode, Path
 from ..difftree.dtnodes import ALL
@@ -52,10 +54,10 @@ class WidgetNode:
             adder's content, a layout box's members).
         title: short caption giving AST context (e.g. ``"cty ="``).
         orientation_path: for layout boxes whose orientation is a free
-            derivation decision, the decision point's path (the argument
-            passed to ``Chooser.choose_orientation``); ``None`` for fixed
-            boxes and non-layout widgets.  Provenance recorded so the
-            compiled cost kernel can map box nodes back to decisions.
+            derivation decision, the decision's path
+            (:attr:`OrientationDecision.path`); ``None`` for fixed boxes
+            and non-layout widgets.  Provenance recorded so the compiled
+            cost kernel can map box nodes back to decisions.
     """
 
     widget: str
@@ -84,120 +86,108 @@ class WidgetNode:
         return sum(1 for _ in self.walk())
 
 
-# -- choosers -------------------------------------------------------------------
-
-
-class Chooser(Protocol):
-    """Supplies the free decisions of widget-tree derivation."""
-
-    def choose_widget(
-        self, path: Path, domain: ChoiceDomain, candidates: Sequence[WidgetType]
-    ) -> Tuple[str, str]:
-        """Return ``(widget_name, size_class)`` for a choice node."""
-        ...
-
-    def choose_orientation(self, path: Path, num_children: int) -> str:
-        """Return ``"vertical"`` or ``"horizontal"`` for a layout box."""
-        ...
-
-
-class GreedyChooser:
-    """Minimum-``M`` widget, medium size, vertical boxes (a strong default)."""
-
-    def choose_widget(self, path, domain, candidates):
-        return (candidates[0].name, "M")
-
-    def choose_orientation(self, path, num_children):
-        return "vertical"
-
-
-class RandomChooser:
-    """Uniformly random decisions — the paper's random widget assignment."""
-
-    def __init__(self, rng: random.Random) -> None:
-        self.rng = rng
-
-    def choose_widget(self, path, domain, candidates):
-        widget = self.rng.choice(list(candidates))
-        return (widget.name, self.rng.choice(SIZE_CLASSES))
-
-    def choose_orientation(self, path, num_children):
-        return self.rng.choice(ORIENTATIONS)
-
-
-class ReplayChooser:
-    """Replays a recorded decision table (used by enumeration/optimizers).
-
-    Missing entries fall back to the greedy decision, so a partial table
-    is valid.
-    """
-
-    def __init__(
-        self,
-        widgets: Optional[Dict[Path, Tuple[str, str]]] = None,
-        orientations: Optional[Dict[Path, str]] = None,
-    ) -> None:
-        self.widgets = dict(widgets or {})
-        self.orientations = dict(orientations or {})
-
-    def choose_widget(self, path, domain, candidates):
-        if path in self.widgets:
-            name, size_class = self.widgets[path]
-            allowed = {c.name for c in candidates}
-            if name in allowed:
-                return (name, size_class)
-        return (candidates[0].name, "M")
-
-    def choose_orientation(self, path, num_children):
-        return self.orientations.get(path, "vertical")
-
-
-class RecordingChooser:
-    """Greedy decisions that also record every decision point and its options."""
-
-    def __init__(self) -> None:
-        self.widget_options: Dict[Path, Tuple[str, ...]] = {}
-        self.orientation_points: List[Path] = []
-
-    def choose_widget(self, path, domain, candidates):
-        self.widget_options[path] = tuple(c.name for c in candidates)
-        return (candidates[0].name, "M")
-
-    def choose_orientation(self, path, num_children):
-        self.orientation_points.append(path)
-        return "vertical"
-
-
 # -- derivation -------------------------------------------------------------------
 
 
-def derive_widget_tree(tree: DTNode, chooser: Chooser) -> WidgetNode:
-    """Derive a widget tree for a difftree under the given decisions.
+@dataclass(frozen=True)
+class WidgetDecision:
+    """One free widget choice: which ``(name, size_class)`` at ``path``."""
 
-    Returns a single root widget node.  A fully-concrete difftree (no
-    choices — a one-query log) yields a bare label widget.
+    path: Path
+    candidates: Tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class OrientationDecision:
+    """One free layout choice: box orientation at ``path``."""
+
+    path: Path
+    num_children: int
+
+
+Decision = Union[WidgetDecision, OrientationDecision]
+
+
+def _greedy(decision: Decision) -> object:
+    """Minimum-``M`` widget at medium size, vertical boxes."""
+    if isinstance(decision, WidgetDecision):
+        return (decision.candidates[0], "M")
+    return "vertical"
+
+
+class _Decide:
+    """Supplies the decisions of one derivation, recording each one.
+
+    A decision takes the next value of ``vector``, in derivation order,
+    or its greedy value when ``vector`` is ``None``.
     """
-    widgets = _build(tree, (), chooser, _context_for(tree, ""))
+
+    __slots__ = ("vector", "decisions")
+
+    def __init__(self, vector: Optional[Sequence[object]]) -> None:
+        self.vector = vector
+        self.decisions: List[Decision] = []
+
+    def __call__(self, decision: Decision) -> object:
+        index = len(self.decisions)
+        self.decisions.append(decision)
+        if self.vector is None:
+            return _greedy(decision)
+        if index >= len(self.vector):
+            raise ValueError(
+                f"decision vector has {len(self.vector)} values; "
+                "the tree has more decisions"
+            )
+        return self.vector[index]
+
+
+def _derive(
+    tree: DTNode, vector: Optional[Sequence[object]]
+) -> Tuple[WidgetNode, Tuple[Decision, ...]]:
+    decide = _Decide(vector)
+    widgets = _build(tree, (), decide, _context_for(tree, ""))
     if not widgets:
-        return WidgetNode(widget="label", title="(static query)")
-    if len(widgets) == 1:
-        return widgets[0]
-    orientation = chooser.choose_orientation((), len(widgets))
-    return WidgetNode(widget=orientation, children=tuple(widgets), orientation_path=())
+        root = WidgetNode(widget="label", title="(static query)")
+    elif len(widgets) == 1:
+        root = widgets[0]
+    else:
+        orientation = decide(OrientationDecision((), len(widgets)))
+        root = WidgetNode(
+            widget=orientation, children=tuple(widgets), orientation_path=()
+        )
+    if vector is not None and len(vector) != len(decide.decisions):
+        raise ValueError(
+            f"decision vector has {len(vector)} values; "
+            f"the tree has {len(decide.decisions)} decisions"
+        )
+    return root, tuple(decide.decisions)
 
 
-def _build(
-    node: DTNode, path: Path, chooser: Chooser, context: str
-) -> List[WidgetNode]:
+def derive_widget_tree(
+    tree: DTNode, vector: Optional[Sequence[object]] = None
+) -> WidgetNode:
+    """Derive the widget tree of ``tree`` under one decision vector.
+
+    ``vector`` holds one value per decision of :func:`decision_schema`,
+    in derivation order: a ``(name, size_class)`` pair for a widget
+    decision, an orientation for a box.  ``None`` takes every decision's
+    greedy value.  Raises :class:`ValueError` when the vector has more or
+    fewer values than the tree has decisions.  A fully-concrete difftree
+    (no choices — a one-query log) yields a bare label widget.
+    """
+    return _derive(tree, vector)[0]
+
+
+def _build(node: DTNode, path: Path, decide: _Decide, context: str) -> List[WidgetNode]:
     if node.kind == EMPTY:
         return []
     if node.kind == ALL:
         collected: List[WidgetNode] = []
         for i, child in enumerate(node.children):
             child_context = _child_context(node, i, context)
-            collected.extend(_build(child, path + (i,), chooser, child_context))
+            collected.extend(_build(child, path + (i,), decide, child_context))
         if len(collected) >= 2:
-            orientation = chooser.choose_orientation(path, len(collected))
+            orientation = decide(OrientationDecision(path, len(collected)))
             return [
                 WidgetNode(
                     widget=orientation,
@@ -212,14 +202,14 @@ def _build(
         if domain.complex_options:
             pages: List[WidgetNode] = []
             for i, alt in enumerate(node.children):
-                inner = _build(alt, path + (i,), chooser, context)
+                inner = _build(alt, path + (i,), decide, context)
                 page_title = option_label(alt, limit=18)
                 if not inner:
                     page = WidgetNode(widget="label", title=page_title)
                 elif len(inner) == 1:
                     page = inner[0]
                 else:
-                    orientation = chooser.choose_orientation(path + (i,), len(inner))
+                    orientation = decide(OrientationDecision(path + (i,), len(inner)))
                     page = WidgetNode(
                         widget=orientation,
                         children=tuple(inner),
@@ -244,7 +234,7 @@ def _build(
         candidates = candidates_for(domain)
         if not candidates:
             candidates = (INTERACTION_WIDGETS["dropdown"],)
-        name, size_class = chooser.choose_widget(path, domain, candidates)
+        name, size_class = decide(_widget_decision(path, candidates))
         return [
             WidgetNode(
                 widget=name,
@@ -256,8 +246,7 @@ def _build(
         ]
     if node.kind == OPT:
         domain = domain_of(node)
-        candidates = candidates_for(domain)
-        name, size_class = chooser.choose_widget(path, domain, candidates)
+        name, size_class = decide(_widget_decision(path, candidates_for(domain)))
         toggle = WidgetNode(
             widget=name,
             size_class=size_class,
@@ -265,10 +254,10 @@ def _build(
             domain=domain,
             title=context,
         )
-        body = _build(node.children[0], path + (0,), chooser, context)
+        body = _build(node.children[0], path + (0,), decide, context)
         if not body:
             return [toggle]
-        orientation = chooser.choose_orientation(path, 1 + len(body))
+        orientation = decide(OrientationDecision(path, 1 + len(body)))
         return [
             WidgetNode(
                 widget=orientation,
@@ -279,7 +268,7 @@ def _build(
         ]
     if node.kind == MULTI:
         domain = domain_of(node)
-        body = _build(node.children[0], path + (0,), chooser, context)
+        body = _build(node.children[0], path + (0,), decide, context)
         return [
             WidgetNode(
                 widget="adder",
@@ -290,6 +279,10 @@ def _build(
             )
         ]
     raise AssertionError(f"unreachable kind {node.kind!r}")
+
+
+def _widget_decision(path: Path, candidates: Sequence[WidgetType]) -> WidgetDecision:
+    return WidgetDecision(path=path, candidates=tuple(c.name for c in candidates))
 
 
 def _context_for(node: DTNode, inherited: str) -> str:
@@ -339,95 +332,7 @@ def _box_title(node: DTNode) -> str:
     return ""
 
 
-# -- assignment enumeration ---------------------------------------------------------
-
-
-@dataclass
-class DecisionSpace:
-    """All free decisions of a difftree's widget derivation."""
-
-    widget_options: Dict[Path, Tuple[str, ...]] = field(default_factory=dict)
-    orientation_points: Tuple[Path, ...] = ()
-
-    @property
-    def num_assignments(self) -> int:
-        total = 1
-        for options in self.widget_options.values():
-            total *= len(options) * len(SIZE_CLASSES)
-        total *= len(ORIENTATIONS) ** len(self.orientation_points)
-        return total
-
-
-def decision_space(tree: DTNode) -> DecisionSpace:
-    """Discover the decision points of ``tree`` via a recording dry run."""
-    recorder = RecordingChooser()
-    derive_widget_tree(tree, recorder)
-    return DecisionSpace(
-        widget_options=recorder.widget_options,
-        orientation_points=tuple(recorder.orientation_points),
-    )
-
-
-# -- the decision schema (compiled derivation) -----------------------------------
-
-
-@dataclass(frozen=True)
-class WidgetDecision:
-    """One free widget choice: which ``(name, size_class)`` at ``path``."""
-
-    path: Path
-    candidates: Tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class OrientationDecision:
-    """One free layout choice: box orientation at ``path``."""
-
-    path: Path
-    num_children: int
-
-
-Decision = Union[WidgetDecision, OrientationDecision]
-
-
-@dataclass(frozen=True)
-class DecisionDelta:
-    """One decision change between consecutive candidate widget trees.
-
-    Emitted by :func:`enumerate_decision_vectors` (and the ``_with_deltas``
-    tree enumerator) so a compiled evaluator can patch only the widgets a
-    single choice change touched instead of re-scoring the whole tree.
-    """
-
-    index: int
-    path: Path
-    kind: str  # "widget" | "orientation"
-    value: object  # (name, size_class) for widgets, orientation name else
-
-
-class SchemaChooser:
-    """Greedy decisions that record the *interleaved* decision sequence.
-
-    Unlike :class:`RecordingChooser` (which keeps widget and orientation
-    points in separate containers), this preserves the exact derivation
-    call order — required to replay :class:`RandomChooser`'s RNG
-    consumption decision-for-decision.
-    """
-
-    def __init__(self) -> None:
-        self.decisions: List[Decision] = []
-
-    def choose_widget(self, path, domain, candidates):
-        self.decisions.append(
-            WidgetDecision(path=path, candidates=tuple(c.name for c in candidates))
-        )
-        return (candidates[0].name, "M")
-
-    def choose_orientation(self, path, num_children):
-        self.decisions.append(
-            OrientationDecision(path=path, num_children=num_children)
-        )
-        return "vertical"
+# -- the decision schema -----------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -436,7 +341,8 @@ class DecisionSchema:
 
     A *decision vector* is a list parallel to :attr:`decisions`:
     ``(name, size_class)`` tuples at widget positions and orientation
-    names at orientation positions.  The schema is the compile-once
+    names at orientation positions — the values
+    :func:`derive_widget_tree` consumes.  The schema is the compile-once
     artifact the cost kernel scores vectors against without ever
     materializing the intermediate widget trees.
     """
@@ -447,10 +353,10 @@ class DecisionSchema:
     def widget_indices(self) -> Tuple[int, ...]:
         """Widget-decision positions, sorted by choice path.
 
-        This is the canonical optimizer visit order (the outer loops of
-        the legacy enumerator and of coordinate descent) — keep every
-        consumer on this single definition so candidate orders and
-        tie-breaks never drift apart.
+        This is the canonical optimizer visit order (the outer digits of
+        :func:`enumerate_decision_vectors` and the outer loop of
+        coordinate descent) — keep every consumer on this single
+        definition so candidate orders and tie-breaks never drift apart.
         """
         return tuple(
             sorted(
@@ -474,12 +380,9 @@ class DecisionSchema:
 
     @cached_property
     def enumeration_indices(self) -> Tuple[int, ...]:
-        """Digit order of the legacy tree enumeration (rightmost fastest).
-
-        Widget decisions sorted by path come first, then orientation
-        decisions in derivation order — matching the loop nesting of the
-        original recursive enumerator so winners and tie-breaks agree.
-        """
+        """Digit order of :func:`enumerate_decision_vectors` (rightmost
+        fastest): widget decisions sorted by path, then orientation
+        decisions in derivation order."""
         return self.widget_indices + self.orientation_indices
 
     @property
@@ -493,7 +396,7 @@ class DecisionSchema:
         return total
 
     def options_for(self, index: int) -> Tuple[object, ...]:
-        """All values of one decision, in legacy enumeration order."""
+        """All values of one decision, in enumeration order."""
         decision = self.decisions[index]
         if isinstance(decision, WidgetDecision):
             return tuple(
@@ -504,18 +407,17 @@ class DecisionSchema:
         return ORIENTATIONS
 
     def greedy_vector(self) -> List[object]:
-        """The decisions :class:`GreedyChooser` would make."""
-        return [
-            (d.candidates[0], "M") if isinstance(d, WidgetDecision) else "vertical"
-            for d in self.decisions
-        ]
+        """Every decision's greedy value: what ``derive_widget_tree(tree)``
+        derives."""
+        return [_greedy(d) for d in self.decisions]
 
     def random_vector(self, rng: random.Random) -> List[object]:
-        """The decisions :class:`RandomChooser` would make.
+        """A uniformly random assignment (the paper's random widgets).
 
-        Consumes ``rng`` exactly like a :class:`RandomChooser`-driven
-        derivation (same calls, same order), so sampling through the
-        kernel reproduces legacy sampled evaluation bit-for-bit.
+        Draws from ``rng`` decision by decision, in derivation order: a
+        widget and then a size class for a widget decision, an
+        orientation for a box.  Sampled evaluation depends on this draw
+        order; ``tools/parity_snapshot.py`` pins it.
         """
         vector: List[object] = []
         for decision in self.decisions:
@@ -526,24 +428,6 @@ class DecisionSchema:
                 vector.append(rng.choice(ORIENTATIONS))
         return vector
 
-    def tables(
-        self, vector: Sequence[object]
-    ) -> Tuple[Dict[Path, Tuple[str, str]], Dict[Path, str]]:
-        """Split a decision vector into :class:`ReplayChooser` tables."""
-        widgets: Dict[Path, Tuple[str, str]] = {}
-        orientations: Dict[Path, str] = {}
-        for decision, value in zip(self.decisions, vector):
-            if isinstance(decision, WidgetDecision):
-                widgets[decision.path] = value  # type: ignore[assignment]
-            else:
-                orientations[decision.path] = value  # type: ignore[assignment]
-        return widgets, orientations
-
-    def delta(self, index: int, value: object) -> DecisionDelta:
-        decision = self.decisions[index]
-        kind = "widget" if isinstance(decision, WidgetDecision) else "orientation"
-        return DecisionDelta(index=index, path=decision.path, kind=kind, value=value)
-
 
 def decision_schema(tree: DTNode) -> Tuple[WidgetNode, DecisionSchema]:
     """Record a difftree's decision schema (and its greedy skeleton tree).
@@ -552,32 +436,31 @@ def decision_schema(tree: DTNode) -> Tuple[WidgetNode, DecisionSchema]:
     candidate of the decision space shares (decisions only swap widget
     types/sizes and box orientations; they never change the tree shape).
     """
-    chooser = SchemaChooser()
-    skeleton = derive_widget_tree(tree, chooser)
-    return skeleton, DecisionSchema(decisions=tuple(chooser.decisions))
+    skeleton, decisions = _derive(tree, None)
+    return skeleton, DecisionSchema(decisions=decisions)
 
 
 def enumerate_decision_vectors(
     schema: DecisionSchema, cap: int = 5000
-) -> Iterator[Tuple[List[object], Optional[Tuple[DecisionDelta, ...]]]]:
-    """Yield decision vectors over the full product, with change deltas.
+) -> Iterator[Tuple[List[object], Optional[Tuple[Tuple[int, object], ...]]]]:
+    """Yield up to ``cap`` decision vectors over the full product.
 
-    Candidates appear in exactly the legacy :func:`enumerate_widget_trees`
-    order.  The first yield carries ``None`` deltas (a full assignment);
-    every later yield carries the decisions that changed since the
-    previous candidate (usually one — odometer rollovers change a few).
+    Odometer order over :attr:`DecisionSchema.enumeration_indices`, each
+    decision's values in :meth:`DecisionSchema.options_for` order.  The
+    first yield carries ``None`` changes (a full assignment); every
+    later yield carries the ``(index, value)`` pairs that changed since
+    the previous vector (usually one — odometer rollovers change a few).
     The yielded vector is reused in place: snapshot it before storing.
     """
+    if cap < 1:
+        return
     order = schema.enumeration_indices
     options = [schema.options_for(i) for i in order]
-    vector: List[object] = schema.greedy_vector()
+    vector: List[object] = [None] * len(schema.decisions)
     for pos, opts in zip(order, options):
         vector[pos] = opts[0]
-    produced = 0
-    if produced >= cap:
-        return
     yield vector, None
-    produced += 1
+    produced = 1
     digits = [0] * len(order)
     while produced < cap:
         changed: List[int] = []
@@ -591,37 +474,11 @@ def enumerate_decision_vectors(
             i -= 1
         else:
             return  # every digit rolled over: enumeration complete
-        deltas = []
+        changes = []
         for j in sorted(changed):
             pos = order[j]
             value = options[j][digits[j]]
             vector[pos] = value
-            deltas.append(schema.delta(pos, value))
-        yield vector, tuple(deltas)
+            changes.append((pos, value))
+        yield vector, tuple(changes)
         produced += 1
-
-
-def enumerate_widget_trees_with_deltas(
-    tree: DTNode, cap: int = 5000
-) -> Iterator[Tuple[WidgetNode, Optional[Tuple[DecisionDelta, ...]]]]:
-    """Yield ``(widget_tree, deltas)`` over the decision product.
-
-    The deltas describe what changed relative to the previously yielded
-    tree (``None`` for the first), letting delta-aware evaluators patch
-    instead of recompute; plain consumers can ignore them.
-    """
-    _, schema = decision_schema(tree)
-    for vector, deltas in enumerate_decision_vectors(schema, cap=cap):
-        widgets, orientations = schema.tables(vector)
-        yield derive_widget_tree(tree, ReplayChooser(widgets, orientations)), deltas
-
-
-def enumerate_widget_trees(tree: DTNode, cap: int = 5000) -> Iterator[WidgetNode]:
-    """Yield widget trees over the full decision product, up to ``cap``.
-
-    The paper enumerates all widget trees of the final difftree; ``cap``
-    guards against pathological products (callers fall back to
-    coordinate descent via the search layer when the cap is hit).
-    """
-    for root, _ in enumerate_widget_trees_with_deltas(tree, cap=cap):
-        yield root

@@ -30,12 +30,10 @@ from repro.layout import Screen
 from repro.rules import default_engine
 from repro.sqlast import parse
 from repro.widgets import (
-    GreedyChooser,
-    RandomChooser,
     WidgetNode,
+    decision_schema,
     derive_widget_tree,
-    enumerate_widget_trees,
-    enumerate_widget_trees_with_deltas,
+    enumerate_decision_vectors,
 )
 from repro.workloads import (
     listing1_sql,
@@ -60,6 +58,21 @@ def random_states(sql_log, seed, steps=6, count=3):
             state = engine.apply(state, move)
         states.append(state)
     return asts, states
+
+
+def random_widget_tree(state, rng):
+    """A uniformly random widget tree of ``state``."""
+    _, schema = decision_schema(state)
+    return derive_widget_tree(state, schema.random_vector(rng))
+
+
+def enumerated_widget_trees(state, cap):
+    """The widget trees of ``state`` over its capped decision product."""
+    _, schema = decision_schema(state)
+    return [
+        derive_widget_tree(state, vector)
+        for vector, _ in enumerate_decision_vectors(schema, cap=cap)
+    ]
 
 
 WORKLOADS = {
@@ -87,8 +100,10 @@ class TestFullEvaluationParity:
         rng = random.Random(13)
         for state in states:
             for trial in range(8):
-                chooser = GreedyChooser() if trial == 0 else RandomChooser(rng)
-                root = derive_widget_tree(state, chooser)
+                if trial == 0:
+                    root = derive_widget_tree(state)
+                else:
+                    root = random_widget_tree(state, rng)
                 assert_identical(
                     model.evaluate(state, root),
                     model.evaluate_reference(state, root),
@@ -104,7 +119,7 @@ class TestFullEvaluationParity:
         model = CostModel(asts, Screen(120, 90))
         rng = random.Random(19)
         for state in states:
-            root = derive_widget_tree(state, RandomChooser(rng))
+            root = random_widget_tree(state, rng)
             kernel_bd = model.evaluate(state, root)
             reference_bd = model.evaluate_reference(state, root)
             assert_identical(kernel_bd, reference_bd)
@@ -135,7 +150,7 @@ class TestDeltaReevaluationParity:
         cap = 300
         reference = [
             model.evaluate_reference(state, root)
-            for root in enumerate_widget_trees(state, cap=cap)
+            for root in enumerated_widget_trees(state, cap)
         ]
         compiled = [bd for _, bd in kernel.iter_enumeration(cap=cap)]
         assert len(reference) == len(compiled)
@@ -176,28 +191,35 @@ class TestDeltaReevaluationParity:
             assert_identical(patched, reference_bd, context=f"step {step}")
 
     def test_tree_enumerator_deltas_line_up(self):
-        """enumerate_widget_trees_with_deltas deltas describe the change."""
+        """Each step's changes turn the previous vector into the next."""
         asts, states = random_states(WORKLOADS["sdss-listing1"], seed=41)
-        state = states[1]
+        _, schema = decision_schema(states[1])
         previous = None
-        for root, deltas in enumerate_widget_trees_with_deltas(state, cap=50):
+        for vector, changes in enumerate_decision_vectors(schema, cap=50):
             if previous is None:
-                assert deltas is None
+                assert changes is None
             else:
-                assert deltas  # consecutive candidates differ
-            previous = root
+                assert changes  # consecutive candidates differ
+                patched = list(previous)
+                for index, value in changes:
+                    patched[index] = value
+                assert patched == vector
+                assert tuple(patched) != previous
+            previous = tuple(vector)
+        assert previous is not None
 
 
 class TestOptimizerEquivalence:
-    """Kernel-backed optimizers return what the legacy loops returned."""
+    """Kernel-backed optimizers pick what reference scoring of the same
+    candidate widget trees picks."""
 
     def legacy_sampled(self, model, tree, k, rng, include_greedy=True):
         samples = []
         if include_greedy:
-            samples.append(derive_widget_tree(tree, GreedyChooser()))
+            samples.append(derive_widget_tree(tree))
             k = max(0, k - 1)
         for _ in range(k):
-            samples.append(derive_widget_tree(tree, RandomChooser(rng)))
+            samples.append(random_widget_tree(tree, rng))
         best = None
         for root in samples:
             breakdown = model.evaluate_reference(tree, root)
@@ -230,7 +252,7 @@ class TestOptimizerEquivalence:
         assert cap <= 5000, "workload produced no enumerable state"
         result = exhaustive_evaluation(model, state, cap=cap)
         best = None
-        for root in enumerate_widget_trees(state, cap=cap):
+        for root in enumerated_widget_trees(state, cap):
             breakdown = model.evaluate_reference(state, root)
             if best is None or breakdown.rank < best[1].rank:
                 best = (root, breakdown)
@@ -259,13 +281,13 @@ class TestWidgetTreeOnRead:
     def test_only_the_delivered_winner_is_derived(self, monkeypatch):
         derived = []
 
-        def counting(tree, schema, vector):
+        def counting(tree, vector=None):
             derived.append(tree)
-            return real(tree, schema, vector)
+            return real(tree, vector)
 
-        real = kernel_module.materialize_vector
-        monkeypatch.setattr(kernel_module, "materialize_vector", counting)
-        monkeypatch.setattr(evaluate_module, "materialize_vector", counting)
+        real = kernel_module.derive_widget_tree
+        monkeypatch.setattr(kernel_module, "derive_widget_tree", counting)
+        monkeypatch.setattr(evaluate_module, "derive_widget_tree", counting)
         engine = Engine(config=GenerationConfig(time_budget_s=0, max_iterations=3, seed=0))
         report = engine.generate(Engine.workload("sdss", 6, seed=0))
         assert report.search.stats.states_evaluated > 1
@@ -278,11 +300,13 @@ class TestWidgetTreeOnRead:
         asts, states = random_states(WORKLOADS["sdss-session"], seed=59)
         model = CostModel(asts, Screen.wide())
         state = states[1]
-        root = derive_widget_tree(state, RandomChooser(random.Random(3)))
+        root = random_widget_tree(state, random.Random(3))
         breakdown = model.evaluate(state, root)
         built = EvaluatedInterface(tree=state, widget_tree=root, breakdown=breakdown)
         assert built.widget_tree is root
+        assert built.vector is None
         lazy = sampled_evaluation(model, state, k=3, rng=random.Random(3))
+        assert lazy.widget_tree == derive_widget_tree(state, lazy.vector)
         assert lazy.widget_tree is lazy.widget_tree
         assert lazy == EvaluatedInterface(state, lazy.widget_tree, lazy.breakdown)
 

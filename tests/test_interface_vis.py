@@ -23,7 +23,7 @@ from repro.vis import (
     recommend_chart,
     render_chart,
 )
-from repro.widgets import GreedyChooser, derive_widget_tree
+from repro.widgets import derive_widget_tree
 
 FIG1 = (
     "SELECT sales FROM sales WHERE cty = 'USA'",
@@ -61,7 +61,7 @@ def sales_db():
 @pytest.fixture
 def session(sales_db):
     tree = factored(FIG1)
-    widget_tree = derive_widget_tree(tree, GreedyChooser())
+    widget_tree = derive_widget_tree(tree)
     return InterfaceSession(
         tree, widget_tree, db=sales_db, initial_query=parse(FIG1[0])
     )
@@ -142,7 +142,7 @@ class TestSession:
 
     def test_run_without_db_raises(self):
         tree = factored(FIG1)
-        widget_tree = derive_widget_tree(tree, GreedyChooser())
+        widget_tree = derive_widget_tree(tree)
         session = InterfaceSession(tree, widget_tree)
         with pytest.raises(InteractionError):
             session.run()
@@ -157,7 +157,7 @@ class TestSession:
 
         queries = listing1_queries()
         tree = factored([to_sql(q) for q in queries])
-        widget_tree = derive_widget_tree(tree, GreedyChooser())
+        widget_tree = derive_widget_tree(tree)
         db = make_sdss_database(rows_per_table=50)
         session = InterfaceSession(tree, widget_tree, db=db, initial_query=queries[0])
         for query in queries:
@@ -168,7 +168,7 @@ class TestSession:
 class TestRenderers:
     def test_ascii_mentions_widgets(self):
         tree = factored(FIG1)
-        art = render_ascii(derive_widget_tree(tree, GreedyChooser()))
+        art = render_ascii(derive_widget_tree(tree))
         assert "toggle" in art
         assert "+-" in art  # boxes drawn
 
@@ -181,12 +181,12 @@ class TestRenderers:
         engine = default_engine()
         move = [m for m in engine.moves(tree) if m.rule_name == "Multi"][0]
         merged = engine.apply(tree, move)
-        art = render_ascii(derive_widget_tree(merged, GreedyChooser()))
+        art = render_ascii(derive_widget_tree(merged))
         assert "add" in art
 
     def test_html_is_selfcontained(self):
         tree = factored(FIG1)
-        html_text = render_html(derive_widget_tree(tree, GreedyChooser()), title="T")
+        html_text = render_html(derive_widget_tree(tree), title="T")
         assert html_text.startswith("<!DOCTYPE html>")
         assert "<select>" in html_text or "checkbox" in html_text
         assert "</html>" in html_text

@@ -16,7 +16,7 @@ from repro.difftree import initial_difftree
 from repro.layout import Box, Screen, fits, measure, overflow
 from repro.rules import forward_engine
 from repro.sqlast import parse
-from repro.widgets import GreedyChooser, derive_widget_tree, domain_of
+from repro.widgets import derive_widget_tree, domain_of
 from repro.widgets.tree import WidgetNode as WN
 
 
@@ -114,7 +114,7 @@ class TestCostModel:
     def test_m_cost_sums_over_widgets(self):
         model, queries = self.model()
         tree = factored(self.FIG1)
-        root = derive_widget_tree(tree, GreedyChooser())
+        root = derive_widget_tree(tree)
         total = model.appropriateness(root)
         assert total > 0
         parts = [n.wtype.appropriateness(n.domain) for n in root.walk()]
@@ -125,7 +125,7 @@ class TestCostModel:
             queries=["select a from t", "select a from t"]
         )
         tree = initial_difftree(queries)
-        root = derive_widget_tree(tree, GreedyChooser())
+        root = derive_widget_tree(tree)
         u, steiner, effort, pairs = model.sequence_cost(tree, root)
         assert u == 0.0
         assert steiner == 0
@@ -133,7 +133,7 @@ class TestCostModel:
     def test_u_counts_changed_widgets(self):
         model, queries = self.model()
         tree = factored(self.FIG1)
-        root = derive_widget_tree(tree, GreedyChooser())
+        root = derive_widget_tree(tree)
         u, steiner, effort, pairs = model.sequence_cost(tree, root)
         assert len(pairs) == 2
         assert all(p > 0 for p in pairs)
@@ -143,7 +143,7 @@ class TestCostModel:
     def test_infeasible_when_screen_too_small(self):
         model, queries = self.model(screen=Screen(50, 50))
         tree = factored(self.FIG1)
-        root = derive_widget_tree(tree, GreedyChooser())
+        root = derive_widget_tree(tree)
         breakdown = model.evaluate(tree, root)
         assert not breakdown.feasible
         assert math.isinf(breakdown.total)
@@ -154,7 +154,7 @@ class TestCostModel:
         tree = factored(self.FIG1)
         model1, _ = self.model(m=1.0, u=0.3)
         model2, _ = self.model(m=2.0, u=0.3)
-        root = derive_widget_tree(tree, GreedyChooser())
+        root = derive_widget_tree(tree)
         assert model2.evaluate(tree, root).m_cost == pytest.approx(
             2 * model1.evaluate(tree, root).m_cost
         )
@@ -173,7 +173,7 @@ class TestCostModel:
         tree = factored(
             ["select a from t where x < 1", "select a from t where x < 2"]
         )
-        root = derive_widget_tree(tree, GreedyChooser())
+        root = derive_widget_tree(tree)
         _, steiner, _, pairs = model.sequence_cost(tree, root)
         assert steiner == 1  # one widget changes per step
         assert len(pairs) == 1

@@ -14,6 +14,10 @@ import multiprocessing
 import pytest
 
 from repro import Engine, GenerationConfig
+from repro.core import prepare_search
+from repro.cost import evaluate as evaluate_module
+from repro.cost import kernel as kernel_module
+from repro.difftree import tree_from_payload
 from repro.serve import SNAPSHOT_SCHEMA_VERSION, SessionSnapshot, SnapshotError
 
 TINY = GenerationConfig(time_budget_s=0.0, max_iterations=2, seed=0, final_cap=50)
@@ -126,6 +130,16 @@ class TestRoundTrip:
         report = grown_session(Engine(config=TINY), "sdss", "fresh")[1]
         assert report.to_dict()["provenance"]["snapshot"] is None
 
+    def test_restored_entry_captures_again_identically(self):
+        engine = Engine(config=TINY)
+        grown_session(engine, "sdss")
+        payload = json.loads(
+            json.dumps(engine.snapshot_session("snap").to_payload())
+        )
+        other = Engine(config=TINY)
+        other.restore_snapshot(payload)
+        assert other.snapshot_session("snap").to_payload() == payload
+
     def test_payload_is_json_native(self):
         engine = Engine(config=TINY)
         grown_session(engine, "sdss")
@@ -185,6 +199,25 @@ class TestRejection:
         with pytest.raises(SnapshotError, match="disagrees"):
             other.restore_snapshot(payload)
 
+    def test_value_outside_its_options_refused_at_restore(self):
+        # A vector value that is not an option of its decision is refused
+        # even when the stored cost is re-scored to match it.
+        config = GenerationConfig(time_budget_s=0, max_iterations=2, seed=0)
+        engine = Engine(config=config)
+        log = Engine.workload("sdss", 6, seed=0)
+        session = engine.session("a")
+        session.append(*log)
+        session.interface()
+        payload = engine.snapshot_session("a").to_payload()
+        cached = payload["cached"]
+        cached["vector"][0] = ["range_slider", "M"]
+        _, _, model, _, _ = prepare_search(log, config=config)
+        kernel = model.kernel_for(tree_from_payload(cached["difftree"]))
+        assert ("range_slider", "M") not in kernel.schema.options_for(0)
+        cached["cost"] = kernel.evaluate(cached["vector"]).total
+        with pytest.raises(SnapshotError, match="value 0"):
+            Engine(config=config).restore_snapshot(payload)
+
     def test_corrupt_tree_payload_refused(self):
         payload = self.payload()
         payload["best"]["parent"] = payload["best"]["parent"][:-1]
@@ -242,6 +275,34 @@ class TestRejection:
         other = Engine(config=TINY)
         with pytest.raises(SnapshotError, match="carried-tree"):
             other.restore_snapshot(payload)
+
+
+class TestCapture:
+    def test_capture_compiles_nothing_and_derives_no_widget_tree(self, monkeypatch):
+        # Capture reads the cached winner's decision vector: it compiles no
+        # kernel, and the widget tree of a report nobody read stays
+        # underived until someone reads it.
+        engine = Engine(config=TINY)
+        _, report = grown_session(engine, "sdss")
+        compiled, derived = [], []
+        real_init = kernel_module.CostKernel.__init__
+        real_derive = kernel_module.derive_widget_tree
+
+        def counting_init(self, *args, **kwargs):
+            compiled.append(self)
+            real_init(self, *args, **kwargs)
+
+        def counting_derive(tree, vector=None):
+            derived.append(tree)
+            return real_derive(tree, vector)
+
+        monkeypatch.setattr(kernel_module.CostKernel, "__init__", counting_init)
+        monkeypatch.setattr(kernel_module, "derive_widget_tree", counting_derive)
+        monkeypatch.setattr(evaluate_module, "derive_widget_tree", counting_derive)
+        assert engine.snapshot_session("snap").cached is not None
+        assert (len(compiled), len(derived)) == (0, 0)
+        assert report.widget_tree is report.widget_tree
+        assert derived == [report.difftree]
 
 
 class TestLifecycle:

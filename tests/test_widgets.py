@@ -22,14 +22,12 @@ from repro.widgets import (
     RANGE,
     STRING,
     SUBTREE,
-    GreedyChooser,
-    RandomChooser,
-    ReplayChooser,
+    WidgetDecision,
     candidates_for,
-    decision_space,
+    decision_schema,
     derive_widget_tree,
     domain_of,
-    enumerate_widget_trees,
+    enumerate_decision_vectors,
     widget_type,
 )
 
@@ -176,7 +174,7 @@ class TestLibrary:
 class TestDerivation:
     def test_concrete_tree_yields_static_label(self):
         tree = wrap_ast(parse("select a from t"))
-        root = derive_widget_tree(tree, GreedyChooser())
+        root = derive_widget_tree(tree)
         assert root.widget == "label"
 
     def test_figure1_factored_derivation(self):
@@ -187,7 +185,7 @@ class TestDerivation:
                 "SELECT costs FROM sales",
             ]
         )
-        root = derive_widget_tree(tree, GreedyChooser())
+        root = derive_widget_tree(tree)
         controlled = [n for n in root.walk() if n.choice_path is not None]
         assert len(controlled) == 3  # projection, where-toggle, literal
 
@@ -199,7 +197,7 @@ class TestDerivation:
                 "SELECT a FROM t",
             ]
         )
-        root = derive_widget_tree(tree, GreedyChooser())
+        root = derive_widget_tree(tree)
         # Find the layout box holding the toggle + inner widget (Fig 2b).
         boxes = [
             n
@@ -220,7 +218,7 @@ class TestDerivation:
         engine = default_engine()
         move = [m for m in engine.moves(tree) if m.rule_name == "Multi"][0]
         merged = engine.apply(tree, move)
-        root = derive_widget_tree(merged, GreedyChooser())
+        root = derive_widget_tree(merged)
         assert any(n.widget == "adder" for n in root.walk())
 
     def test_complex_any_derives_tabs(self):
@@ -236,41 +234,58 @@ class TestDerivation:
 
         engine = default_engine()
         # Factor only the first two queries' difference, keeping the root ANY.
-        root = derive_widget_tree(tree, GreedyChooser())
+        root = derive_widget_tree(tree)
         assert root.widget in ("buttons", "radio", "dropdown", "tabs")
 
     def test_random_chooser_is_seed_deterministic(self, sdss_tree):
-        a = derive_widget_tree(sdss_tree, RandomChooser(random.Random(5)))
-        b = derive_widget_tree(sdss_tree, RandomChooser(random.Random(5)))
+        _, schema = decision_schema(sdss_tree)
+        a = derive_widget_tree(sdss_tree, schema.random_vector(random.Random(5)))
+        b = derive_widget_tree(sdss_tree, schema.random_vector(random.Random(5)))
         assert [n.widget for n in a.walk()] == [n.widget for n in b.walk()]
 
     def test_replay_chooser_overrides(self):
         tree = factored(
             ["SELECT sales FROM sales", "SELECT costs FROM sales"]
         )
-        space = decision_space(tree)
-        path, options = next(iter(space.widget_options.items()))
-        assert len(options) >= 2
-        forced = options[1]
-        root = derive_widget_tree(tree, ReplayChooser({path: (forced, "S")}))
-        node = [n for n in root.walk() if n.choice_path == path][0]
+        _, schema = decision_schema(tree)
+        index, decision = next(
+            (i, d)
+            for i, d in enumerate(schema.decisions)
+            if isinstance(d, WidgetDecision)
+        )
+        assert len(decision.candidates) >= 2
+        forced = decision.candidates[1]
+        vector = schema.greedy_vector()
+        vector[index] = (forced, "S")
+        root = derive_widget_tree(tree, vector)
+        node = [n for n in root.walk() if n.choice_path == decision.path][0]
         assert node.widget == forced
         assert node.size_class == "S"
 
-    def test_replay_ignores_invalid_widget(self):
+    def test_vector_of_wrong_length_raises(self):
         tree = factored(["SELECT sales FROM sales", "SELECT costs FROM sales"])
-        space = decision_space(tree)
-        path = next(iter(space.widget_options))
-        root = derive_widget_tree(tree, ReplayChooser({path: ("slider", "M")}))
-        node = [n for n in root.walk() if n.choice_path == path][0]
-        assert node.widget != "slider"  # string domain: slider rejected
+        _, schema = decision_schema(tree)
+        vector = schema.greedy_vector()
+        assert vector
+        with pytest.raises(ValueError, match="decision"):
+            derive_widget_tree(tree, vector + ["vertical"])
+        with pytest.raises(ValueError, match="decision"):
+            derive_widget_tree(tree, vector[:-1])
+
+    def test_greedy_vector_derives_the_skeleton(self, sdss_tree):
+        skeleton, schema = decision_schema(sdss_tree)
+        assert derive_widget_tree(sdss_tree) == skeleton
+        assert derive_widget_tree(sdss_tree, schema.greedy_vector()) == skeleton
 
     def test_enumeration_covers_space_and_caps(self):
         tree = factored(["SELECT sales FROM sales", "SELECT costs FROM sales"])
-        space = decision_space(tree)
-        all_trees = list(enumerate_widget_trees(tree, cap=1000))
+        _, schema = decision_schema(tree)
+        all_trees = [
+            derive_widget_tree(tree, vector)
+            for vector, _ in enumerate_decision_vectors(schema, cap=1000)
+        ]
         assert 1 <= len(all_trees) <= 1000
-        assert len(all_trees) == min(space.num_assignments, 1000)
+        assert len(all_trees) == min(schema.num_assignments, 1000)
         widgets_seen = {
             n.widget for t in all_trees for n in t.walk() if n.choice_path is not None
         }
@@ -286,7 +301,7 @@ class TestDerivation:
             if not moves:
                 break
             tree = engine.apply(tree, moves[0])
-        root = derive_widget_tree(tree, GreedyChooser())
+        root = derive_widget_tree(tree)
         widget_paths = {n.choice_path for n in root.walk() if n.choice_path is not None}
         choice_paths = {p for p, _ in tree.choice_nodes()}
         # Choices nested under a MULTI template are handled by the adder.

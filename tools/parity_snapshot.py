@@ -8,8 +8,13 @@ and compare the outputs (or just the sha256 it prints on stderr).
 At ``time_budget_s=0, max_iterations=4, seed=0`` it records the cost,
 the difftree canonical key and the full ``SearchStats`` of
 
-* ``Engine.generate`` on 12-query sdss and tpch logs,
+* ``Engine.generate`` on 12-query sdss and tpch logs, with the delivered
+  widget tree's repr,
 * a growing session on the same logs (four appends of three queries),
+  with each delivered widget tree's repr, and the session's snapshot
+  payload after the last serve and again after restoring that payload
+  into a fresh engine (both without the wall-clock ``cached.elapsed``
+  and ``cached.history``),
 * random, greedy, beam and exhaustive search opened through
   ``open_search_task`` on the Listing-1 log and stepped one unit at a
   time for four units (these need a wall-clock budget to be dispatched,
@@ -43,6 +48,13 @@ def _outcome(cost, tree, result) -> dict:
     }
 
 
+def _without_wall_clock(payload: dict) -> dict:
+    payload = json.loads(json.dumps(payload))
+    if payload["cached"] is not None:
+        del payload["cached"]["elapsed"], payload["cached"]["history"]
+    return payload
+
+
 def snapshot() -> dict:
     out = {}
     for name, workload in (("sdss", sdss_session_sql), ("tpch", tpch_session_sql)):
@@ -51,13 +63,26 @@ def snapshot() -> dict:
         out[f"{name}.generate"] = _outcome(
             report.cost, report.difftree, report.result.search
         )
-        session = Engine(config=CONFIG).session("s")
+        out[f"{name}.generate"]["widget_tree"] = repr(report.widget_tree)
+        engine = Engine(config=CONFIG)
+        session = engine.session("s")
         steps = []
         for start in range(0, 12, 3):
             session.append(*log[start : start + 3])
             report = session.interface()
-            steps.append(_outcome(report.cost, report.difftree, report.result.search))
+            entry = _outcome(report.cost, report.difftree, report.result.search)
+            entry["widget_tree"] = repr(report.widget_tree)
+            steps.append(entry)
         out[f"{name}.session"] = steps
+        payload = engine.snapshot_session("s").to_payload()
+        restored = Engine(config=CONFIG)
+        restored.restore_snapshot(payload)
+        out[f"{name}.snapshot"] = {
+            "captured": _without_wall_clock(payload),
+            "recaptured": _without_wall_clock(
+                restored.snapshot_session("s").to_payload()
+            ),
+        }
 
     for strategy in ("random", "greedy", "beam", "exhaustive"):
         config = CONFIG.replace(
