@@ -52,9 +52,8 @@ import time
 from typing import Dict, List
 
 from repro import Engine, GenerationConfig, memo
-from repro.engine import get_workload
 from repro.search.carry import STATS
-import repro.workloads  # noqa: F401  (registers the built-in workloads)
+from repro.workloads import get_workload
 
 WORKLOADS = ("sdss", "tpch")
 

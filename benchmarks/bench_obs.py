@@ -45,8 +45,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from repro import Engine, GenerationConfig, obs
-from repro.engine import get_workload
-import repro.workloads  # noqa: F401  (registers the built-in workloads)
+from repro.workloads import get_workload
 
 WORKLOADS = ("sdss", "tpch")
 

@@ -1,6 +1,7 @@
 """Top-level API."""
 
 from .api import (
+    STRATEGIES,
     GeneratedInterface,
     GenerationConfig,
     as_mcts_config,
@@ -11,6 +12,7 @@ from .api import (
 )
 
 __all__ = [
+    "STRATEGIES",
     "generate_interface",
     "GenerationConfig",
     "GeneratedInterface",

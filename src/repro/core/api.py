@@ -13,7 +13,8 @@ For repeated generation over a growing log — and for the structured
 :class:`~repro.engine.GenerationReport` envelope — see the session-
 oriented :class:`repro.engine.Engine`, which supersedes this module as
 the primary entry point.  ``generate_interface`` remains as a thin
-stable shim over the same strategy registry.
+stable shim over the same search dispatch: the strategy is chosen by
+name from :data:`STRATEGIES`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from ..database import Database
 from ..difftree import DTNode, as_asts, initial_difftree
 from ..interface import InterfaceSession, render_ascii, render_html
 from ..layout import Screen
-from ..registry import StrategySpec, register_strategy, strategy_names, strategy_spec
 from ..rules import DEFAULT_RULE_NAMES, RuleEngine, default_engine
 from ..search import (
     MCTS,
@@ -46,13 +46,15 @@ class GenerationConfig:
     """End-to-end generation settings.
 
     Invalid settings raise :class:`ValueError` at *construction* — a
-    negative budget or a misspelled strategy/rule name must not surface
-    minutes later from inside a search.
+    negative budget, a misspelled strategy/rule name or a search that
+    cannot stop must not surface minutes later from inside a search.
 
     Attributes:
-        strategy: search strategy (``"mcts"`` is the paper's); must be
-            registered (see :func:`repro.registry.register_strategy`).
+        strategy: search strategy, one of :data:`STRATEGIES` (``"mcts"``
+            is the paper's; the others are its baselines).
         time_budget_s: wall-clock search budget (paper used ~60 s).
+            Every strategy but ``"exhaustive"`` needs it positive, except
+            ``"mcts"`` with a positive ``max_iterations``.
         k_assignments: widget-assignment samples per state reward.
         exploration_c: UCT exploration constant (MCTS only).
         max_walk_steps: random-walk cap (paper: 200).
@@ -76,10 +78,10 @@ class GenerationConfig:
     final_cap: int = 4000
 
     def __post_init__(self) -> None:
-        if self.strategy not in strategy_names():
+        if self.strategy not in STRATEGIES:
             raise ValueError(
                 f"unknown strategy {self.strategy!r} "
-                f"(have: {', '.join(strategy_names())})"
+                f"(have: {', '.join(STRATEGIES)})"
             )
         if self.time_budget_s < 0:
             raise ValueError(f"time_budget_s must be >= 0, got {self.time_budget_s}")
@@ -93,6 +95,19 @@ class GenerationConfig:
             raise ValueError(f"exploration_c must be >= 0, got {self.exploration_c}")
         if self.final_cap < 1:
             raise ValueError(f"final_cap must be >= 1, got {self.final_cap}")
+        # Only MCTS consumes max_iterations; for the walk/beam baselines a
+        # zero budget would silently evaluate nothing but the initial state.
+        if self.time_budget_s <= 0 and self.strategy != "exhaustive":
+            if self.strategy != "mcts":
+                raise ValueError(
+                    f"strategy {self.strategy!r} needs a stop condition: set "
+                    "time_budget_s > 0 (it does not consume max_iterations)"
+                )
+            if self.max_iterations == 0:
+                raise ValueError(
+                    "strategy 'mcts' needs a stop condition: set "
+                    "time_budget_s > 0 or max_iterations > 0"
+                )
         unknown = set(self.exclude_rules) - set(DEFAULT_RULE_NAMES)
         if unknown:
             raise ValueError(
@@ -162,50 +177,35 @@ def prepare_search(
     queries: Sequence[Union[str, Node]],
     screen: Optional[Screen] = None,
     config: Optional[GenerationConfig] = None,
-    engine: Optional[RuleEngine] = None,
 ) -> Tuple[List[Node], Screen, CostModel, DTNode, RuleEngine]:
     """Build the shared search ingredients for a query log.
 
-    Used by :func:`generate_interface`, :class:`repro.engine.Engine`, and
-    :mod:`repro.serve`, which drives the search itself (to warm-start and
-    to keep the node table).
+    The rule engine is the paper's full rule set minus
+    ``config.exclude_rules``.  Used by :func:`generate_interface`,
+    :class:`repro.engine.Engine`, and :mod:`repro.serve`, which drives
+    the search itself (to warm-start and to keep the node table).
     """
     config = config or GenerationConfig()
     asts = as_asts(queries)
     screen = screen or Screen.wide()
-    engine = engine or default_engine(exclude=config.exclude_rules or None)
+    engine = default_engine(exclude=config.exclude_rules or None)
     model = CostModel(asts, screen, weights=config.weights)
     initial = initial_difftree(asts)
     return asts, screen, model, initial, engine
 
 
-# -- registered strategies -----------------------------------------------------
+# -- strategies ----------------------------------------------------------------
 #
-# Each strategy registers one task factory returning an *opened*
-# SearchTask and declares its capabilities; the dispatch in
-# open_search_task() enforces them, replacing the per-strategy
-# _require_cold checks.  run_search() runs the task to completion, and the
-# scheduler slices the same task.
+# Each strategy opens one resumable SearchTask.  run_search() runs the
+# task to completion, and the scheduler slices the same task.
 
 
-@register_strategy(
-    "mcts",
-    supports_warm_start=True,
-    needs_time_budget=True,
-    supports_iteration_cap=True,
-    description="the paper's MCTS over difftree states (warm-startable)",
-)
 def _open_mcts(model, initial, engine, config, warm_states) -> SearchTask:
     return MCTS(model, engine=engine, config=as_mcts_config(config)).open(
         initial, warm_states=warm_states
     )
 
 
-@register_strategy(
-    "random",
-    needs_time_budget=True,
-    description="random-restart walks baseline",
-)
 def _open_random(model, initial, engine, config, warm_states) -> SearchTask:
     return RandomSearchTask(
         model,
@@ -219,11 +219,6 @@ def _open_random(model, initial, engine, config, warm_states) -> SearchTask:
     )
 
 
-@register_strategy(
-    "greedy",
-    needs_time_budget=True,
-    description="greedy hill-climbing baseline (forward rules only)",
-)
 def _open_greedy(model, initial, engine, config, warm_states) -> SearchTask:
     return GreedySearchTask(
         model,
@@ -236,11 +231,6 @@ def _open_greedy(model, initial, engine, config, warm_states) -> SearchTask:
     )
 
 
-@register_strategy(
-    "beam",
-    needs_time_budget=True,
-    description="beam-search baseline",
-)
 def _open_beam(model, initial, engine, config, warm_states) -> SearchTask:
     return BeamSearchTask(
         model,
@@ -253,11 +243,6 @@ def _open_beam(model, initial, engine, config, warm_states) -> SearchTask:
     )
 
 
-@register_strategy(
-    "exhaustive",
-    needs_time_budget=False,
-    description="exhaustive state enumeration (tiny logs only)",
-)
 def _open_exhaustive(model, initial, engine, config, warm_states) -> SearchTask:
     return ExhaustiveSearchTask(
         model,
@@ -269,30 +254,17 @@ def _open_exhaustive(model, initial, engine, config, warm_states) -> SearchTask:
     )
 
 
-def _validate_dispatch(
-    spec: StrategySpec, config: GenerationConfig, warm_states: Sequence[DTNode]
-) -> None:
-    """Enforce a strategy's declared capabilities before dispatching."""
-    if warm_states and not spec.supports_warm_start:
-        raise ValueError(
-            f"strategy {spec.name!r} does not support warm starts "
-            f"(warm-start capable: "
-            f"{', '.join(n for n in strategy_names() if strategy_spec(n).supports_warm_start)})"
-        )
-    if spec.needs_time_budget and config.time_budget_s <= 0:
-        # Only strategies that actually consume max_iterations may use
-        # it as their sole stop condition; for the others a zero budget
-        # would silently evaluate nothing but the initial state.
-        if not (spec.supports_iteration_cap and config.max_iterations > 0):
-            raise ValueError(
-                f"strategy {spec.name!r} needs a stop condition: set "
-                f"time_budget_s > 0"
-                + (
-                    " or max_iterations > 0"
-                    if spec.supports_iteration_cap
-                    else " (it does not consume max_iterations)"
-                )
-            )
+#: Strategy name -> the function opening its search task.
+_OPENERS = {
+    "mcts": _open_mcts,  # the paper's search; the only one that warm-starts
+    "random": _open_random,
+    "greedy": _open_greedy,
+    "beam": _open_beam,
+    "exhaustive": _open_exhaustive,  # stops on its own: tiny logs only
+}
+
+#: The ``GenerationConfig.strategy`` names.
+STRATEGIES = tuple(_OPENERS)
 
 
 def open_search_task(
@@ -304,27 +276,23 @@ def open_search_task(
 ) -> SearchTask:
     """Open (but do not run) a resumable search task for ``config``.
 
-    Enforces the strategy's declared capabilities: ``warm_states`` are
-    rejected unless the strategy ``supports_warm_start``, and strategies
-    that ``needs_time_budget`` require a positive wall-clock budget —
-    or, if they declare ``supports_iteration_cap``, a positive
-    ``max_iterations``.  The opened :class:`~repro.search.SearchTask` is
-    returned for the caller — :func:`run_search`, or the multi-session
-    scheduler — to drive via ``step()``.
+    The opened :class:`~repro.search.SearchTask` is returned for the
+    caller — :func:`run_search`, or the multi-session scheduler — to
+    drive via ``step()``.  The config already guarantees a stop
+    condition.
 
     Raises:
-        TypeError: when the strategy's factory returns something other
-            than a ``SearchTask``.
+        ValueError: when ``warm_states`` are given to a strategy other
+            than ``"mcts"``.
     """
-    spec = strategy_spec(config.strategy)
-    _validate_dispatch(spec, config, warm_states)
-    task = spec.task_factory(model, initial, engine, config, tuple(warm_states))
-    if not isinstance(task, SearchTask):
-        raise TypeError(
-            f"strategy {spec.name!r} task factory returned "
-            f"{type(task).__name__}, not a SearchTask"
+    if warm_states and config.strategy != "mcts":
+        raise ValueError(
+            f"strategy {config.strategy!r} does not support warm starts "
+            "(only 'mcts' does)"
         )
-    return task
+    return _OPENERS[config.strategy](
+        model, initial, engine, config, tuple(warm_states)
+    )
 
 
 def run_search(
@@ -334,9 +302,8 @@ def run_search(
     config: GenerationConfig,
     warm_states: Sequence[DTNode] = (),
 ) -> SearchResult:
-    """Dispatch one search through the strategy registry: the task
-    :func:`open_search_task` opens, run as one unbounded step (the same
-    code path the scheduler slices)."""
+    """Run one search: the task :func:`open_search_task` opens, as one
+    unbounded step (the same code path the scheduler slices)."""
     return open_search_task(model, initial, engine, config, warm_states).run()
 
 
@@ -344,23 +311,21 @@ def generate_interface(
     queries: Sequence[Union[str, Node]],
     screen: Optional[Screen] = None,
     config: Optional[GenerationConfig] = None,
-    engine: Optional[RuleEngine] = None,
     warm_states: Sequence[DTNode] = (),
 ) -> GeneratedInterface:
     """Generate an interactive interface for a SQL query log.
 
-    This is the stable one-shot shim over the strategy registry; the
-    session-oriented :class:`repro.engine.Engine` exposes the same search
-    plus caching, incremental sessions, and structured reports.
+    This is the stable one-shot call; the session-oriented
+    :class:`repro.engine.Engine` runs the same search plus caching,
+    incremental sessions, and structured reports.
 
     Args:
         queries: the input log — SQL strings or pre-parsed ASTs, in
             session order (order matters: the ``U`` cost models stepping
             through the log sequentially).
         screen: output screen constraint (default: wide).
-        config: generation settings (default: ``GenerationConfig()``).
-        engine: custom rule engine (default: the paper's full rule set,
-            optionally filtered by ``config.exclude_rules``).
+        config: generation settings (default: ``GenerationConfig()``);
+            ``config.exclude_rules`` selects the rule subset.
         warm_states: known-good difftree states (expressing the full
             log) used to seed the MCTS transposition table and incumbent
             — the warm-start path used by :mod:`repro.serve`.
@@ -371,7 +336,7 @@ def generate_interface(
     """
     config = config or GenerationConfig()
     asts, screen, model, initial, engine = prepare_search(
-        queries, screen=screen, config=config, engine=engine
+        queries, screen=screen, config=config
     )
     result = run_search(model, initial, engine, config, warm_states)
     return GeneratedInterface(

@@ -32,7 +32,7 @@ that reaches the same subtree.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary, WeakValueDictionary
 
 from .. import memo as _memo
@@ -53,11 +53,6 @@ Path = Tuple[int, ...]
 
 #: The hash-consing table: ``(kind, label, value, children) -> live DTNode``.
 _INTERN: "WeakValueDictionary[Tuple, DTNode]" = WeakValueDictionary()
-
-
-def interned_dtnode_count() -> int:
-    """How many distinct difftree subtrees are currently interned."""
-    return len(_INTERN)
 
 
 class DTNode:
@@ -260,9 +255,6 @@ class DTNode:
 
     def has_choice_descendant(self) -> bool:
         return any(n.is_choice for n in self.walk())
-
-    def find_all(self, predicate: Callable[["DTNode"], bool]) -> Iterator["DTNode"]:
-        return (n for n in self.walk() if predicate(n))
 
 
 #: The singleton absent subtree.

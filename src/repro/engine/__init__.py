@@ -1,7 +1,7 @@
 """repro.engine — the session-oriented front door.
 
-One :class:`Engine` owns the rule engine, parse caches, interface
-cache, warm-start state, and worker pool, and exposes the three verbs
+One :class:`Engine` owns the parse caches, interface cache,
+warm-start state, and worker pool, and exposes the three verbs
 of the serving story::
 
     from repro.engine import Engine
@@ -23,21 +23,11 @@ of the serving story::
 
 Every verb returns a :class:`GenerationReport` — the uniform
 JSON-serializable envelope (scheduler deliveries add scheduling
-provenance).  Strategies and workloads are resolved through the
-pluggable registries in :mod:`repro.registry`.
+provenance).  The search strategy is named by ``config.strategy`` (one
+of :data:`repro.core.STRATEGIES`); sessions and the scheduler need
+``"mcts"``.  Workload logs come from :func:`repro.workloads.get_workload`.
 """
 
-from ..registry import (
-    StrategySpec,
-    WorkloadSpec,
-    get_workload,
-    register_strategy,
-    register_workload,
-    strategy_names,
-    strategy_spec,
-    workload_names,
-    workload_spec,
-)
 from .core import Engine, LogSession
 from .report import REPORT_SCHEMA_VERSION, SOURCES, GenerationReport
 from .scheduler import POLICIES, TICKET_STATES, SessionScheduler, SessionTicket
@@ -52,13 +42,4 @@ __all__ = [
     "SessionTicket",
     "POLICIES",
     "TICKET_STATES",
-    "StrategySpec",
-    "WorkloadSpec",
-    "register_strategy",
-    "register_workload",
-    "strategy_spec",
-    "strategy_names",
-    "workload_spec",
-    "workload_names",
-    "get_workload",
 ]

@@ -1,7 +1,7 @@
 """The session-oriented Engine facade over generate/serve.
 
 One long-lived object owns every piece of serving state the caller used
-to hand-wire — the rule engine, the per-session logs (inside the
+to hand-wire — the per-session logs (inside the
 :class:`~repro.serve.SessionRouter`), the :class:`~repro.serve.InterfaceCache`,
 the warm-start/compiled-sequence carry-over of
 :class:`~repro.serve.IncrementalGenerator`, and the batch worker pool —
@@ -38,8 +38,6 @@ from ..difftree import as_asts
 from ..layout import Screen
 from ..memo import INGEST
 from ..obs import collecting as _collecting, emit_report as _emit_report, trace as _trace
-from ..registry import get_workload, strategy_spec
-from ..rules import RuleEngine
 from ..serve import (
     DEFAULT_SESSION,
     EXECUTORS,
@@ -149,8 +147,8 @@ class Engine:
         screen: target screen (default wide).
         config: generation settings shared by every verb; validated at
             construction (see :class:`~repro.core.GenerationConfig`).
-        rules: custom rule engine (default: the paper's full set,
-            filtered by ``config.exclude_rules``).
+            Its ``strategy`` names the search, and its ``exclude_rules``
+            removes rules from the paper's full set.
         cache: interface cache to consult/populate (default: fresh LRU).
         executor: default batch executor — ``"process"``, ``"thread"``,
             or ``"serial"``.
@@ -170,7 +168,6 @@ class Engine:
         self,
         screen: Optional[Screen] = None,
         config: Optional[GenerationConfig] = None,
-        rules: Optional[RuleEngine] = None,
         cache: Optional[InterfaceCache] = None,
         executor: str = "process",
         max_workers: Optional[int] = None,
@@ -185,7 +182,6 @@ class Engine:
             raise ValueError(f"max_sessions must be >= 1 or None, got {max_sessions}")
         self.screen = screen or Screen.wide()
         self.config = config or GenerationConfig()
-        self.rules = rules
         self.cache = cache if cache is not None else InterfaceCache()
         self.router = SessionRouter()
         self.executor = executor
@@ -194,8 +190,7 @@ class Engine:
         self.max_sessions = max_sessions
         self._ctx = context_key(self.screen, self.config)
         #: Incremental service backing LogSessions (built on first use —
-        #: it requires a warm-start-capable strategy, which one-shot and
-        #: batch verbs do not).
+        #: it requires ``"mcts"``, which one-shot and batch verbs do not).
         self._incremental: Optional[IncrementalGenerator] = None
         #: Live session handles in least-recently-used order (guarded:
         #: callers may share one engine across threads).
@@ -210,11 +205,6 @@ class Engine:
         self._running: set = set()
 
     # -- introspection ------------------------------------------------------
-
-    @property
-    def strategy(self):
-        """The registered spec of the configured strategy."""
-        return strategy_spec(self.config.strategy)
 
     @property
     def searches_run(self) -> int:
@@ -236,8 +226,9 @@ class Engine:
 
     @staticmethod
     def workload(name: str, *args, **kwargs):
-        """Generate a registered workload log by name (e.g. ``"sdss"``)."""
-        import repro.workloads  # noqa: F401  (registers the built-ins)
+        """Generate a workload log by name (e.g. ``"sdss"``; see
+        :data:`repro.workloads.WORKLOADS`)."""
+        from ..workloads import get_workload  # not loaded by `import repro`
 
         return get_workload(name)(*args, **kwargs)
 
@@ -252,9 +243,8 @@ class Engine:
 
         A log this engine already served — the same queries in the same
         order, repeats included — returns from the cache without
-        searching; otherwise the configured strategy runs (capabilities
-        enforced declaratively by the registry) and the result is cached
-        for future one-shot *and* session calls.
+        searching; otherwise the configured strategy runs and the result
+        is cached for future one-shot *and* session calls.
         """
         t0 = time.perf_counter()
         spans: List[Dict] = []
@@ -281,7 +271,7 @@ class Engine:
             else:
                 difftree_started = time.perf_counter()
                 asts, screen, model, initial, rules = prepare_search(
-                    asts, screen=self.screen, config=self.config, engine=self.rules
+                    asts, screen=self.screen, config=self.config
                 )
                 difftree_s = time.perf_counter() - difftree_started
                 result = run_search(model, initial, rules, self.config, warm_states)
@@ -321,8 +311,8 @@ class Engine:
     def session(self, session_id: str = DEFAULT_SESSION) -> LogSession:
         """The (shared) handle for one serving session.
 
-        Requires a warm-start-capable strategy — the capability the
-        incremental path is built on; others raise at first use.
+        Requires ``config.strategy == "mcts"`` — the warm-started search
+        the incremental path is built on; others raise at first use.
 
         With ``max_sessions`` set, looking up (or creating) a session
         refreshes its recency, and the least recently used sessions past
@@ -339,7 +329,7 @@ class Engine:
         """The handle registered under ``session_id``, registering one if
         the id is absent: ``stale`` (a handle kept past its session's
         eviction) or else a fresh handle."""
-        self._incremental_service()  # fail fast on incapable strategies
+        self._incremental_service()  # fail fast on a non-MCTS strategy
         evicted: List[str] = []
         with self._sessions_lock:
             handle = self._sessions.get(session_id)
@@ -442,7 +432,6 @@ class Engine:
             self._incremental = IncrementalGenerator(
                 screen=self.screen,
                 config=self.config,
-                engine=self.rules,
                 cache=self.cache,
                 router=self.router,
             )

@@ -138,7 +138,7 @@ class SessionScheduler:
                 f"slice_iterations must be >= 1 or None, got {slice_iterations}"
             )
         self.engine = engine
-        #: Fail fast (before any submit) on non-warm-capable strategies.
+        #: Fail fast (before any submit) on a non-MCTS strategy.
         self._service = engine._incremental_service()
         self.slice_iterations = slice_iterations
         self.policy = policy

@@ -1,12 +1,11 @@
 """Layout solving: bounding boxes and screen constraints."""
 
-from .boxes import BOX_GAP, BOX_PADDING, Box, Screen, fits, measure, measure_all, overflow
+from .boxes import BOX_GAP, BOX_PADDING, Box, Screen, fits, measure, overflow
 
 __all__ = [
     "Box",
     "Screen",
     "measure",
-    "measure_all",
     "fits",
     "overflow",
     "BOX_GAP",

@@ -9,7 +9,7 @@ the output screen's size."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 from ..widgets.tree import WidgetNode
 
@@ -102,21 +102,6 @@ def measure(node: WidgetNode) -> Box:
         height += TITLE_HEIGHT
         width = max(width, 7.0 * len(node.title))
     return Box(width, height)
-
-
-def measure_all(root: WidgetNode) -> Dict[int, Box]:
-    """Bounding boxes of every node, keyed by ``id(node)``."""
-    boxes: Dict[int, Box] = {}
-
-    def rec(node: WidgetNode) -> Box:
-        for child in node.children:
-            rec(child)
-        box = measure(node)
-        boxes[id(node)] = box
-        return box
-
-    rec(root)
-    return boxes
 
 
 def fits(root: WidgetNode, screen: Screen) -> bool:

@@ -42,11 +42,6 @@ class CacheStats:
     evictions: int = 0
     prefix_hits: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 @dataclass(frozen=True)
 class _Entry:

@@ -61,8 +61,6 @@ from ..core import (
 from ..cost import CompiledSequence
 from ..difftree import DTNode, extend_difftree
 from ..layout import Screen
-from ..registry import strategy_spec
-from ..rules import RuleEngine
 from ..search.carry import STATS as CARRY_STATS, CarriedTree
 from ..search.mcts import MCTS, MCTSTask
 from .cache import InterfaceCache, context_key
@@ -223,8 +221,8 @@ class IncrementalGenerator:
     Args:
         screen: target screen (default wide).
         config: generation settings; the strategy must be ``"mcts"`` —
-            warm-starting seeds its transposition table.
-        engine: custom rule engine (default: full paper rule set).
+            warm-starting seeds its transposition table — and
+            ``config.exclude_rules`` selects the rule subset.
         cache: interface cache to consult/populate (default: fresh LRU).
         router: session router to ingest through (default: a fresh one).
     """
@@ -233,27 +231,19 @@ class IncrementalGenerator:
         self,
         screen: Optional[Screen] = None,
         config: Optional[GenerationConfig] = None,
-        engine: Optional[RuleEngine] = None,
         cache: Optional[InterfaceCache] = None,
         router: Optional[SessionRouter] = None,
     ) -> None:
         config = config or GenerationConfig()
-        if not strategy_spec(config.strategy).supports_warm_start:
-            raise ValueError(
-                f"IncrementalGenerator needs a warm-start-capable strategy; "
-                f"{config.strategy!r} does not declare supports_warm_start"
-            )
         if config.strategy != "mcts":
             # The warm path below drives the MCTS class directly (node
-            # table + incumbent seeding); a custom warm-capable strategy
-            # would be silently ignored, so refuse it honestly.
+            # table + incumbent seeding), the only warm-starting search.
             raise ValueError(
-                f"IncrementalGenerator currently drives MCTS directly; "
-                f"strategy {config.strategy!r} is not supported here"
+                "IncrementalGenerator needs the warm-starting 'mcts' "
+                f"strategy, got {config.strategy!r}"
             )
         self.screen = screen or Screen.wide()
         self.config = config
-        self.engine = engine
         self.cache = cache if cache is not None else InterfaceCache()
         self.router = router if router is not None else SessionRouter()
         self._sessions: Dict[str, _SessionState] = {}
@@ -434,18 +424,22 @@ class IncrementalGenerator:
             cached = self.cache.get(key)
             if cached is not None:
                 with self._lock:
-                    state.log_len = len(asts)
-                    state.best = cached.difftree
-                    # Elite states describe an older log and would be extended
-                    # from the wrong offset on the next append — drop them.
-                    state.elite = ()
+                    # A warm state that covers this log (retention keeps
+                    # log_len in step) stays as it is, so a read changes
+                    # nothing the next write seeds.  Otherwise it
+                    # describes another log and would be extended from the
+                    # wrong offset: warm from the cached winner instead.
+                    if state.best is None or state.log_len != len(asts):
+                        state.log_len = len(asts)
+                        state.best = cached.difftree
+                        state.elite = ()
                 pending = PendingSearch(self, session_id, cached=cached)
             else:
                 difftree_started = time.perf_counter()
                 warm = self._warm_states(state, stream, asts)
                 query_keys = stream.query_keys(end=len(asts))
                 asts, screen, model, initial, engine = prepare_search(
-                    asts, screen=self.screen, config=self.config, engine=self.engine
+                    asts, screen=self.screen, config=self.config
                 )
                 # Prior-run compiled sequences: warm states that graft into
                 # the same difftree reuse their assignments and changed-choice

@@ -347,7 +347,7 @@ class SessionSnapshot:
         if not asts:
             raise SnapshotError("cached entry on an empty log")
         asts, screen, model, _initial, _rules = prepare_search(
-            asts, screen=engine.screen, config=engine.config, engine=engine.rules
+            asts, screen=engine.screen, config=engine.config
         )
         entry = self.cached
         try:

@@ -18,7 +18,7 @@ constructor).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Optional, Sequence, Tuple
+from typing import Any, Iterator, Optional, Sequence, Tuple
 from weakref import WeakValueDictionary
 
 from ..memo import INGEST
@@ -68,11 +68,6 @@ _CLAUSE_RANK = {label: i for i, label in enumerate(CLAUSE_ORDER)}
 _INTERN: "WeakValueDictionary[Tuple[str, Any, Tuple['Node', ...]], Node]" = (
     WeakValueDictionary()
 )
-
-
-def interned_node_count() -> int:
-    """How many distinct AST subtrees are currently interned (diagnostics)."""
-    return len(_INTERN)
 
 
 class Node:
@@ -245,10 +240,6 @@ class Node:
     def with_value(self, value: Any) -> "Node":
         """Return a copy of this node with ``value`` substituted."""
         return Node(self.label, value, self.children)
-
-    def find_all(self, predicate: Callable[["Node"], bool]) -> Iterator["Node"]:
-        """Yield every descendant (pre-order) for which ``predicate`` holds."""
-        return (node for node in self.walk() if predicate(node))
 
     def child_by_label(self, label: str) -> Optional["Node"]:
         """Return the first direct child with the given label, if any."""

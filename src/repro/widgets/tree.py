@@ -79,9 +79,6 @@ class WidgetNode:
             yield node
             stack.extend(reversed(node.children))
 
-    def interaction_nodes(self) -> List["WidgetNode"]:
-        return [n for n in self.walk() if n.choice_path is not None]
-
     def widget_count(self) -> int:
         return sum(1 for _ in self.walk())
 

@@ -1,16 +1,16 @@
 """Evaluation workloads: the paper's SDSS log, TPC-H-style analytic
 sessions, and synthetic generators.
 
-Each generator also registers itself in the shared workload registry
-(:mod:`repro.registry`) with descriptive tags — ``"growing"`` session
-generators (SQL strings, ``(num_queries, seed=...)`` signature) power
-the serving benches and :meth:`repro.engine.Engine.workload`;
-``"synthetic"`` pattern logs (parsed ASTs) power the scaling/ablation
-benches.  Resolve them by name with :func:`repro.registry.get_workload`
-or list them with :func:`repro.registry.workload_names`.
+:data:`WORKLOADS` names the log generators, and :func:`get_workload`
+looks one up (as :meth:`repro.engine.Engine.workload` does).  The
+growing-log session generators ``"sdss"`` and ``"tpch"`` return SQL
+strings and take ``(num_queries, seed=...)``; they power the serving
+benches.  The ``"synthetic.*"`` pattern logs return parsed ASTs and
+power the scaling/ablation benches.
 """
 
-from ..registry import get_workload, workload_names, workload_spec
+from typing import Callable, Dict
+
 from .sdss import LISTING1_SQL, listing1_queries, listing1_sql, sdss_session_sql
 from .synthetic import (
     clause_toggle_log,
@@ -42,7 +42,27 @@ __all__ = [
     "predicate_add_log",
     "projection_cycle_log",
     "mixed_session_log",
+    "WORKLOADS",
     "get_workload",
-    "workload_names",
-    "workload_spec",
 ]
+
+#: Workload name -> log generator.
+WORKLOADS: Dict[str, Callable] = {
+    "sdss": sdss_session_sql,
+    "tpch": tpch_session_sql,
+    "synthetic.value_drift": value_drift_log,
+    "synthetic.clause_toggle": clause_toggle_log,
+    "synthetic.predicate_add": predicate_add_log,
+    "synthetic.projection_cycle": projection_cycle_log,
+    "synthetic.mixed_session": mixed_session_log,
+}
+
+
+def get_workload(name: str) -> Callable:
+    """The log generator named ``name``; raises listing the known names."""
+    try:
+        return WORKLOADS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown workload {name!r} (have: {', '.join(WORKLOADS)})"
+        ) from None

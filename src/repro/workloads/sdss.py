@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 from typing import List, Sequence, Tuple
 
-from ..registry import register_workload
 from ..sqlast import Node, parse
 
 #: (table, select item, top-n or None, ((u), (g), (r), (i)) bounds)
@@ -62,11 +61,6 @@ def listing1_queries(start: int = 1, end: int = 10) -> List[Node]:
     return [parse(sql) for sql in listing1_sql(start, end)]
 
 
-@register_workload(
-    "sdss",
-    tags=("growing", "sql"),
-    description="SDSS Listing-1-shaped session with drifting band bounds",
-)
 def sdss_session_sql(num_queries: int = 20, seed: int = 0) -> List[str]:
     """An arbitrarily long SDSS-style session log (Listing-1 shaped).
 

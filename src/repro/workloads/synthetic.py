@@ -12,18 +12,12 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Sequence
 
-from ..registry import register_workload
 from ..sqlast import Node, parse
 
 _DEFAULT_COLUMNS = ("u", "g", "r", "i", "z")
 _DEFAULT_TABLES = ("stars", "galaxies", "quasars")
 
 
-@register_workload(
-    "synthetic.value_drift",
-    tags=("synthetic", "ast"),
-    description="one numeric literal drifting (slider material)",
-)
 def value_drift_log(
     num_queries: int = 8,
     table: str = "stars",
@@ -40,11 +34,6 @@ def value_drift_log(
     return queries
 
 
-@register_workload(
-    "synthetic.clause_toggle",
-    tags=("synthetic", "ast"),
-    description="optional WHERE/ORDER BY clauses toggling on and off",
-)
 def clause_toggle_log(
     num_queries: int = 8,
     table: str = "galaxies",
@@ -64,11 +53,6 @@ def clause_toggle_log(
     return queries
 
 
-@register_workload(
-    "synthetic.predicate_add",
-    tags=("synthetic", "ast"),
-    description="growing AND-chain of BETWEEN conjuncts (adder material)",
-)
 def predicate_add_log(
     num_queries: int = 6,
     table: str = "quasars",
@@ -91,11 +75,6 @@ def predicate_add_log(
     return queries
 
 
-@register_workload(
-    "synthetic.projection_cycle",
-    tags=("synthetic", "ast"),
-    description="cycling projections and aggregates (radio-button axis)",
-)
 def projection_cycle_log(
     num_queries: int = 9,
     table: str = "stars",
@@ -114,11 +93,6 @@ def projection_cycle_log(
     return queries
 
 
-@register_workload(
-    "synthetic.mixed_session",
-    tags=("synthetic", "ast"),
-    description="mixed session: drifting literals, toggles, table changes",
-)
 def mixed_session_log(
     num_queries: int = 12,
     seed: int = 0,

@@ -20,7 +20,6 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Sequence, Tuple
 
-from ..registry import register_workload
 from ..sqlast import Node, parse
 
 #: The measure columns an analyst aggregates over, and the aggregates.
@@ -98,11 +97,6 @@ def pricing_summary_queries(start: int = 1, end: int = 10) -> List[Node]:
     return [parse(sql) for sql in pricing_summary_sql(start, end)]
 
 
-@register_workload(
-    "tpch",
-    tags=("growing", "sql"),
-    description="TPC-H-style pricing-summary session (aggregate/grouping drift)",
-)
 def tpch_session_sql(num_queries: int = 20, seed: int = 0) -> List[str]:
     """An arbitrarily long TPC-H-style session log (growing-log variant).
 

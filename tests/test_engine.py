@@ -1,11 +1,10 @@
-"""Tests for the Engine facade, the strategy/workload registries,
-capability enforcement, early config validation, and the report envelope."""
+"""Tests for the Engine facade, strategy and workload names, the
+strategy constraints, early config validation, and the report envelope."""
 
 import json
 
 import pytest
 
-import repro.registry as registry
 from repro import (
     Engine,
     GenerationConfig,
@@ -14,19 +13,18 @@ from repro import (
     Screen,
     generate_interface,
 )
+from repro.core import STRATEGIES, open_search_task, prepare_search
 from repro.cost import CostModel
 from repro.difftree import as_asts, expresses_all, initial_difftree
-from repro.engine import (
-    get_workload,
-    register_strategy,
-    register_workload,
-    strategy_names,
-    strategy_spec,
-    workload_names,
-    workload_spec,
+from repro.search import (
+    BeamSearchTask,
+    ExhaustiveSearchTask,
+    GreedySearchTask,
+    MCTSTask,
+    RandomSearchTask,
 )
 from repro.sqlast import parse
-from repro.workloads import listing1_sql
+from repro.workloads import WORKLOADS, get_workload, listing1_sql
 
 #: A fast config for tests that exercise plumbing, not search quality.
 FAST = GenerationConfig(time_budget_s=0.3, seed=0)
@@ -38,73 +36,43 @@ DETERMINISTIC = GenerationConfig(time_budget_s=30.0, max_iterations=2, seed=0)
 
 class TestStrategyRegistry:
     def test_builtins_registered(self):
-        assert set(strategy_names()) >= {"mcts", "random", "greedy", "beam", "exhaustive"}
-
-    def test_capabilities_declared(self):
-        assert strategy_spec("mcts").supports_warm_start
-        assert not strategy_spec("greedy").supports_warm_start
-        assert not strategy_spec("exhaustive").needs_time_budget
+        assert STRATEGIES == ("mcts", "random", "greedy", "beam", "exhaustive")
 
     def test_unknown_strategy_lists_known(self):
         with pytest.raises(ValueError, match="mcts"):
-            strategy_spec("simulated-annealing")
+            GenerationConfig(strategy="simulated-annealing")
 
-    def test_duplicate_registration_rejected(self):
-        @register_strategy("test_dup_strategy")
-        def factory(model, initial, engine, config, warm_states):
-            raise NotImplementedError
-
-        try:
-            with pytest.raises(ValueError, match="already registered"):
-                register_strategy("test_dup_strategy")(factory)
-        finally:
-            registry._STRATEGIES.pop("test_dup_strategy", None)
-
-    def test_custom_strategy_usable_in_config(self):
-        from repro.search import GreedySearchTask
-
-        @register_strategy("test_greedy_alias", needs_time_budget=True)
-        def factory(model, initial, engine, config, warm_states):
-            return GreedySearchTask(
-                model,
-                initial,
-                engine=engine,
-                time_budget_s=config.time_budget_s,
-                k_assignments=config.k_assignments,
-                seed=config.seed,
-                final_cap=config.final_cap,
-            )
-
-        try:
-            config = GenerationConfig(strategy="test_greedy_alias", time_budget_s=0.2)
-            result = generate_interface(listing1_sql(1, 2), config=config)
-            assert result.best.breakdown.feasible
-        finally:
-            registry._STRATEGIES.pop("test_greedy_alias", None)
-
-    def test_factory_returning_a_result_fails_at_dispatch(self):
-        # A runner written against the old contract (returning a finished
-        # SearchResult) is rejected by name before anything runs it.
-        from repro.search import GreedySearchTask
-
-        @register_strategy("test_legacy_runner", needs_time_budget=True)
-        def runner(model, initial, engine, config, warm_states):
-            return GreedySearchTask(
-                model, initial, engine=engine, time_budget_s=0.05
-            ).run()
-
-        try:
-            config = GenerationConfig(strategy="test_legacy_runner", time_budget_s=0.2)
-            with pytest.raises(TypeError, match="test_legacy_runner"):
-                generate_interface(listing1_sql(1, 2), config=config)
-        finally:
-            registry._STRATEGIES.pop("test_legacy_runner", None)
+    def test_each_name_opens_its_task(self, fig1_queries):
+        # Each name opens its own task class; opening runs no search step.
+        classes = (
+            MCTSTask,
+            RandomSearchTask,
+            GreedySearchTask,
+            BeamSearchTask,
+            ExhaustiveSearchTask,
+        )
+        for name, cls in zip(STRATEGIES, classes, strict=True):
+            config = GenerationConfig(strategy=name, time_budget_s=60.0)
+            _, _, model, initial, rules = prepare_search(fig1_queries, config=config)
+            task = open_search_task(model, initial, rules, config)
+            assert task.strategy == name
+            assert type(task) is cls
+            if name != "mcts":
+                with pytest.raises(ValueError, match="warm start"):
+                    open_search_task(model, initial, rules, config, [initial])
 
 
 class TestWorkloadRegistry:
     def test_builtins_registered(self):
-        assert set(workload_names(tag="growing")) == {"sdss", "tpch"}
-        assert "synthetic.value_drift" in workload_names(tag="synthetic")
+        assert set(WORKLOADS) == {
+            "sdss",
+            "tpch",
+            "synthetic.value_drift",
+            "synthetic.clause_toggle",
+            "synthetic.predicate_add",
+            "synthetic.projection_cycle",
+            "synthetic.mixed_session",
+        }
 
     def test_factory_resolves(self):
         log = get_workload("sdss")(4, seed=0)
@@ -114,18 +82,6 @@ class TestWorkloadRegistry:
     def test_unknown_workload_lists_known(self):
         with pytest.raises(ValueError, match="sdss"):
             get_workload("imdb")
-
-    def test_duplicate_registration_rejected(self):
-        register_workload("test_dup_workload")(lambda n, seed=0: [])
-        try:
-            with pytest.raises(ValueError, match="already registered"):
-                register_workload("test_dup_workload")(lambda n, seed=0: [])
-        finally:
-            registry._WORKLOADS.pop("test_dup_workload", None)
-
-    def test_spec_tags(self):
-        assert workload_spec("tpch").has_tag("growing")
-        assert not workload_spec("tpch").has_tag("synthetic")
 
 
 class TestConfigValidation:
@@ -171,18 +127,19 @@ class TestCapabilityEnforcement:
             )
 
     def test_incremental_requires_warm_capable_strategy(self):
-        with pytest.raises(ValueError, match="supports_warm_start"):
+        with pytest.raises(ValueError, match="needs the warm-starting 'mcts'"):
             IncrementalGenerator(config=GenerationConfig(strategy="beam"))
 
     def test_session_requires_warm_capable_strategy(self):
         engine = Engine(config=GenerationConfig(strategy="random", time_budget_s=0.2))
-        with pytest.raises(ValueError, match="supports_warm_start"):
+        with pytest.raises(ValueError, match="needs the warm-starting 'mcts'"):
             engine.session("a")
 
     def test_time_budget_required_when_declared(self):
-        config = GenerationConfig(time_budget_s=0.0, max_iterations=0)
+        # A config that cannot stop fails at construction, so no session
+        # or scheduler can be built on it either.
         with pytest.raises(ValueError, match="stop condition"):
-            generate_interface(listing1_sql(1, 2), config=config)
+            GenerationConfig(time_budget_s=0.0, max_iterations=0)
 
     def test_iteration_cap_only_accepted_where_consumed(self):
         # MCTS consumes max_iterations: a zero budget with a cap is fine.
@@ -191,23 +148,8 @@ class TestCapabilityEnforcement:
         assert result.best.breakdown.feasible
         # The walk baselines ignore max_iterations — a zero budget would
         # silently evaluate only the initial state, so it must raise.
-        config = GenerationConfig(
-            strategy="random", time_budget_s=0.0, max_iterations=500
-        )
         with pytest.raises(ValueError, match="does not consume max_iterations"):
-            generate_interface(listing1_sql(1, 2), config=config)
-
-    def test_incremental_rejects_non_mcts_even_if_warm_capable(self):
-        @register_strategy("test_warm_capable", supports_warm_start=True)
-        def factory(model, initial, engine, config, warm_states):
-            raise NotImplementedError
-
-        try:
-            config = GenerationConfig(strategy="test_warm_capable")
-            with pytest.raises(ValueError, match="drives MCTS directly"):
-                IncrementalGenerator(config=config)
-        finally:
-            registry._STRATEGIES.pop("test_warm_capable", None)
+            GenerationConfig(strategy="random", time_budget_s=0.0, max_iterations=500)
 
     def test_exhaustive_runs_without_budget(self):
         config = GenerationConfig(strategy="exhaustive", time_budget_s=0.0)

@@ -25,10 +25,9 @@ from repro.difftree import (
 )
 from repro.engine import Engine
 from repro.core import GenerationConfig
-from repro.registry import get_workload
+from repro.workloads import get_workload
 from repro.serve import LogStream, log_key
 from repro.sqlast import parse
-import repro.workloads  # noqa: F401  (registers the built-in workloads)
 
 import oracles
 
@@ -36,7 +35,7 @@ FAST = GenerationConfig(time_budget_s=0.0, max_iterations=4, seed=0, final_cap=1
 
 
 def workload_asts():
-    """A mixed bag of ASTs across the registered workload families."""
+    """A mixed bag of ASTs across the workload families."""
     asts = [parse(sql) for sql in get_workload("sdss")(10, seed=1)]
     asts += [parse(sql) for sql in get_workload("tpch")(10, seed=1)]
     asts += get_workload("synthetic.mixed_session")(10, seed=1)

@@ -18,7 +18,6 @@ PUBLIC_MODULES = (
     "repro.core",
     "repro.engine",
     "repro.serve",
-    "repro.registry",
     "repro.workloads",
     "repro.search",
     "repro.cost",
@@ -44,13 +43,6 @@ def test_root_reexports_engine_surface():
     for name in ("Engine", "LogSession", "GenerationReport"):
         assert name in repro.__all__
         assert getattr(repro, name) is not None
-
-
-def test_engine_reexports_registries():
-    import repro.engine as engine
-
-    for name in ("register_strategy", "register_workload", "strategy_names", "workload_names"):
-        assert name in engine.__all__
 
 
 def test_legacy_entry_points_still_importable():

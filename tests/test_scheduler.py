@@ -292,7 +292,7 @@ class TestSchedulerMechanics:
 
     def test_scheduler_requires_warm_capable_strategy(self):
         engine = Engine(config=GenerationConfig(strategy="random", time_budget_s=0.2))
-        with pytest.raises(ValueError, match="supports_warm_start"):
+        with pytest.raises(ValueError, match="needs the warm-starting 'mcts'"):
             engine.scheduler()
 
     def test_round_robin_drains_and_accounts(self):

@@ -3,7 +3,7 @@ warm-started search, and the batch worker pool."""
 
 import pytest
 
-from repro import GenerationConfig, Screen, generate_interface
+from repro import Engine, GenerationConfig, Screen, generate_interface
 from repro.cost import CostModel
 from repro.difftree import (
     as_asts,
@@ -24,7 +24,7 @@ from repro.serve import (
     generate_interfaces_batch,
 )
 from repro.sqlast import parse
-from repro.workloads import listing1_sql, sdss_session_sql
+from repro.workloads import get_workload, listing1_sql, sdss_session_sql
 
 #: A fast config for tests that exercise plumbing, not search quality.
 FAST = GenerationConfig(time_budget_s=0.3, seed=0)
@@ -369,6 +369,30 @@ class TestIncrementalGenerator:
         assert svc.cache.stats.prefix_hits == 1
         assert result.search.stats.warm_states_seeded >= 1
         assert expresses_all(result.difftree, as_asts(log))
+
+    @pytest.mark.parametrize("workload", ["sdss", "tpch"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cache_hit_read_leaves_next_write_unchanged(self, workload, seed):
+        # A read between two appends re-serves the cached interface; the
+        # warm state (best + elites) the next append seeds stays as it was.
+        log = get_workload(workload)(8, seed=seed)
+        config = GenerationConfig(time_budget_s=0, max_iterations=4, seed=seed)
+
+        def second_append(read):
+            engine = Engine(config=config)
+            session = engine.session("s")
+            session.append(*log[:6])
+            session.interface()
+            if read:
+                assert session.interface().source == "cache"
+                assert engine.snapshot_session("s").to_payload()["elite"]
+            session.append(*log[6:])
+            return session.interface()
+
+        plain, after_read = second_append(False), second_append(True)
+        assert after_read.search.stats == plain.search.stats
+        assert after_read.cost == plain.cost
+        assert after_read.difftree.canonical_key == plain.difftree.canonical_key
 
     def test_empty_session_raises(self):
         with pytest.raises(ValueError):

@@ -71,9 +71,9 @@ class TestRoundTrip:
 
         other = Engine(config=TINY)
         restored = other.restore_snapshot(payload)
-        # No intermediate interface() call: a cache-hit serve clears the
-        # elite carry in original and restored sessions alike, so the
-        # parity comparison appends straight away.
+        # A cache-hit interface() here would change nothing: a read keeps
+        # the warm state that covers the log, in original and restored
+        # sessions alike, so the parity comparison appends straight away.
         restored.append(*log[4:])
         session.append(*log[4:])
         theirs = restored.interface()
