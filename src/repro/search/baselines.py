@@ -4,8 +4,8 @@
   seen.  Same move set, no statistics: isolates the value of UCT
   guidance.
 * :class:`GreedySearchTask` — steepest-descent hill climbing on state
-  cost with optional random restarts; gets stuck in local minima the
-  paper's bidirectional rules are designed to escape.
+  cost; gets stuck in local minima the paper's bidirectional rules are
+  designed to escape.
 * :class:`BeamSearchTask` — breadth-limited systematic search.
 * :class:`ExhaustiveSearchTask` — full BFS with state dedup up to a cap;
   the exact optimum within its horizon, tractable only for tiny logs
@@ -15,7 +15,7 @@ Every baseline is a resumable :class:`~repro.search.common.SearchTask`
 state machine — construct (open) → ``step()`` → ``result()`` — so the
 multi-session scheduler can slice them exactly like MCTS;
 ``run()`` is one unbounded step.  One unit of work per strategy: a full
-random walk, one hill-climbing sweep (or restart hop), one beam level,
+random walk, one hill-climbing sweep, one beam level,
 one BFS expansion.
 """
 
@@ -75,11 +75,10 @@ class RandomSearchTask(SearchTask):
 
 
 class GreedySearchTask(SearchTask):
-    """Steepest-descent hill climbing with optional random restarts.
+    """Steepest-descent hill climbing; a local minimum ends the task.
 
-    Each restart first takes ``restart_walk`` random steps away from the
-    initial state before descending again.  One unit of work is one
-    neighbor sweep (move or detect the local minimum) or one restart hop.
+    One unit of work is one neighbor sweep: it moves to the cheapest
+    improving neighbor or finds the local minimum.
     """
 
     strategy = "greedy"
@@ -91,8 +90,6 @@ class GreedySearchTask(SearchTask):
         engine: Optional[RuleEngine] = None,
         time_budget_s: float = 5.0,
         k_assignments: int = 5,
-        restarts: int = 0,
-        restart_walk: int = 4,
         seed: int = 0,
         final_cap: int = 4000,
     ) -> None:
@@ -101,32 +98,17 @@ class GreedySearchTask(SearchTask):
             evaluator, time_budget_s=time_budget_s, final_cap=final_cap
         )
         self._engine = engine or default_engine()
-        self._rng = random.Random(seed)
-        self._initial = initial
-        self._restarts_left = restarts
-        self._restart_walk = restart_walk
         evaluator.restart_clock()
-        #: Current descent position (None = at a local minimum, awaiting
-        #: a restart or termination).
+        #: Current descent position (None once a sweep found the local
+        #: minimum).
         self._current: Optional[DTNode] = initial
         self._current_cost = evaluator.evaluate(initial).cost
         evaluator.clock.pause()
 
     def _iterate(self) -> bool:
-        evaluator = self.evaluator
         if self._current is None:
-            if self._restarts_left <= 0:
-                return False
-            self._restarts_left -= 1
-            state = self._initial
-            for _ in range(self._restart_walk):
-                moves = self._engine.moves(state)
-                if not moves:
-                    break
-                state = self._engine.apply(state, self._rng.choice(moves))
-            self._current = state
-            self._current_cost = evaluator.evaluate(state).cost
-            return True
+            return False
+        evaluator = self.evaluator
         neighbors = self._engine.neighbors(self._current)
         evaluator.stats.max_fanout = max(
             evaluator.stats.max_fanout, len(neighbors)
@@ -139,9 +121,10 @@ class GreedySearchTask(SearchTask):
                 best_cost = cost
                 best_state = successor
         if best_state is None:
-            # Local minimum: restart on the next unit, or finish.
+            # The sweep was work done, so it counts as a unit; the next
+            # one ends the task.
             self._current = None
-            return self._restarts_left > 0
+            return True
         self._current, self._current_cost = best_state, best_cost
         evaluator.stats.iterations += 1
         return True

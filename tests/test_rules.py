@@ -1,7 +1,5 @@
 """Unit tests for each transformation rule and the rule engine."""
 
-import random
-
 import pytest
 
 from repro.difftree import (
@@ -245,17 +243,3 @@ class TestEngine:
         tree = wrap_ast(parse("select a from t"))
         assert engine.random_move(tree, random.Random(0)) is None
 
-    def test_sdss_fanout_reaches_paper_range_along_walks(self, sdss_tree):
-        # Paper: "The fanout is as high as 50" on this log.  The root has
-        # few moves; richer states along a walk reach the tens-to-hundreds.
-        engine = default_engine()
-        rng = random.Random(0)
-        tree = sdss_tree
-        max_fanout = 0
-        for _ in range(40):
-            moves = engine.moves(tree)
-            max_fanout = max(max_fanout, len(moves))
-            if not moves:
-                break
-            tree = engine.apply(tree, rng.choice(moves))
-        assert max_fanout >= 50

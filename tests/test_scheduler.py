@@ -110,8 +110,7 @@ class TestSlicingParity:
                 max_walk_steps=12, seed=3,
             ),
             lambda model, initial, engine: GreedySearchTask(
-                model, initial, engine=engine, time_budget_s=60.0,
-                restarts=2, seed=3,
+                model, initial, engine=engine, time_budget_s=60.0, seed=3
             ),
             lambda model, initial, engine: BeamSearchTask(
                 model, initial, engine=engine, time_budget_s=60.0,

@@ -131,13 +131,6 @@ class TestBaselines:
         result = GreedySearchTask(model, tree, time_budget_s=2.0, seed=1).run()
         assert result.best_cost <= sampled_evaluation(model, tree, k=5).cost
 
-    def test_greedy_with_restarts(self, setup):
-        _, model, tree = setup
-        result = GreedySearchTask(
-            model, tree, time_budget_s=2.0, restarts=2, seed=1
-        ).run()
-        assert result.best.breakdown.feasible
-
     def test_beam_search_valid(self, setup):
         queries, model, tree = setup
         result = BeamSearchTask(
