@@ -14,17 +14,17 @@ Three gates, each checked per growing-log workload (sdss, tpch):
 2. **Parity** — both modes must deliver bit-for-bit identical results:
    same per-chunk interface costs, same final difftree canonical key.
 3. **Replay** — every Engine verb (``generate``, ``session.interface``,
-   ``generate_batch``, scheduler delivery) must emit exactly one JSONL
-   ``report`` record whose payload equals ``report.to_dict()`` — the
-   durable log replays the live envelopes.
+   scheduler delivery) must emit exactly one JSONL ``report`` record
+   whose payload equals ``report.to_dict()`` — the durable log replays
+   the live envelopes.
 
 Plus a **disabled micro-gate**: a ``with obs.trace(...)`` region while
 disabled is one global check returning a shared no-op; its per-call cost
 must stay under ``--noop-budget-us`` (default 2 microseconds).
 
 The enabled runs append their telemetry to ``TELEMETRY_<workload>.jsonl``
-(CI uploads these as artifacts — the training substrate for the
-ROADMAP's adaptive search controller).
+(CI uploads these as artifacts: the spans and report envelopes of the
+run, replayable line by line).
 
 Standalone script (CI smoke target), runnable without pytest:
 
@@ -140,9 +140,6 @@ def check_verb_replay(
         session = engine.session(f"{workload}-verbs")
         session.append(*queries)
         produced.append(("session.interface", session.interface()))
-        produced.append(
-            ("generate_batch", engine.generate_batch([queries], executor="serial")[0])
-        )
         scheduler = engine.scheduler(slice_iterations=4)
         scheduler.submit(f"{workload}-sched", [tuple(queries[:2])])
         (ticket,) = scheduler.run()

@@ -24,8 +24,9 @@ The primary entry point is the session-oriented :class:`Engine`
     report = session.interface()      # warm-started incremental search
     print(report.to_dict()["provenance"])
 
-The one-shot :func:`generate_interface` and the :mod:`repro.serve`
-classes remain as stable shims over the same machinery.
+:func:`generate_interface` is the uncached form of ``Engine.generate``;
+it and the :mod:`repro.serve` classes remain as stable shims over the
+same machinery.
 """
 
 from . import obs
@@ -41,7 +42,6 @@ from .serve import (
     InterfaceCache,
     LogStream,
     SessionRouter,
-    generate_interfaces_batch,
 )
 
 __version__ = "1.2.0"
@@ -58,7 +58,6 @@ __all__ = [
     "InterfaceCache",
     "LogStream",
     "SessionRouter",
-    "generate_interfaces_batch",
     "obs",
     "__version__",
 ]

@@ -196,17 +196,15 @@ def prepare_search(
 
 # -- strategies ----------------------------------------------------------------
 #
-# Each strategy opens one resumable SearchTask.  run_search() runs the
-# task to completion, and the scheduler slices the same task.
+# Each strategy opens one resumable, cold SearchTask.  run_search() runs
+# the task to completion in one step; a caller may also step it in slices.
 
 
-def _open_mcts(model, initial, engine, config, warm_states) -> SearchTask:
-    return MCTS(model, engine=engine, config=as_mcts_config(config)).open(
-        initial, warm_states=warm_states
-    )
+def _open_mcts(model, initial, engine, config) -> SearchTask:
+    return MCTS(model, engine=engine, config=as_mcts_config(config)).open(initial)
 
 
-def _open_random(model, initial, engine, config, warm_states) -> SearchTask:
+def _open_random(model, initial, engine, config) -> SearchTask:
     return RandomSearchTask(
         model,
         initial,
@@ -219,7 +217,7 @@ def _open_random(model, initial, engine, config, warm_states) -> SearchTask:
     )
 
 
-def _open_greedy(model, initial, engine, config, warm_states) -> SearchTask:
+def _open_greedy(model, initial, engine, config) -> SearchTask:
     return GreedySearchTask(
         model,
         initial,
@@ -231,7 +229,7 @@ def _open_greedy(model, initial, engine, config, warm_states) -> SearchTask:
     )
 
 
-def _open_beam(model, initial, engine, config, warm_states) -> SearchTask:
+def _open_beam(model, initial, engine, config) -> SearchTask:
     return BeamSearchTask(
         model,
         initial,
@@ -243,7 +241,7 @@ def _open_beam(model, initial, engine, config, warm_states) -> SearchTask:
     )
 
 
-def _open_exhaustive(model, initial, engine, config, warm_states) -> SearchTask:
+def _open_exhaustive(model, initial, engine, config) -> SearchTask:
     return ExhaustiveSearchTask(
         model,
         initial,
@@ -256,7 +254,7 @@ def _open_exhaustive(model, initial, engine, config, warm_states) -> SearchTask:
 
 #: Strategy name -> the function opening its search task.
 _OPENERS = {
-    "mcts": _open_mcts,  # the paper's search; the only one that warm-starts
+    "mcts": _open_mcts,  # the paper's search; sessions warm-start it
     "random": _open_random,
     "greedy": _open_greedy,
     "beam": _open_beam,
@@ -272,27 +270,17 @@ def open_search_task(
     initial: DTNode,
     engine: RuleEngine,
     config: GenerationConfig,
-    warm_states: Sequence[DTNode] = (),
 ) -> SearchTask:
-    """Open (but do not run) a resumable search task for ``config``.
+    """Open (but do not run) a cold, resumable search task for ``config``.
 
     The opened :class:`~repro.search.SearchTask` is returned for the
-    caller — :func:`run_search`, or the multi-session scheduler — to
-    drive via ``step()``.  The config already guarantees a stop
-    condition.
-
-    Raises:
-        ValueError: when ``warm_states`` are given to a strategy other
-            than ``"mcts"``.
+    caller — :func:`run_search`, or code stepping it in slices — to
+    drive via ``step()``.  The config already guarantees a stop condition.
+    Sessions and the scheduler open their warm-started MCTS tasks
+    through :meth:`repro.serve.IncrementalGenerator.open_search`
+    instead.
     """
-    if warm_states and config.strategy != "mcts":
-        raise ValueError(
-            f"strategy {config.strategy!r} does not support warm starts "
-            "(only 'mcts' does)"
-        )
-    return _OPENERS[config.strategy](
-        model, initial, engine, config, tuple(warm_states)
-    )
+    return _OPENERS[config.strategy](model, initial, engine, config)
 
 
 def run_search(
@@ -300,24 +288,22 @@ def run_search(
     initial: DTNode,
     engine: RuleEngine,
     config: GenerationConfig,
-    warm_states: Sequence[DTNode] = (),
 ) -> SearchResult:
     """Run one search: the task :func:`open_search_task` opens, as one
-    unbounded step (the same code path the scheduler slices)."""
-    return open_search_task(model, initial, engine, config, warm_states).run()
+    unbounded ``step()``."""
+    return open_search_task(model, initial, engine, config).run()
 
 
 def generate_interface(
     queries: Sequence[Union[str, Node]],
     screen: Optional[Screen] = None,
     config: Optional[GenerationConfig] = None,
-    warm_states: Sequence[DTNode] = (),
 ) -> GeneratedInterface:
     """Generate an interactive interface for a SQL query log.
 
-    This is the stable one-shot call; the session-oriented
-    :class:`repro.engine.Engine` runs the same search plus caching,
-    incremental sessions, and structured reports.
+    This is the uncached library form of :meth:`repro.engine.Engine.generate`:
+    the same cold search, without the engine's cache, sessions and
+    structured reports.
 
     Args:
         queries: the input log — SQL strings or pre-parsed ASTs, in
@@ -326,9 +312,6 @@ def generate_interface(
         screen: output screen constraint (default: wide).
         config: generation settings (default: ``GenerationConfig()``);
             ``config.exclude_rules`` selects the rule subset.
-        warm_states: known-good difftree states (expressing the full
-            log) used to seed the MCTS transposition table and incumbent
-            — the warm-start path used by :mod:`repro.serve`.
 
     Returns:
         A :class:`GeneratedInterface` bundling the winning difftree,
@@ -338,7 +321,7 @@ def generate_interface(
     asts, screen, model, initial, engine = prepare_search(
         queries, screen=screen, config=config
     )
-    result = run_search(model, initial, engine, config, warm_states)
+    result = run_search(model, initial, engine, config)
     return GeneratedInterface(
         queries=asts, screen=screen, search=result, best=result.best
     )

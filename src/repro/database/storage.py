@@ -41,10 +41,6 @@ class Table:
     # -- shape ----------------------------------------------------------------
 
     @property
-    def column_names(self) -> List[str]:
-        return list(self._columns)
-
-    @property
     def num_rows(self) -> int:
         return self._nrows
 
@@ -121,9 +117,6 @@ class Database:
             raise SchemaError(
                 f"unknown table {name!r} (tables: {', '.join(self._tables)})"
             ) from None
-
-    def has_table(self, name: str) -> bool:
-        return name in self._tables
 
     @property
     def table_names(self) -> List[str]:

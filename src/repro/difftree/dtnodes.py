@@ -137,8 +137,8 @@ class DTNode:
 
     def __reduce__(self):
         # Slotted + immutable blocks pickle's default setattr-based path;
-        # rebuilding through __init__ keeps process-pool transport
-        # (repro.serve.batch) working and recomputes the cached key.
+        # rebuilding through __init__ re-interns an unpickled node and
+        # recomputes the cached key.
         return (DTNode, (self.kind, self.label, self.value, self.children))
 
     def __eq__(self, other: object) -> bool:

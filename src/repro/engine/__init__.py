@@ -1,8 +1,7 @@
 """repro.engine — the session-oriented front door.
 
-One :class:`Engine` owns the parse caches, interface cache,
-warm-start state, and worker pool, and exposes the three verbs
-of the serving story::
+One :class:`Engine` owns the session logs, interface cache and
+warm-start state, and exposes the three verbs of the serving story::
 
     from repro.engine import Engine
 
@@ -13,8 +12,6 @@ of the serving story::
     session.append("select objid from stars where u between 0 and 30")
     report = session.interface()               # incremental + warm-started
     print(report.ascii_art, report.to_dict()["provenance"])
-
-    reports = engine.generate_batch([log_a, log_b])   # process-pool fan-out
 
     scheduler = engine.scheduler()             # many sessions, sliced in turn
     scheduler.submit("analyst-1", [log_a[:5], log_a[5:]])

@@ -3,17 +3,15 @@
 One long-lived object owns every piece of serving state the caller used
 to hand-wire — the per-session logs (inside the
 :class:`~repro.serve.SessionRouter`), the :class:`~repro.serve.InterfaceCache`,
-the warm-start/compiled-sequence carry-over of
-:class:`~repro.serve.IncrementalGenerator`, and the batch worker pool —
-and exposes these verbs:
+and the warm-start/compiled-sequence carry-over of
+:class:`~repro.serve.IncrementalGenerator` — and exposes these verbs:
 
-* :meth:`Engine.generate` — one-shot, cache-aware generation.
+* :meth:`Engine.generate` — one-shot, cache-aware generation: a cache
+  hit, or one cold search.  A caller with many logs loops over it.
 * :meth:`Engine.session` — a :class:`LogSession` handle whose
   ``append()`` / ``interface()`` / ``history()`` make "append queries,
   get the refreshed interface" the primary operation (incremental +
   cached + warm-started under the hood).
-* :meth:`Engine.generate_batch` — many independent logs across a
-  process pool.
 * :meth:`Engine.scheduler` — many concurrent sessions sliced in turn
   over this engine's shared state.
 * :meth:`Engine.snapshot_session` / :meth:`Engine.restore_snapshot` —
@@ -40,12 +38,11 @@ from ..memo import INGEST
 from ..obs import collecting as _collecting, emit_report as _emit_report, trace as _trace
 from ..serve import (
     DEFAULT_SESSION,
-    EXECUTORS,
     IncrementalGenerator,
     InterfaceCache,
+    PendingSearch,
     SessionRouter,
     context_key,
-    generate_interfaces_batch,
     query_key,
 )
 from ..serve.stream import QueryLike
@@ -114,20 +111,11 @@ class LogSession:
             indices, session_id=self.session_id
         )
 
-    def retain(
-        self,
-        last_n: Optional[int] = None,
-        max_age_s: Optional[float] = None,
-    ) -> int:
-        """Apply a retention window (count and/or age); returns the new length.
-
-        ``retain(last_n=100)`` keeps the 100 most recent queries;
-        ``retain(max_age_s=3600)`` drops everything ingested more than
-        an hour ago; combining both applies the stricter bound.
-        """
+    def retain(self, last_n: int) -> int:
+        """Keep the ``last_n`` most recent queries; returns the new length."""
         self._engine._register(self.session_id, self)
         return self._engine._incremental_service().retain(
-            last_n=last_n, max_age_s=max_age_s, session_id=self.session_id
+            last_n, session_id=self.session_id
         )
 
     def history(self) -> Tuple[GenerationReport, ...]:
@@ -150,9 +138,6 @@ class Engine:
             Its ``strategy`` names the search, and its ``exclude_rules``
             removes rules from the paper's full set.
         cache: interface cache to consult/populate (default: fresh LRU).
-        executor: default batch executor — ``"process"``, ``"thread"``,
-            or ``"serial"``.
-        max_workers: default batch pool size.
         max_history: reports each :class:`LogSession` retains for
             :meth:`LogSession.history` (oldest dropped first;
             ``None`` = unbounded).
@@ -169,13 +154,9 @@ class Engine:
         screen: Optional[Screen] = None,
         config: Optional[GenerationConfig] = None,
         cache: Optional[InterfaceCache] = None,
-        executor: str = "process",
-        max_workers: Optional[int] = None,
         max_history: Optional[int] = 64,
         max_sessions: Optional[int] = None,
     ) -> None:
-        if executor not in EXECUTORS:
-            raise ValueError(f"executor must be one of {EXECUTORS}, got {executor!r}")
         if max_history is not None and max_history < 0:
             raise ValueError(f"max_history must be >= 0 or None, got {max_history}")
         if max_sessions is not None and max_sessions < 1:
@@ -184,20 +165,18 @@ class Engine:
         self.config = config or GenerationConfig()
         self.cache = cache if cache is not None else InterfaceCache()
         self.router = SessionRouter()
-        self.executor = executor
-        self.max_workers = max_workers
         self.max_history = max_history
         self.max_sessions = max_sessions
         self._ctx = context_key(self.screen, self.config)
         #: Incremental service backing LogSessions (built on first use —
-        #: it requires ``"mcts"``, which one-shot and batch verbs do not).
+        #: it requires ``"mcts"``, which the one-shot verb does not).
         self._incremental: Optional[IncrementalGenerator] = None
         #: Live session handles in least-recently-used order (guarded:
         #: callers may share one engine across threads).
         self._sessions: "OrderedDict[str, LogSession]" = OrderedDict()
         self._sessions_lock = threading.Lock()
-        #: Searches run by the one-shot/batch verbs (the incremental
-        #: service keeps its own count; see :attr:`searches_run`).
+        #: Searches run by the one-shot verb (the incremental service
+        #: keeps its own count; see :attr:`searches_run`).
         self._direct_searches = 0
         #: Restore provenance per rehydrated session (reports carry it).
         self._restored: Dict[str, Dict] = {}
@@ -234,17 +213,14 @@ class Engine:
 
     # -- one-shot -----------------------------------------------------------
 
-    def generate(
-        self,
-        queries: Sequence[Union[str, Node]],
-        warm_states: Sequence = (),
-    ) -> GenerationReport:
+    def generate(self, queries: Sequence[Union[str, Node]]) -> GenerationReport:
         """One-shot, cache-aware generation for a full log.
 
         A log this engine already served — the same queries in the same
         order, repeats included — returns from the cache without
-        searching; otherwise the configured strategy runs and the result
-        is cached for future one-shot *and* session calls.
+        searching; otherwise the configured strategy runs one cold
+        search, and the result is cached for future one-shot *and*
+        session calls.
         """
         t0 = time.perf_counter()
         spans: List[Dict] = []
@@ -274,7 +250,7 @@ class Engine:
                     asts, screen=self.screen, config=self.config
                 )
                 difftree_s = time.perf_counter() - difftree_started
-                result = run_search(model, initial, rules, self.config, warm_states)
+                result = run_search(model, initial, rules, self.config)
                 self._direct_searches += 1
                 render_started = time.perf_counter()
                 generated = GeneratedInterface(
@@ -291,7 +267,6 @@ class Engine:
                     source="search",
                     strategy=result.strategy,
                     log_size=len(asts),
-                    warm_states_seeded=result.stats.warm_states_seeded,
                     cache_stats=self.cache_stats,
                     ingest_stats=self.ingest_stats,
                     timings={
@@ -443,17 +418,34 @@ class Engine:
         spans: List[Dict] = []
         with _collecting(spans), _trace("engine.session.interface", session=session_id):
             pending = service.open_search(session_id)
-            searched = pending.cached is None
-            if searched:
+            if pending.cached is None:
                 pending.task.step()
             generated = pending.finish()
         timings = dict(pending.timings)
         timings["total_s"] = time.perf_counter() - t0
-        report = GenerationReport(
+        report = self._session_report(pending, generated, timings)
+        report.trace = spans
+        _emit_report(report, verb="session.interface")
+        return report
+
+    def _session_report(
+        self,
+        pending: PendingSearch,
+        generated: GeneratedInterface,
+        timings: Dict[str, float],
+        scheduling: Optional[Dict] = None,
+    ) -> GenerationReport:
+        """The report for a finished session search: ``generated`` with
+        the provenance ``pending`` holds (cache or search, warm seeds,
+        carry, restore).  :meth:`LogSession.interface` and the scheduler
+        both build their reports here; the scheduler passes its
+        ``scheduling`` provenance and a submission-based ``total_s``."""
+        searched = pending.cached is None
+        return GenerationReport(
             result=generated,
             source="search" if searched else "cache",
             strategy=generated.search.strategy,
-            session_id=session_id,
+            session_id=pending.session_id,
             log_size=len(generated.queries),
             warm_states_seeded=(
                 generated.search.stats.warm_states_seeded if searched else 0
@@ -461,65 +453,7 @@ class Engine:
             cache_stats=self.cache_stats,
             ingest_stats=self.ingest_stats,
             timings=timings,
-            snapshot=self._restored.get(session_id),
+            scheduling=scheduling,
+            snapshot=self._restored.get(pending.session_id),
             carry=pending.carry if searched else None,
         )
-        report.trace = spans
-        _emit_report(report, verb="session.interface")
-        return report
-
-    # -- batch --------------------------------------------------------------
-
-    def generate_batch(
-        self,
-        logs: Sequence[Sequence[QueryLike]],
-        executor: Optional[str] = None,
-        max_workers: Optional[int] = None,
-    ) -> List[GenerationReport]:
-        """One interface per log, fanned across the worker pool.
-
-        Results come back in input order and are inserted into the
-        engine's cache, so follow-up one-shot or session calls over the
-        same logs are hits.
-        """
-        t0 = time.perf_counter()
-        spans: List[Dict] = []
-        with _collecting(spans), _trace("engine.generate_batch", logs=len(logs)):
-            results = generate_interfaces_batch(
-                logs,
-                screen=self.screen,
-                config=self.config,
-                max_workers=(
-                    max_workers if max_workers is not None else self.max_workers
-                ),
-                executor=executor or self.executor,
-            )
-        total_s = time.perf_counter() - t0
-        reports = []
-        for generated in results:
-            self._direct_searches += 1
-            key = InterfaceCache.key_for(generated.queries, self.screen, self.config)
-            self.cache.put(
-                key,
-                generated,
-                query_keys=tuple(map(query_key, generated.queries)),
-                ctx=self._ctx,
-            )
-            report = GenerationReport(
-                result=generated,
-                source="batch",
-                strategy=generated.search.strategy,
-                log_size=len(generated.queries),
-                cache_stats=self.cache_stats,
-                ingest_stats=self.ingest_stats,
-                timings={
-                    "total_s": total_s,
-                    "search_s": generated.search.elapsed,
-                },
-            )
-            # The batch ran as one fanned-out phase; every lane's report
-            # carries the shared batch-level spans.
-            report.trace = list(spans)
-            reports.append(report)
-            _emit_report(report, verb="generate_batch")
-        return reports

@@ -33,7 +33,7 @@ REPORT_SCHEMA_VERSION = 6
 TIMING_PHASES = ("parse_s", "difftree_s", "search_s", "render_s")
 
 #: Where a report's interface came from.
-SOURCES = ("search", "cache", "batch")
+SOURCES = ("search", "cache")
 
 
 def _jsonable(value: Any) -> Any:
@@ -59,9 +59,9 @@ class GenerationReport:
     Attributes:
         result: the full in-process interface (difftree, widget tree,
             search diagnostics) — everything the legacy API returned.
-        source: ``"search"`` (a search ran for this call), ``"cache"``
+        source: ``"search"`` (a search ran for this call) or ``"cache"``
             (served from :class:`~repro.serve.InterfaceCache` with zero
-            new search work), or ``"batch"`` (one lane of a batch run).
+            new search work).
         strategy: the search strategy that produced the interface (for
             cache hits: the strategy of the original run).
         session_id: serving session the report belongs to, if any.

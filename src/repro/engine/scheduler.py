@@ -305,52 +305,34 @@ class SessionScheduler:
         # (collected by both levels) from appearing twice.
         seen = {id(span) for span in pending.spans}
         pending.spans.extend(s for s in slice_spans if id(s) not in seen)
-        if pending.cached is not None:
-            report = self._report(ticket, pending, searched=False)
-            return report, None, 0, opened
-        if not pending.task.done:
+        if pending.cached is None and not pending.task.done:
             return None, pending, performed, opened
-        report = self._report(ticket, pending, searched=True)
-        return report, None, performed, opened
+        return self._report(ticket, pending), None, performed, opened
 
     def _report(
-        self, ticket: SessionTicket, pending: PendingSearch, searched: bool
+        self, ticket: SessionTicket, pending: PendingSearch
     ) -> GenerationReport:
         """Package a delivered interface with scheduling provenance."""
-        engine = self.engine
-        if searched:
-            task = pending.task
-            # finish() collects its own spans into pending.spans and fills
-            # pending.timings["search_s"/"render_s"] from the task clock.
-            generated = pending.finish()
-            scheduling_extra = {
-                "slices": task.slices,
-                "iterations": task.iterations,
-            }
-        else:
-            generated = pending.cached
-            scheduling_extra = {"slices": 0, "iterations": 0}
+        # finish() returns a cache hit as it is; after a search it collects
+        # its own spans into pending.spans and fills
+        # pending.timings["search_s"/"render_s"] from the task clock.
+        generated = pending.finish()
+        task = pending.task
         now = time.perf_counter()
         timings = dict(pending.timings)
         timings["total_s"] = now - ticket.submitted_at
-        stats = generated.search.stats
-        report = GenerationReport(
-            result=generated,
-            source="search" if searched else "cache",
-            strategy=generated.search.strategy,
-            session_id=ticket.session_id,
-            log_size=len(generated.queries),
-            warm_states_seeded=stats.warm_states_seeded if searched else 0,
-            cache_stats=engine.cache_stats,
-            timings=timings,
+        report = self.engine._session_report(
+            pending,
+            generated,
+            timings,
             scheduling={
                 "policy": self.policy,
                 "latency_s": now - ticket.submitted_at,
                 "preemptions": ticket.preemptions,
-                **scheduling_extra,
+                "slices": task.slices if task is not None else 0,
+                "iterations": task.iterations if task is not None else 0,
             },
-            trace=list(pending.spans),
-            snapshot=engine.restored_session(ticket.session_id),
         )
+        report.trace = list(pending.spans)
         _emit_report(report, verb="scheduler")
         return report

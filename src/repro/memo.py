@@ -60,8 +60,7 @@ class BoundedLRU:
     pop-then-reinsert sequences that corrupt the dict if interleaved, so
     every operation holds the lock — evaluators, cost models, and the
     ingest memo tables shared by callers on several threads (one Engine
-    shared across threads, ``generate_batch``'s thread pool) stay
-    consistent.  ``values()``/``items()`` return point-in-time snapshots
+    shared across threads) stay consistent.  ``values()``/``items()`` return point-in-time snapshots
     (callers iterate without holding the lock).
 
     Every table keeps uniform ``hits`` / ``misses`` / ``evictions``

@@ -26,8 +26,8 @@ Three pieces:
   steps, kernel compiles).  Disabled, a trace call is one global check
   returning a shared no-op.
 * :class:`TelemetryLog` (:mod:`repro.obs.sink`) — the durable JSONL
-  stream of spans and report envelopes; the training substrate for the
-  ROADMAP's adaptive search controller.
+  stream of spans and report envelopes, for replaying the envelopes a
+  run delivered.
 
 Everything hangs off :func:`configure`; the default is **disabled** and
 the disabled path is near-zero cost (gated by

@@ -22,8 +22,7 @@ Two kinds of metrics live here:
   dead sources are pruned on the next snapshot or registration.
 
 All operations are thread-safe: callers sharing one Engine across
-threads, and ``generate_batch``'s thread pool, observe spans and bump
-counters concurrently.
+threads observe spans and bump counters concurrently.
 """
 
 from __future__ import annotations

@@ -3,12 +3,11 @@
 A sink is anything with ``write(record: dict)``.  Two implementations:
 
 * :class:`TelemetryLog` — appends one compact JSON object per line to a
-  file.  This is the durable observation stream the ROADMAP's adaptive
-  search controller will train on: every span and every delivered
+  file: every span and every delivered
   :class:`~repro.engine.GenerationReport` lands here in arrival order,
   and a ``report`` record's payload *is* ``report.to_dict()`` — reading
-  the line back yields the identical envelope (the replay contract
-  checked by ``benchmarks/bench_obs.py``).
+  the line back replays the identical envelope (the contract checked by
+  ``benchmarks/bench_obs.py``).
 
 * :class:`MemoryTelemetry` — an in-process list of records, for tests
   and short-lived introspection.

@@ -24,9 +24,8 @@ pay one function call and one ``with`` — nanoseconds — which the
 ``bench_obs`` gate verifies is statistically zero.
 
 Collectors are **thread-local** by design, so spans recorded on one
-thread (a caller sharing the Engine, a ``generate_batch`` pool thread)
-never leak into a report collected on another.  A search the scheduler
-slices accumulates its spans in the
+thread (a caller sharing the Engine) never leak into a report collected
+on another.  A search the scheduler slices accumulates its spans in the
 :class:`~repro.serve.incremental.PendingSearch` it belongs to: each
 slice collects into its own list, and the scheduler moves that list onto
 the pending search, so a report carries only its own session's spans

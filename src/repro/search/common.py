@@ -268,7 +268,7 @@ def _record_search_metrics(result: "SearchResult") -> None:
     enabled: the per-run dataclass counters stay exactly as they were —
     zero hot-path cost — and the process-wide ``search.*`` /
     ``cost.kernel.*`` dotted metrics accumulate across runs, which is
-    what a dashboard (or the planned adaptive controller) wants.
+    what a dashboard wants.
     """
     reg = _OBS_REGISTRY
     stats = result.stats

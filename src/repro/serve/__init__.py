@@ -11,13 +11,10 @@ pipeline:
 * :class:`IncrementalGenerator` — extends the previous difftree to
   appended queries by anti-unification and warm-starts MCTS from the
   prior run's transposition table and incumbent.
-* :func:`generate_interfaces_batch` — fans independent logs across a
-  process pool with a shared config.
 * :class:`SessionSnapshot` — capture + restore of a session's full warm
   state as one versioned JSON-native payload.
 """
 
-from .batch import EXECUTORS, generate_interfaces_batch
 from .cache import (
     CacheStats,
     InterfaceCache,
@@ -42,8 +39,6 @@ __all__ = [
     "IncrementalGenerator",
     "PendingSearch",
     "DEFAULT_SESSION",
-    "generate_interfaces_batch",
-    "EXECUTORS",
     "SessionSnapshot",
     "SnapshotError",
     "SNAPSHOT_SCHEMA_VERSION",

@@ -295,21 +295,13 @@ class IncrementalGenerator:
         self._retract(session_id, removed)
         return len(self.router.stream(session_id))
 
-    def retain(
-        self,
-        last_n: Optional[int] = None,
-        max_age_s: Optional[float] = None,
-        session_id: str = DEFAULT_SESSION,
-    ) -> int:
-        """Apply a retention window (count and/or age); returns the new length.
+    def retain(self, last_n: int, session_id: str = DEFAULT_SESSION) -> int:
+        """Keep the session's ``last_n`` most recent queries; returns the
+        new length.
 
-        See :meth:`~repro.serve.stream.LogStream.retain` for the window
-        semantics and :meth:`remove` for the bounded-recompute carry
-        maintenance.
+        See :meth:`remove` for the bounded-recompute carry maintenance.
         """
-        removed = self.router.retain(
-            session_id, last_n=last_n, max_age_s=max_age_s
-        )
+        removed = self.router.retain(session_id, last_n)
         self._retract(session_id, removed)
         return len(self.router.stream(session_id))
 

@@ -12,8 +12,6 @@ the per-query keys prefix lookup needs and caches its log key.
 from __future__ import annotations
 
 import threading
-import time
-from bisect import bisect_right
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..sqlast import Node, parse
@@ -29,9 +27,6 @@ class LogStream:
         self._sql: List[str] = []
         self._asts: List[Node] = []
         self._query_keys: List[str] = []
-        #: Per-entry ingest timestamps (``time.monotonic()``) for age-based
-        #: :meth:`retain` windows; nondecreasing, so a cutoff is one bisect.
-        self._times: List[float] = []
         #: :meth:`log_key` of the current log, until the next mutation.
         self._log_key: Optional[str] = None
 
@@ -58,7 +53,6 @@ class LogStream:
             self._sql.append(query if isinstance(query, str) else "")
             self._asts.append(ast)
             self._query_keys.append(key)
-            self._times.append(time.monotonic())
             self._log_key = None
         return len(self._asts)
 
@@ -106,7 +100,6 @@ class LogStream:
             del self._sql[length:]
             del self._asts[length:]
             del self._query_keys[length:]
-            del self._times[length:]
             self._log_key = None
         return len(self._asts)
 
@@ -127,41 +120,20 @@ class LogStream:
             del self._sql[i]
             del self._asts[i]
             del self._query_keys[i]
-            del self._times[i]
         self._log_key = None
         return tuple(normalized)
 
-    def retain(
-        self,
-        last_n: Optional[int] = None,
-        max_age_s: Optional[float] = None,
-        now: Optional[float] = None,
-    ) -> Tuple[int, ...]:
-        """Keep only a retention window of the log; returns the dropped indices.
+    def retain(self, last_n: int) -> Tuple[int, ...]:
+        """Keep at most the ``last_n`` most recent queries; returns the
+        dropped indices.
 
-        Args:
-            last_n: keep at most the ``last_n`` most recent queries.
-            max_age_s: drop queries ingested more than this many seconds
-                ago (by the stream's monotonic clock).
-            now: clock override for tests (default ``time.monotonic()``).
-
-        Both bounds may be combined (the stricter wins).  Retention only
-        ever retires a *prefix* — appends are time-ordered — so the
-        recompute downstream carriers pay is bounded by one rejoined
-        boundary pair (see ``CompiledSequence.without``).
+        Retention only ever retires a *prefix*, so the recompute
+        downstream carriers pay is bounded by one rejoined boundary pair
+        (see ``CompiledSequence.without``).
         """
-        if last_n is None and max_age_s is None:
-            raise ValueError("retain() needs last_n and/or max_age_s")
-        drop_before = 0
-        if last_n is not None:
-            if last_n < 0:
-                raise ValueError(f"last_n must be >= 0, got {last_n}")
-            drop_before = max(drop_before, len(self._asts) - last_n)
-        if max_age_s is not None:
-            if max_age_s < 0:
-                raise ValueError(f"max_age_s must be >= 0, got {max_age_s}")
-            cutoff = (time.monotonic() if now is None else now) - max_age_s
-            drop_before = max(drop_before, bisect_right(self._times, cutoff))
+        if last_n < 0:
+            raise ValueError(f"last_n must be >= 0, got {last_n}")
+        drop_before = len(self._asts) - last_n
         if drop_before <= 0:
             return ()
         return self.remove(range(drop_before))
@@ -208,19 +180,12 @@ class SessionRouter:
             stream = self._streams.get(session_id)
             return () if stream is None else stream.remove(indices)
 
-    def retain(
-        self,
-        session_id: str,
-        last_n: Optional[int] = None,
-        max_age_s: Optional[float] = None,
-    ) -> Tuple[int, ...]:
-        """Apply a retention window to a session's log (see
+    def retain(self, session_id: str, last_n: int) -> Tuple[int, ...]:
+        """Keep a session's ``last_n`` most recent queries (see
         :meth:`LogStream.retain`); returns the dropped indices."""
         with self._lock:
             stream = self._streams.get(session_id)
-            if stream is None:
-                return ()
-            return stream.retain(last_n=last_n, max_age_s=max_age_s)
+            return () if stream is None else stream.retain(last_n)
 
     def drop(self, session_id: str) -> bool:
         """Forget a session's stream; returns whether it existed."""

@@ -56,13 +56,6 @@ VALUE_LABELS = frozenset(
     {TOP, COLEXPR, FUNC, ALIAS, TABLE, BIEXPR, NUMEXPR, STREXPR, ORDERITEM, LIMIT}
 )
 
-#: Clause labels that may appear as direct children of ``Select``, in
-#: canonical order.  The parser always emits clauses in this order, which
-#: makes AST alignment across queries deterministic.
-CLAUSE_ORDER = (TOP, PROJECT, FROM, WHERE, GROUPBY, ORDERBY, LIMIT)
-
-_CLAUSE_RANK = {label: i for i, label in enumerate(CLAUSE_ORDER)}
-
 #: The hash-consing table: ``(label, value, children) -> live Node``.
 #: Values are weak, so interning never extends a node's lifetime.
 _INTERN: "WeakValueDictionary[Tuple[str, Any, Tuple['Node', ...]], Node]" = (
@@ -125,7 +118,7 @@ class Node:
 
     def __reduce__(self):
         # Slotted + immutable blocks pickle's default setattr-based path;
-        # rebuild through __init__ (process-pool transport in repro.serve).
+        # rebuild through __init__, which re-interns an unpickled node.
         return (Node, (self.label, self.value, self.children))
 
     def __hash__(self) -> int:
@@ -178,10 +171,6 @@ class Node:
         """Number of nodes in this subtree (including this node)."""
         return self._size
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
     def walk(self) -> Iterator["Node"]:
         """Yield this node and all descendants in pre-order."""
         stack = [self]
@@ -232,14 +221,6 @@ class Node:
                 self.children[:index] + (replacement,) + self.children[index + 1 :]
             )
         return Node(self.label, self.value, new_children)
-
-    def with_children(self, children: Sequence["Node"]) -> "Node":
-        """Return a copy of this node with ``children`` substituted."""
-        return Node(self.label, self.value, children)
-
-    def with_value(self, value: Any) -> "Node":
-        """Return a copy of this node with ``value`` substituted."""
-        return Node(self.label, value, self.children)
 
     def child_by_label(self, label: str) -> Optional["Node"]:
         """Return the first direct child with the given label, if any."""
@@ -364,8 +345,3 @@ def order_item(column: Node, direction: str = "asc") -> Node:
 
 def limit(n: int) -> Node:
     return Node(LIMIT, int(n))
-
-
-def clause_rank(label: str) -> int:
-    """Canonical ordering rank of a Select clause label (for sorting)."""
-    return _CLAUSE_RANK.get(label, len(CLAUSE_ORDER))

@@ -15,7 +15,7 @@ from repro import (
 )
 from repro.core import STRATEGIES, open_search_task, prepare_search
 from repro.cost import CostModel
-from repro.difftree import as_asts, expresses_all, initial_difftree
+from repro.difftree import as_asts, expresses_all
 from repro.search import (
     BeamSearchTask,
     ExhaustiveSearchTask,
@@ -57,9 +57,6 @@ class TestStrategyRegistry:
             task = open_search_task(model, initial, rules, config)
             assert task.strategy == name
             assert type(task) is cls
-            if name != "mcts":
-                with pytest.raises(ValueError, match="warm start"):
-                    open_search_task(model, initial, rules, config, [initial])
 
 
 class TestWorkloadRegistry:
@@ -116,16 +113,6 @@ class TestConfigValidation:
 
 
 class TestCapabilityEnforcement:
-    def test_warm_states_rejected_without_capability(self):
-        queries = as_asts(listing1_sql(1, 3))
-        tree = initial_difftree(queries)
-        with pytest.raises(ValueError, match="warm start"):
-            generate_interface(
-                queries,
-                config=GenerationConfig(strategy="greedy", time_budget_s=0.2),
-                warm_states=[tree],
-            )
-
     def test_incremental_requires_warm_capable_strategy(self):
         with pytest.raises(ValueError, match="needs the warm-starting 'mcts'"):
             IncrementalGenerator(config=GenerationConfig(strategy="beam"))
@@ -246,16 +233,6 @@ class TestEngine:
             engine.session(sid).append(listing1_sql()[0])
         assert sorted(engine.sessions()) == ["f", "g"]
 
-    def test_generate_batch_order_and_cache(self):
-        engine = Engine(config=FAST, executor="serial")
-        logs = [listing1_sql(1, 2), listing1_sql(3, 4)]
-        reports = engine.generate_batch(logs)
-        assert [r.source for r in reports] == ["batch", "batch"]
-        for log, report in zip(logs, reports):
-            assert expresses_all(report.difftree, as_asts(log))
-        # Batch results land in the cache: a one-shot repeat is a hit.
-        assert engine.generate(logs[0]).source == "cache"
-
     def test_empty_session_raises(self):
         engine = Engine(config=FAST)
         with pytest.raises(ValueError, match="empty"):
@@ -269,14 +246,10 @@ class TestEngine:
             engine.generate("SELECT a FROM t")
         with pytest.raises(TypeError, match="sequence of queries"):
             as_asts("SELECT a FROM t")
-        # An empty batch lane is refused up front, not inside a worker.
-        with pytest.raises(ValueError, match="log 0 is empty"):
-            engine.generate_batch([[]])
+        # An empty log is refused before any search machinery is built.
+        with pytest.raises(ValueError, match="at least one input query"):
+            engine.generate([])
         assert engine.searches_run == 0
-
-    def test_invalid_executor_rejected(self):
-        with pytest.raises(ValueError, match="executor"):
-            Engine(executor="gpu")
 
     def test_workload_helper(self):
         log = Engine.workload("tpch", 3, seed=1)

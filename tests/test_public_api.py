@@ -50,7 +50,6 @@ def test_legacy_entry_points_still_importable():
         GenerationConfig,
         IncrementalGenerator,
         generate_interface,
-        generate_interfaces_batch,
     )
     from repro.core import prepare_search, run_search  # noqa: F401
     from repro.serve import DEFAULT_SESSION, InterfaceCache  # noqa: F401
@@ -59,7 +58,7 @@ def test_legacy_entry_points_still_importable():
 def test_import_and_generate_do_not_load_numpy():
     # The package is pure stdlib: importing it and serving one log must
     # not pull numpy in (it costs start-up time and resident memory).
-    # Nor the process-pool machinery, which only a pooled batch uses.
+    # Nor the process-pool machinery: nothing in the package uses it.
     import repro
 
     code = (

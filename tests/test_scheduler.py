@@ -27,7 +27,7 @@ from repro.search import (
     TaskClock,
 )
 from repro.sqlast import parse
-from repro.workloads import listing1_sql, sdss_session_sql
+from repro.workloads import get_workload, listing1_sql, sdss_session_sql
 
 #: Iteration-capped, seed-fixed: equal work regardless of wall clock.
 DETERMINISTIC = GenerationConfig(
@@ -372,6 +372,29 @@ class TestSchedulerMechanics:
         tickets = scheduler.run()
         for ticket in tickets:
             assert [r.cost for r in ticket.reports] == expected[ticket.session_id]
+
+    def test_reports_carry_session_provenance(self):
+        """A scheduled delivery reports what a session read of the same
+        script reports: the carried tree's provenance and the ingest
+        counters."""
+        log = get_workload("sdss")(6, seed=0)
+        chunks = [tuple(log[:4]), tuple(log[4:])]
+        config = GenerationConfig(time_budget_s=0, max_iterations=2, seed=0)
+        session = Engine(config=config).session("s")
+        expected = []
+        for chunk in chunks:
+            session.append(*chunk)
+            expected.append(session.interface())
+        scheduler = Engine(config=config).scheduler(slice_iterations=1)
+        scheduler.submit("s", chunks)
+        (ticket,) = scheduler.run()
+        assert [r.cost for r in ticket.reports] == [r.cost for r in expected]
+        assert expected[0].carry is None and expected[1].carry is not None
+        assert [r.carry for r in ticket.reports] == [r.carry for r in expected]
+        assert [set(r.ingest_stats) for r in ticket.reports] == [
+            set(r.ingest_stats) for r in expected
+        ]
+        assert all(r.ingest_stats for r in ticket.reports)
 
 
 class TestObservedCohort:

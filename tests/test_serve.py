@@ -1,5 +1,5 @@
 """Tests for the serving layer: streams, cache, incremental generation,
-warm-started search, and the batch worker pool."""
+and warm-started search."""
 
 import pytest
 
@@ -21,17 +21,12 @@ from repro.serve import (
     LogStream,
     SessionRouter,
     context_key,
-    generate_interfaces_batch,
 )
 from repro.sqlast import parse
 from repro.workloads import get_workload, listing1_sql, sdss_session_sql
 
 #: A fast config for tests that exercise plumbing, not search quality.
 FAST = GenerationConfig(time_budget_s=0.3, seed=0)
-
-#: Iteration-capped with no wall-clock budget: a seed does identical
-#: work wherever it runs, so executors can be compared bit for bit.
-CAPPED = GenerationConfig(time_budget_s=0.0, max_iterations=3, seed=0, final_cap=50)
 
 
 def unique_sql(n):
@@ -198,6 +193,10 @@ class TestInterfaceCache:
         assert cache.longest_prefix(("a", "b"), "ctx") is None
         assert cache.longest_prefix(("a", "x", "c"), "ctx") is None
 
+    def test_context_key_is_deterministic(self):
+        assert context_key(Screen.wide(), FAST) == context_key(Screen.wide(), FAST)
+        assert context_key(Screen.wide(), FAST) != context_key(Screen.narrow(), FAST)
+
 
 class TestGraftExtension:
     def test_extension_expresses_everything(self):
@@ -247,16 +246,6 @@ class TestWarmStartedSearch:
         # The seeded incumbent is a floor: the tiny-budget warm run can
         # never end worse than the seed it was given.
         assert warm.best_cost <= prior.best_cost + 1e-9
-
-    def test_warm_states_rejected_by_baselines(self):
-        queries = as_asts(listing1_sql(1, 3))
-        tree = initial_difftree(queries)
-        with pytest.raises(ValueError):
-            generate_interface(
-                queries,
-                config=GenerationConfig(strategy="greedy", time_budget_s=0.2),
-                warm_states=[tree],
-            )
 
     def test_injected_node_table_resumes_search(self):
         """A later search over the same log can continue from a prior
@@ -404,64 +393,3 @@ class TestIncrementalGenerator:
                 config=GenerationConfig(strategy="random")
             )
 
-
-class TestBatch:
-    def test_batch_preserves_order_and_feasibility(self):
-        # Process-pool results arrive pickled, and Node/DTNode.__reduce__
-        # re-intern them here: they must equal the in-process executors'
-        # results bit for bit and land on the same canonical trees.
-        logs = [listing1_sql(1, 2), listing1_sql(3, 4), listing1_sql(5, 6)]
-        serial = generate_interfaces_batch(logs, config=CAPPED, executor="serial")
-        for executor in ("process", "thread"):
-            results = generate_interfaces_batch(
-                logs, config=CAPPED, max_workers=2, executor=executor
-            )
-            assert len(results) == 3
-            for log, ours, theirs in zip(logs, results, serial):
-                assert ours.best.breakdown.feasible
-                assert expresses_all(ours.difftree, as_asts(log))
-                assert ours.cost == theirs.cost
-                assert ours.difftree.canonical_key == theirs.difftree.canonical_key
-                assert ours.difftree is theirs.difftree
-                assert repr(ours.widget_tree) == repr(theirs.widget_tree)
-                assert ours.search.stats == theirs.search.stats
-                # History points are (wall-clock, cost): only the cost
-                # trajectory is deterministic.
-                assert [c for _, c in ours.search.history] == [
-                    c for _, c in theirs.search.history
-                ]
-
-    def test_process_pool_that_cannot_start_falls_back_to_threads(self, monkeypatch):
-        # The batch imports its pool at call time, from concurrent.futures.
-        import concurrent.futures
-
-        def no_pool(*args, **kwargs):
-            raise OSError("process pools are unavailable")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        logs = [listing1_sql(1, 2), listing1_sql(3, 4)]
-        serial = generate_interfaces_batch(logs, config=CAPPED, executor="serial")
-        results = generate_interfaces_batch(logs, config=CAPPED, max_workers=2)
-        assert [r.cost for r in results] == [r.cost for r in serial]
-
-    def test_serial_executor_matches_shape(self):
-        logs = [listing1_sql(1, 2)]
-        results = generate_interfaces_batch(logs, config=FAST, executor="serial")
-        assert len(results) == 1
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError):
-            generate_interfaces_batch([listing1_sql(1, 2)], executor="gpu")
-
-    def test_malformed_logs_rejected_before_any_pool_starts(self):
-        good = listing1_sql(1, 2)
-        with pytest.raises(ValueError, match="log 0 is empty"):
-            generate_interfaces_batch([[]])
-        with pytest.raises(ValueError, match="log 1 is empty"):
-            generate_interfaces_batch([good, []], executor="thread")
-        with pytest.raises(TypeError, match="log 1 is a bare string"):
-            generate_interfaces_batch([good, good[0]])
-
-    def test_context_key_is_deterministic(self):
-        assert context_key(Screen.wide(), FAST) == context_key(Screen.wide(), FAST)
-        assert context_key(Screen.wide(), FAST) != context_key(Screen.narrow(), FAST)
