@@ -8,13 +8,19 @@ Three gates, each checked per growing-log workload (sdss, tpch):
 
 1. **Enabled overhead** — the same seed-fixed serving pipeline (append
    chunks to a session, serve an interface per chunk) runs with
-   observability off and with it on (spans + metrics + JSONL sink).
-   Min-of-repeats wall clock with tracing on must be within
-   ``--overhead-tolerance`` (default 5%) of the disabled run.
+   observability off and then on (spans + metrics + JSONL sink), once
+   per repeat.  The gated statistic is the minimum over repeats of the
+   enabled/disabled wall-clock ratio, minus one; it must not exceed
+   ``--overhead-tolerance`` (default 5%).  The disabled pass always runs
+   first, and the minimum takes the repeat most favourable to the
+   enabled mode, so the statistic reads below zero on working code
+   (-2% to -24% at the CI settings) and does not verify the 5% budget.
+   The budget stays unverified until an alternating traced pass in
+   ``perfbench`` measures it.
 2. **Parity** — both modes must deliver bit-for-bit identical results:
    same per-chunk interface costs, same final difftree canonical key.
-3. **Replay** — every Engine verb (``generate``, ``session.interface``,
-   scheduler delivery) must emit exactly one JSONL ``report`` record
+3. **Replay** — every Engine verb (``generate``, its cache hit, and
+   ``session.interface``) must emit exactly one JSONL ``report`` record
    whose payload equals ``report.to_dict()`` — the durable log replays
    the live envelopes.
 
@@ -81,13 +87,15 @@ def timed_modes(
     repeats: int,
     telemetry: Optional[str],
 ) -> Tuple[Dict[str, object], Dict[str, object]]:
-    """Min-of-repeats timing of both modes, interleaved per repeat.
+    """Time both modes once per repeat: the disabled pass, then the enabled.
 
-    Alternating disabled/enabled passes within each repeat keeps slow
-    machine-level drift (thermal, noisy CI neighbours) from loading onto
-    one mode; the min filters the remaining one-sided noise.
+    The order never alternates, so warm-up and drift within a repeat
+    load onto one mode.  ``overhead`` is the minimum over repeats of the
+    enabled/disabled ratio, minus one: the repeat most favourable to the
+    enabled mode, not a bound on the instrumentation's cost.
 
-    Returns ``(disabled, enabled)`` summaries.
+    Returns ``(disabled, enabled)`` summaries; each ``elapsed_s`` is that
+    mode's minimum over repeats.
     """
     summaries = {}
     for enabled in (False, True):
@@ -112,11 +120,7 @@ def timed_modes(
         reports = summary["reports"]
         summary["costs"] = [r.cost for r in reports]
         summary["final_key"] = reports[-1].difftree.canonical_key
-    # The gated overhead estimate: min of the per-repeat pairwise ratios.
-    # Each pair runs back-to-back so slow drift cancels within it; the
-    # min over repeats filters the residual one-sided noise, giving a
-    # stable upper bound on the instrumentation's real cost (a run where
-    # every pair exceeds the tolerance is a genuine regression).
+    # The gated statistic: min of the per-repeat enabled/disabled ratios.
     summaries[True]["overhead"] = min(ratios) - 1.0
     return summaries[False], summaries[True]
 
@@ -140,10 +144,6 @@ def check_verb_replay(
         session = engine.session(f"{workload}-verbs")
         session.append(*queries)
         produced.append(("session.interface", session.interface()))
-        scheduler = engine.scheduler(slice_iterations=4)
-        scheduler.submit(f"{workload}-sched", [tuple(queries[:2])])
-        (ticket,) = scheduler.run()
-        produced.append(("scheduler", ticket.reports[0]))
         sink.flush()
         # The artifact file also holds the timed pipeline's records; the
         # verb records are the tail this block just appended.

@@ -276,9 +276,8 @@ def open_search_task(
     The opened :class:`~repro.search.SearchTask` is returned for the
     caller — :func:`run_search`, or code stepping it in slices — to
     drive via ``step()``.  The config already guarantees a stop condition.
-    Sessions and the scheduler open their warm-started MCTS tasks
-    through :meth:`repro.serve.IncrementalGenerator.open_search`
-    instead.
+    Sessions open their warm-started MCTS tasks through
+    :meth:`repro.serve.IncrementalGenerator.open_search` instead.
     """
     return _OPENERS[config.strategy](model, initial, engine, config)
 

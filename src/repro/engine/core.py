@@ -12,16 +12,13 @@ and the warm-start/compiled-sequence carry-over of
   ``append()`` / ``interface()`` / ``history()`` make "append queries,
   get the refreshed interface" the primary operation (incremental +
   cached + warm-started under the hood).
-* :meth:`Engine.scheduler` — many concurrent sessions sliced in turn
-  over this engine's shared state.
 * :meth:`Engine.snapshot_session` / :meth:`Engine.restore_snapshot` —
   capture a session's warm state as a versioned JSON-native payload and
   rebuild it, in this engine or another one with the same context.
 
 Every verb returns a :class:`~repro.engine.report.GenerationReport`:
 the uniform JSON-serializable envelope (interface + search stats +
-kernel counters + cache/warm-start provenance + timings) intended as
-the stable contract for a future HTTP layer.
+kernel counters + cache/warm-start provenance + timings).
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ from ..serve import (
     DEFAULT_SESSION,
     IncrementalGenerator,
     InterfaceCache,
-    PendingSearch,
     SessionRouter,
     context_key,
     query_key,
@@ -48,7 +44,6 @@ from ..serve import (
 from ..serve.stream import QueryLike
 from ..sqlast import Node
 from .report import GenerationReport
-from .scheduler import SessionScheduler
 
 
 class LogSession:
@@ -180,8 +175,6 @@ class Engine:
         self._direct_searches = 0
         #: Restore provenance per rehydrated session (reports carry it).
         self._restored: Dict[str, Dict] = {}
-        #: Sessions a scheduler script is running on: never evicted.
-        self._running: set = set()
 
     # -- introspection ------------------------------------------------------
 
@@ -293,8 +286,7 @@ class Engine:
         refreshes its recency, and the least recently used sessions past
         the bound are evicted via :meth:`drop_session` — releasing their
         log streams *and* the incremental service's warm-start carry,
-        not just the handle.  Sessions a scheduler script is running on
-        are skipped until the script ends.
+        not just the handle.
         """
         return self._register(session_id)
 
@@ -314,8 +306,7 @@ class Engine:
             self._sessions.move_to_end(session_id)
             if self.max_sessions and len(self._sessions) > self.max_sessions:
                 evicted = [
-                    sid for sid in self._sessions
-                    if sid != session_id and sid not in self._running
+                    sid for sid in self._sessions if sid != session_id
                 ][: len(self._sessions) - self.max_sessions]
                 for old_id in evicted:
                     del self._sessions[old_id]
@@ -344,30 +335,6 @@ class Engine:
         if self._incremental is not None:
             return self._incremental.drop_session(session_id)
         return self.router.drop(session_id)
-
-    def scheduler(
-        self,
-        slice_iterations: Optional[int] = 16,
-        policy: str = "round_robin",
-    ) -> SessionScheduler:
-        """A :class:`~repro.engine.scheduler.SessionScheduler` over this engine.
-
-        The concurrent-serving verb: submit many sessions' growing-log
-        scripts and let the scheduler slice their searches in turn
-        instead of serving them FIFO.  The scheduler runs on the
-        caller's thread.  It shares the engine's cache, router, and
-        warm-start state, so scheduler-served sessions mix freely with
-        :meth:`generate` / :meth:`session` calls.
-
-        Args:
-            slice_iterations: search iterations per ``round_robin``
-                slice (``None`` = a slice runs the search to completion).
-            policy: ``"round_robin"`` (fair rotation) or ``"fifo"``
-                (no preemption — the blocking baseline).
-        """
-        return SessionScheduler(
-            self, slice_iterations=slice_iterations, policy=policy
-        )
 
     # -- snapshots ----------------------------------------------------------
 
@@ -418,34 +385,17 @@ class Engine:
         spans: List[Dict] = []
         with _collecting(spans), _trace("engine.session.interface", session=session_id):
             pending = service.open_search(session_id)
-            if pending.cached is None:
+            searched = pending.cached is None
+            if searched:
                 pending.task.step()
             generated = pending.finish()
         timings = dict(pending.timings)
         timings["total_s"] = time.perf_counter() - t0
-        report = self._session_report(pending, generated, timings)
-        report.trace = spans
-        _emit_report(report, verb="session.interface")
-        return report
-
-    def _session_report(
-        self,
-        pending: PendingSearch,
-        generated: GeneratedInterface,
-        timings: Dict[str, float],
-        scheduling: Optional[Dict] = None,
-    ) -> GenerationReport:
-        """The report for a finished session search: ``generated`` with
-        the provenance ``pending`` holds (cache or search, warm seeds,
-        carry, restore).  :meth:`LogSession.interface` and the scheduler
-        both build their reports here; the scheduler passes its
-        ``scheduling`` provenance and a submission-based ``total_s``."""
-        searched = pending.cached is None
-        return GenerationReport(
+        report = GenerationReport(
             result=generated,
             source="search" if searched else "cache",
             strategy=generated.search.strategy,
-            session_id=pending.session_id,
+            session_id=session_id,
             log_size=len(generated.queries),
             warm_states_seeded=(
                 generated.search.stats.warm_states_seeded if searched else 0
@@ -453,7 +403,9 @@ class Engine:
             cache_stats=self.cache_stats,
             ingest_stats=self.ingest_stats,
             timings=timings,
-            scheduling=scheduling,
-            snapshot=self._restored.get(pending.session_id),
+            snapshot=self._restored.get(session_id),
             carry=pending.carry if searched else None,
         )
+        report.trace = spans
+        _emit_report(report, verb="session.interface")
+        return report

@@ -2,7 +2,7 @@
 
 :class:`GenerationReport` wraps the rich in-process
 :class:`~repro.core.GeneratedInterface` with the serving metadata a
-caller (or a future HTTP layer) needs to interpret it: where the answer
+caller needs to interpret it: where the answer
 came from (fresh search vs. cache), how it was warm-started, what the
 search did (iterations, kernel counters), and how long each phase took.
 ``to_dict()`` flattens the whole envelope into plain JSON-serializable
@@ -23,10 +23,11 @@ from ..core import GeneratedInterface
 #: from a durable snapshot); version 4 added ``provenance.carry`` (set
 #: when the search rebased a carried tree — nodes carried / invalidated
 #: / re-keyed / reopened).  Versions 2-4 were additive; version 5 removed
-#: the per-stream parse counters from ``provenance.ingest``, and version 6
-#: removed the admission-queue wait from ``scheduling`` (the scheduler has
-#: no admission queue).
-REPORT_SCHEMA_VERSION = 6
+#: the per-stream parse counters from ``provenance.ingest``, version 6
+#: removed the admission-queue wait from ``scheduling``, and version 7
+#: removed the ``scheduling`` section with the multi-session scheduler.
+#: Versions 5-7 are not additive.
+REPORT_SCHEMA_VERSION = 7
 
 #: Phase keys every report's ``timings`` dict carries (0.0 when a phase
 #: did not run for that verb — e.g. a cache hit searches for 0 s).
@@ -83,11 +84,6 @@ class GenerationReport:
             otherwise).  Each record is
             ``{"name", "ts", "duration_s", "tags"?}``.  Additive to
             schema_version 2.
-        scheduling: scheduler provenance when the interface was produced
-            by a :class:`~repro.engine.SessionScheduler` (``None``
-            otherwise): the ``policy``, submission-to-delivery
-            ``latency_s``, and how the search was sliced (``slices``,
-            ``preemptions``, ``iterations``).
         snapshot: restore provenance when the serving session was
             rehydrated from a durable
             :class:`~repro.serve.SessionSnapshot` (``None`` for never-
@@ -109,7 +105,6 @@ class GenerationReport:
     cache_stats: Dict[str, int] = field(default_factory=dict)
     ingest_stats: Dict[str, int] = field(default_factory=dict)
     timings: Dict[str, float] = field(default_factory=dict)
-    scheduling: Optional[Dict[str, Any]] = None
     trace: List[Dict[str, Any]] = field(default_factory=list)
     snapshot: Optional[Dict[str, Any]] = None
     carry: Optional[Dict[str, Any]] = None
@@ -189,11 +184,6 @@ class GenerationReport:
                     else None
                 ),
             },
-            "scheduling": (
-                _jsonable(dict(self.scheduling))
-                if self.scheduling is not None
-                else None
-            ),
             "timings": dict(self.timings),
             "trace": _jsonable(self.trace),
         }

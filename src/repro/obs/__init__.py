@@ -22,7 +22,7 @@ Three pieces:
   tables, interface caches, kernel stats) at snapshot time without
   touching their hot paths.
 * :func:`trace` (:mod:`repro.obs.tracer`) — span context managers
-  instrumenting every layer (engine verbs, scheduler slices, search
+  instrumenting every layer (engine verbs, serving phases, search
   steps, kernel compiles).  Disabled, a trace call is one global check
   returning a shared no-op.
 * :class:`TelemetryLog` (:mod:`repro.obs.sink`) — the durable JSONL

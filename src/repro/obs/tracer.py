@@ -21,15 +21,13 @@ On exit the span becomes a plain dict (``name`` / ``ts`` /
 Disabled (the default), :func:`trace` returns a shared no-op context
 manager after a single module-global check: the instrumented hot paths
 pay one function call and one ``with`` — nanoseconds — which the
-``bench_obs`` gate verifies is statistically zero.
+``bench_obs`` micro-gate bounds per call.
 
 Collectors are **thread-local** by design, so spans recorded on one
 thread (a caller sharing the Engine) never leak into a report collected
-on another.  A search the scheduler slices accumulates its spans in the
-:class:`~repro.serve.incremental.PendingSearch` it belongs to: each
-slice collects into its own list, and the scheduler moves that list onto
-the pending search, so a report carries only its own session's spans
-although sessions interleave slice by slice on one thread.
+on another.  An Engine verb collects every span of its own call, so a
+report carries only its own session's spans, also when one thread
+serves several sessions in turn.
 """
 
 from __future__ import annotations

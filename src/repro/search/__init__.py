@@ -1,8 +1,8 @@
 """Search strategies: MCTS (the paper's contribution) and baselines.
 
 Every strategy is a resumable :class:`SearchTask` (``open`` → ``step`` →
-``result``) the multi-session scheduler slices; ``run()`` is the
-monolithic run, one unbounded step.  Construct a baseline task directly
+``result``); ``run()`` is the monolithic run, one unbounded step.
+Construct a baseline task directly
 (``RandomSearchTask(model, initial, ...).run()``); MCTS opens through its
 search instance (``MCTS(model, config=...).open(initial).run()``).
 """
@@ -19,7 +19,6 @@ from .common import (
     SearchStats,
     SearchTask,
     StateEvaluator,
-    TaskClock,
     normalized_reward,
 )
 from .mcts import MCTS, MCTSConfig, MCTSTask
@@ -38,6 +37,5 @@ __all__ = [
     "SearchStats",
     "SearchTask",
     "StateEvaluator",
-    "TaskClock",
     "normalized_reward",
 ]

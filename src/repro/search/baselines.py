@@ -12,11 +12,10 @@
   (used to validate MCTS answer quality in tests).
 
 Every baseline is a resumable :class:`~repro.search.common.SearchTask`
-state machine — construct (open) → ``step()`` → ``result()`` — so the
-multi-session scheduler can slice them exactly like MCTS;
-``run()`` is one unbounded step.  One unit of work per strategy: a full
-random walk, one hill-climbing sweep, one beam level,
-one BFS expansion.
+state machine — construct (open) → ``step()`` → ``result()`` — stepped
+exactly like MCTS; ``run()`` is one unbounded step.  One unit of work
+per strategy: a full random walk, one hill-climbing sweep, one beam
+level, one BFS expansion.
 """
 
 from __future__ import annotations
@@ -55,9 +54,7 @@ class RandomSearchTask(SearchTask):
         self._rng = random.Random(seed)
         self._initial = initial
         self._max_walk_steps = max_walk_steps
-        evaluator.restart_clock()
         evaluator.evaluate(initial)
-        evaluator.clock.pause()
 
     def _iterate(self) -> bool:
         current = self._initial
@@ -98,12 +95,10 @@ class GreedySearchTask(SearchTask):
             evaluator, time_budget_s=time_budget_s, final_cap=final_cap
         )
         self._engine = engine or default_engine()
-        evaluator.restart_clock()
         #: Current descent position (None once a sweep found the local
         #: minimum).
         self._current: Optional[DTNode] = initial
         self._current_cost = evaluator.evaluate(initial).cost
-        evaluator.clock.pause()
 
     def _iterate(self) -> bool:
         if self._current is None:
@@ -155,11 +150,9 @@ class BeamSearchTask(SearchTask):
         self._beam_width = beam_width
         self._max_depth = max_depth
         self._depth = 0
-        evaluator.restart_clock()
         self._beam: List[DTNode] = [initial]
         self._seen: Set[str] = {initial.canonical_key}
         evaluator.evaluate(initial)
-        evaluator.clock.pause()
 
     def _iterate(self) -> bool:
         if self._depth >= self._max_depth:
@@ -216,12 +209,10 @@ class ExhaustiveSearchTask(SearchTask):
         super().__init__(evaluator, time_budget_s=None, final_cap=final_cap)
         self._engine = engine or default_engine()
         self._max_states = max_states
-        evaluator.restart_clock()
         self._queue: List[DTNode] = [initial]
         self._seen: Set[str] = {initial.canonical_key}
         self._index = 0
         evaluator.evaluate(initial)
-        evaluator.clock.pause()
 
     def _iterate(self) -> bool:
         if self._index >= len(self._queue) or len(self._seen) >= self._max_states:

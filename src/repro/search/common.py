@@ -9,11 +9,10 @@ the winner plus a convergence history for the benchmark harness.
 Strategies are *resumable*: each one is packaged as a :class:`SearchTask`
 state machine (``open`` at construction → repeated :meth:`SearchTask.step`
 → :meth:`SearchTask.result`) instead of a blocking run-to-completion
-function.  A task owns its RNG (through its evaluator) and its
-:class:`TaskClock`, which accumulates only *active* stepping time — so a
-task sliced by the multi-session scheduler consumes its ``time_budget_s``
-at the same rate as a monolithic run, and iteration-sliced runs are
-bit-for-bit identical to monolithic ones at equal totals.
+function.  A task owns its RNG (through its evaluator), so an
+iteration-capped run stepped in slices is bit-for-bit identical to a
+monolithic one at equal totals.  Time budgets count wall clock from the
+evaluator's :meth:`StateEvaluator.restart_clock`.
 """
 
 from __future__ import annotations
@@ -38,51 +37,6 @@ from ..obs import trace as _trace
 
 #: Bound of the per-state evaluation cache (entries, LRU-evicted).
 _STATE_CACHE_CAPACITY = 100_000
-
-
-class TaskClock:
-    """A pausable stopwatch measuring a task's *active* time.
-
-    A monolithic search runs with the clock live from start to finish, so
-    ``elapsed`` equals wall clock — the pre-task behavior.  A sliced task
-    pauses between :meth:`SearchTask.step` calls: time another session
-    spends on the hardware does not count against this task's
-    ``time_budget_s``.
-    """
-
-    __slots__ = ("_accumulated", "_resumed_at")
-
-    def __init__(self) -> None:
-        self._accumulated = 0.0
-        self._resumed_at: Optional[float] = time.perf_counter()
-
-    @property
-    def running(self) -> bool:
-        return self._resumed_at is not None
-
-    @property
-    def elapsed(self) -> float:
-        """Total active seconds (live: includes the current slice)."""
-        live = (
-            time.perf_counter() - self._resumed_at
-            if self._resumed_at is not None
-            else 0.0
-        )
-        return self._accumulated + live
-
-    def resume(self) -> None:
-        if self._resumed_at is None:
-            self._resumed_at = time.perf_counter()
-
-    def pause(self) -> None:
-        if self._resumed_at is not None:
-            self._accumulated += time.perf_counter() - self._resumed_at
-            self._resumed_at = None
-
-    def restart(self) -> None:
-        """Zero the accumulator and start running."""
-        self._accumulated = 0.0
-        self._resumed_at = time.perf_counter()
 
 
 @dataclass
@@ -174,18 +128,19 @@ class StateEvaluator:
         self._exhaustive: Dict[str, int] = {}
         self.best: Optional[EvaluatedInterface] = None
         self.history: List[Tuple[float, float]] = []
-        #: Active-time stopwatch; a sliced task pauses it between steps
-        #: so its ``time_budget_s`` only counts this task's own work.
-        self.clock = TaskClock()
+        #: ``perf_counter`` stamp the search's time budget counts from.
+        self._started = time.perf_counter()
         self.stats = SearchStats()
 
     def restart_clock(self) -> None:
-        self.clock.restart()
+        """Restart the search clock and its convergence history."""
+        self._started = time.perf_counter()
         self.history = []
 
     @property
     def elapsed(self) -> float:
-        return self.clock.elapsed
+        """Wall-clock seconds since the clock (re)started."""
+        return time.perf_counter() - self._started
 
     def evaluate(self, state: DTNode) -> EvaluatedInterface:
         """Sampled cost of a state (cached; updates the incumbent)."""
@@ -322,14 +277,13 @@ class SearchTask:
       returns how many ran.  Iteration-sliced stepping is bit-for-bit
       identical to a monolithic run at equal totals: all mutable state
       (RNG, evaluator cache, incumbent, frontier) lives in the task, and
-      the task's :class:`TaskClock` is paused between slices so no
-      wall-clock check fires differently.
+      no stop decision of an iteration-capped run depends on the clock.
     * The time budget's end propagates into ``self._deadline`` so long
       inner loops (random walks) yield mid-unit.
     * The task is ``done`` when its strategy exhausts itself
       (:meth:`_iterate` returns False), its ``max_iterations`` cap is
-      reached, or its active-time budget is spent.  A slice boundary
-      never marks a task done — it is a preemption, not a stop.
+      reached, or its time budget is spent.  A slice boundary never
+      marks a task done.
 
     ``time_budget_s`` semantics: ``None`` means no time stop (strategies
     like exhaustive search that terminate on their own); ``<= 0`` means
@@ -359,10 +313,6 @@ class SearchTask:
         #: loops (``inf`` when unconstrained).
         self._deadline = math.inf
         self._finished = False
-        #: Units of work performed (== ``stats.iterations`` for MCTS).
-        self.units = 0
-        #: Step calls that performed at least one unit.
-        self.slices = 0
         #: Whether this task's stats were absorbed into the metrics
         #: registry (once per task, on :meth:`result`).
         self._metrics_recorded = False
@@ -379,17 +329,12 @@ class SearchTask:
         """The strategy's iteration counter (drives ``max_iterations``)."""
         return self.evaluator.stats.iterations
 
-    @property
-    def elapsed(self) -> float:
-        """Active seconds spent in this task (excludes paused gaps)."""
-        return self.evaluator.clock.elapsed
-
     def _budget_left(self) -> float:
         if self.time_budget_s is None:
             return math.inf
         if self.time_budget_s <= 0:
             return math.inf if self.max_iterations > 0 else 0.0
-        return self.time_budget_s - self.evaluator.clock.elapsed
+        return self.time_budget_s - self.evaluator.elapsed
 
     # -- the state machine --------------------------------------------------
 
@@ -402,15 +347,8 @@ class SearchTask:
         """
         if self._finished:
             return 0
-        clock = self.evaluator.clock
-        # Manual span management keeps the pre-existing try/finally (and
-        # its indentation-heavy body) untouched; when observability is
-        # disabled this is a shared no-op context manager.
-        span = _trace("search.step", strategy=self.strategy)
-        span.__enter__()
-        clock.resume()
         performed = 0
-        try:
+        with _trace("search.step", strategy=self.strategy):
             while True:
                 if self.max_iterations and self.iterations >= self.max_iterations:
                     self._finished = True
@@ -426,14 +364,6 @@ class SearchTask:
                     self._finished = True
                     break
                 performed += 1
-                self.units += 1
-        finally:
-            # The task is idle between slices: another session's work on
-            # this thread must not drain this task's time budget.
-            clock.pause()
-            span.__exit__(None, None, None)
-        if performed:
-            self.slices += 1
         return performed
 
     def run(self) -> "SearchResult":
@@ -443,16 +373,9 @@ class SearchTask:
 
     def result(self) -> "SearchResult":
         """Package the incumbent (thorough final widget pass included)."""
-        clock = self.evaluator.clock
-        was_running = clock.running
-        clock.resume()  # the final widget pass is active task work
-        try:
-            outcome = finish_search(
-                self.evaluator, self.strategy, final_cap=self.final_cap
-            )
-        finally:
-            if not was_running:
-                clock.pause()
+        outcome = finish_search(
+            self.evaluator, self.strategy, final_cap=self.final_cap
+        )
         if not self._metrics_recorded and _obs_enabled():
             self._metrics_recorded = True
             _record_search_metrics(outcome)

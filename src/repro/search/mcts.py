@@ -38,8 +38,7 @@ incumbent before the first iteration.
 
 The search is *resumable*: :meth:`MCTS.open` performs the setup (root,
 frontier rebuild, warm seeding) and returns an :class:`MCTSTask` whose
-``step(n_iterations=...)`` runs bounded slices of the iteration loop —
-the unit the multi-session scheduler slices.  A
+``step(n_iterations=...)`` runs bounded slices of the iteration loop.  A
 monolithic run is ``open(...).run()``: one unbounded ``step`` +
 ``result``, so monolithic and sliced runs share every code path and are
 bit-for-bit identical at equal iteration counts.
@@ -181,10 +180,10 @@ class MCTS:
         Performs the whole pre-loop setup — root node, frontier rebuild,
         initial evaluation, warm-state seeding — and returns the
         :class:`MCTSTask` whose ``step()`` runs the iteration loop in
-        bounded slices.  Setup time counts against the task's budget
-        (its clock runs during this call), exactly as in a monolithic
-        run.  One MCTS instance drives one live task at a time: opening
-        again rebuilds the frontier and restarts the clock.
+        bounded slices.  Setup time counts against the task's budget:
+        the clock restarts when this call begins.  One MCTS instance
+        drives one live task at a time: opening again rebuilds the
+        frontier and restarts the clock.
 
         Args:
             initial: the root state (``ANY`` over the query log).
@@ -214,12 +213,7 @@ class MCTS:
         self._backpropagate(root_key, self._reward_of(initial))
 
         self._seed_warm_states(root_key, warm_states)
-
-        task = MCTSTask(self)
-        # The task is idle until its first step(); budget accrues only
-        # while it actively runs.
-        self.evaluator.clock.pause()
-        return task
+        return MCTSTask(self)
 
     # -- internals -----------------------------------------------------------
 
@@ -229,9 +223,9 @@ class MCTS:
         """Inject known-good states as direct children of the root.
 
         At most :data:`WARM_SEED_BUDGET_FRAC` of a finite time budget may be
-        spent here (measured on the task clock, which is live during
-        ``open``); an iteration-capped run without a time budget seeds
-        every warm state — slicing must stay deterministic.
+        spent here (measured from the clock restart in ``open``); an
+        iteration-capped run without a time budget seeds every warm
+        state — slicing must stay deterministic.
         """
         config = self.config
         seed_budget = (
@@ -241,7 +235,7 @@ class MCTS:
         )
         primary = True
         for state in warm_states:
-            if self.evaluator.clock.elapsed >= seed_budget:
+            if self.evaluator.elapsed >= seed_budget:
                 break
             key = state.canonical_key
             if key == root_key:
@@ -434,11 +428,10 @@ class MCTSTask(SearchTask):
     """The resumable slice-driver of one opened MCTS search.
 
     One unit of work is one full MCTS iteration (selection, expansion,
-    simulations, backpropagation) — the granularity the scheduler
-    preempts at.  All mutable search state lives on the owning
-    :class:`MCTS` instance; the task adds only slicing and budget
-    accounting (see :class:`~repro.search.common.SearchTask`), so
-    ``step(3)`` + ``step(2)`` is bit-for-bit ``step(5)``.
+    simulations, backpropagation).  All mutable search state lives on
+    the owning :class:`MCTS` instance; the task adds only slicing and
+    budget accounting (see :class:`~repro.search.common.SearchTask`),
+    so ``step(3)`` + ``step(2)`` is bit-for-bit ``step(5)``.
     """
 
     strategy = "mcts"

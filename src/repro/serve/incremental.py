@@ -36,11 +36,10 @@ and cold runs at equal ``time_budget_s`` are directly comparable.
 Generation is *resumable*: :meth:`IncrementalGenerator.open_search`
 builds the full warm-started machinery (cache probe, extended warm
 states, adopted compiled sequences, opened MCTS task) without running
-the search, returning a :class:`PendingSearch` whose ``task`` the
-multi-session scheduler steps in slices and whose ``finish()`` performs
-the same elite/sequence harvest and cache insertion as a monolithic
-:meth:`IncrementalGenerator.generate` call — which is itself implemented
-as open → run → finish.
+the search, returning a :class:`PendingSearch` whose ``task`` the caller
+steps and whose ``finish()`` performs the elite/sequence harvest and
+cache insertion.  :meth:`IncrementalGenerator.generate` and
+:meth:`repro.engine.LogSession.interface` are both open → step → finish.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .. import memo as _memo
-from ..obs import collecting as _collecting, trace as _trace
+from ..obs import trace as _trace
 from ..core import (
     GeneratedInterface,
     GenerationConfig,
@@ -103,10 +102,10 @@ class PendingSearch:
     Produced by :meth:`IncrementalGenerator.open_search`.  Either the
     cache already had the answer (``cached`` is set, ``task`` is None)
     or ``task`` is an opened, warm-started
-    :class:`~repro.search.mcts.MCTSTask` the caller steps — in slices
-    (the scheduler) or to completion (``task.step()``) — before calling
-    :meth:`finish` exactly once to harvest elites/compiled sequences,
-    insert the cache entry, and update the session's warm-start carry.
+    :class:`~repro.search.mcts.MCTSTask` the caller steps (in slices, or
+    to completion with ``task.step()``) before calling :meth:`finish`
+    exactly once to harvest elites/compiled sequences, insert the cache
+    entry, and update the session's warm-start carry.
     """
 
     def __init__(
@@ -135,10 +134,6 @@ class PendingSearch:
         self._initial = initial
         self._state = state
         self._finished = False
-        #: Spans collected for this pending search (open + steps + finish).
-        #: One caller steps a pending search at a time, so plain-list
-        #: appends are race-free.
-        self.spans: List[dict] = []
         #: Per-phase wall-clock seconds (``parse_s``/``difftree_s``/...),
         #: filled by :meth:`IncrementalGenerator.open_search` and
         #: :meth:`finish`; consumed by report builders.
@@ -148,13 +143,6 @@ class PendingSearch:
         #: nodes carried / invalidated / re-keyed / reopened.  Surfaced
         #: through :class:`~repro.engine.report.GenerationReport`.
         self.carry: Optional[Dict[str, int]] = None
-
-    @property
-    def log_size(self) -> int:
-        """How many queries the pending interface will express."""
-        if self.cached is not None:
-            return len(self.cached.queries)
-        return len(self._asts)
 
     def finish(self) -> GeneratedInterface:
         """Package the search outcome and commit the session carry.
@@ -169,7 +157,7 @@ class PendingSearch:
             raise RuntimeError("PendingSearch.finish() called twice")
         self._finished = True
         service = self._service
-        with _collecting(self.spans), _trace("serve.finish", session=self.session_id):
+        with _trace("serve.finish", session=self.session_id):
             search_result = self.task.result()
             render_started = time.perf_counter()
             elite = service._elite_states(
@@ -210,7 +198,7 @@ class PendingSearch:
             service.cache.put(
                 self._key, result, query_keys=self._query_keys, ctx=service._ctx
             )
-            self.timings["search_s"] = self.task.elapsed
+            self.timings["search_s"] = search_result.elapsed
             self.timings["render_s"] = time.perf_counter() - render_started
         return result
 
@@ -262,9 +250,6 @@ class IncrementalGenerator:
     def append(self, *queries: QueryLike, session_id: str = DEFAULT_SESSION) -> int:
         """Append queries to a session's log; returns its new length."""
         return self.router.append(session_id, *queries)
-
-    def log_length(self, session_id: str = DEFAULT_SESSION) -> int:
-        return len(self.router.stream(session_id))
 
     def drop_session(self, session_id: str = DEFAULT_SESSION) -> bool:
         """Forget a session's stream and warm-start carry; True if it existed.
@@ -398,9 +383,8 @@ class IncrementalGenerator:
         running a single search iteration.  The caller steps
         ``pending.task`` and then calls ``pending.finish()``.
         """
-        spans: List[dict] = []
         timings: Dict[str, float] = {}
-        with _collecting(spans), _trace("serve.open_search", session=session_id):
+        with _trace("serve.open_search", session=session_id):
             parse_started = time.perf_counter()
             stream = self.router.stream(session_id)
             asts = stream.asts()
@@ -461,7 +445,7 @@ class IncrementalGenerator:
                     node_table=node_table,
                 )
                 # Warm seeding inside open() spends search budget, so the
-                # task's active clock (-> ``search_s``) accounts for it.
+                # task's clock (-> ``search_s``) accounts for it.
                 task = mcts.open(initial, warm_states=warm)
                 pending = PendingSearch(
                     self,
@@ -476,7 +460,6 @@ class IncrementalGenerator:
                     state=state,
                 )
                 pending.carry = carry_prov
-        pending.spans.extend(spans)
         pending.timings.update(timings)
         return pending
 

@@ -59,9 +59,9 @@ class LogStream:
     def log_key(self) -> str:
         """:func:`~repro.serve.cache.log_key` of the current log.
 
-        Cached until the next :meth:`append`, :meth:`remove` or
-        :meth:`truncate`, so re-serving an unchanged session re-keys
-        nothing.  Raises ``ValueError`` on an empty log.
+        Cached until the next :meth:`append` or :meth:`remove`, so
+        re-serving an unchanged session re-keys nothing.  Raises
+        ``ValueError`` on an empty log.
         """
         key = self._log_key
         if key is None:
@@ -85,23 +85,6 @@ class LogStream:
         return tuple(
             self._query_keys[: len(self._query_keys) if end is None else end]
         )
-
-    def truncate(self, length: int) -> int:
-        """Roll the log back to its first ``length`` queries.
-
-        The scheduler's undo for a chunk whose interface was never
-        delivered (a failed script): appended-but-unserved
-        queries must not pollute the session's log.  Returns the new
-        length; a ``length`` at or beyond the current end is a no-op.
-        """
-        if length < 0:
-            raise ValueError(f"length must be >= 0, got {length}")
-        if length < len(self._asts):
-            del self._sql[length:]
-            del self._asts[length:]
-            del self._query_keys[length:]
-            self._log_key = None
-        return len(self._asts)
 
     def remove(self, indices: Iterable[int]) -> Tuple[int, ...]:
         """Delete the queries at ``indices``; returns them sorted ascending.
@@ -167,12 +150,6 @@ class SessionRouter:
         """All registered session ids."""
         with self._lock:
             return list(self._streams)
-
-    def truncate(self, session_id: str, length: int) -> int:
-        """Roll a session's log back to ``length`` queries (0 if absent)."""
-        with self._lock:
-            stream = self._streams.get(session_id)
-            return 0 if stream is None else stream.truncate(length)
 
     def remove(self, session_id: str, indices: Iterable[int]) -> Tuple[int, ...]:
         """Delete queries from a session's log (empty tuple if absent)."""

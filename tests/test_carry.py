@@ -327,7 +327,7 @@ class TestRetention:
 class TestSlicedParity:
     """An iteration-sliced carried run is bit-identical to a monolithic one.
 
-    The baselines' sliced-parity tests live in ``test_scheduler.py``.
+    The baselines' sliced-parity tests live in ``test_search.py``.
     """
 
     def _assert_identical(self, mono, sliced):

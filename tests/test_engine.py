@@ -1,5 +1,6 @@
 """Tests for the Engine facade, strategy and workload names, the
-strategy constraints, early config validation, and the report envelope."""
+strategy constraints, early config validation, session eviction, and
+the report envelope."""
 
 import json
 
@@ -24,7 +25,7 @@ from repro.search import (
     RandomSearchTask,
 )
 from repro.sqlast import parse
-from repro.workloads import WORKLOADS, get_workload, listing1_sql
+from repro.workloads import WORKLOADS, get_workload, listing1_sql, sdss_session_sql
 
 #: A fast config for tests that exercise plumbing, not search quality.
 FAST = GenerationConfig(time_budget_s=0.3, seed=0)
@@ -32,6 +33,9 @@ FAST = GenerationConfig(time_budget_s=0.3, seed=0)
 #: A deterministic config: iteration-capped, generous wall clock, so two
 #: runs with the same seed do identical work regardless of machine load.
 DETERMINISTIC = GenerationConfig(time_budget_s=30.0, max_iterations=2, seed=0)
+
+#: Tiny config for session-mechanics tests (search quality irrelevant).
+TINY = GenerationConfig(time_budget_s=0.0, max_iterations=2, seed=0, final_cap=50)
 
 
 class TestStrategyRegistry:
@@ -124,7 +128,7 @@ class TestCapabilityEnforcement:
 
     def test_time_budget_required_when_declared(self):
         # A config that cannot stop fails at construction, so no session
-        # or scheduler can be built on it either.
+        # can be built on it either.
         with pytest.raises(ValueError, match="stop condition"):
             GenerationConfig(time_budget_s=0.0, max_iterations=0)
 
@@ -271,12 +275,105 @@ class TestEngine:
             Engine(max_history=-1)
 
 
+class TestSessionEviction:
+    def test_evicted_session_releases_warm_state(self):
+        """Past max_sessions the LRU session's warm-start carry and log
+        stream are dropped too — the regression was leaking
+        IncrementalGenerator state for evicted handles."""
+        engine = Engine(config=TINY, max_sessions=2)
+        for i in range(3):
+            session = engine.session(f"s{i}")
+            session.append(*sdss_session_sql(1, seed=i))
+            session.interface()
+        service = engine._incremental
+        assert "s0" not in engine._sessions
+        assert "s0" not in service._sessions
+        assert "s0" not in engine.router.sessions()
+        # Survivors keep their carry.
+        assert "s1" in service._sessions
+        assert "s2" in service._sessions
+
+    def test_lookup_refreshes_recency(self):
+        engine = Engine(config=TINY, max_sessions=2)
+        engine.session("a")
+        engine.session("b")
+        engine.session("a")  # refresh: 'b' is now the LRU entry
+        engine.session("c")
+        assert "b" not in engine._sessions
+        assert "a" in engine._sessions and "c" in engine._sessions
+
+    def test_use_through_retained_handle_refreshes_recency(self):
+        """Appends/serves via a retained handle count as use — an
+        actively-served session must not be evicted in favor of an idle
+        one that was merely looked up later."""
+        engine = Engine(config=TINY, max_sessions=2)
+        active = engine.session("active")
+        engine.session("idle")
+        active.append(*sdss_session_sql(1, seed=0))  # touches 'active'
+        engine.session("new")  # evicts 'idle', not 'active'
+        assert "idle" not in engine._sessions
+        assert "active" in engine._sessions
+        assert active.log_length == 1
+
+    def test_stale_handle_reregisters_within_bound(self):
+        """A handle kept past its session's eviction re-registers the
+        session when it writes or serves, so the router and the
+        incremental service never hold more than max_sessions logs."""
+        engine = Engine(config=TINY, max_sessions=1)
+        stale = engine.session("a")
+        stale.append(*sdss_session_sql(1, seed=0))
+        stale.interface()
+        engine.session("b")  # evicts 'a'
+        stale.append(*sdss_session_sql(2, seed=0)[1:])
+        assert stale.interface().log_size == 1
+        for i, sid in enumerate(("c", "d"), start=1):
+            handle = engine.session(sid)
+            handle.append(*sdss_session_sql(1, seed=i))
+            handle.interface()
+        assert list(engine._sessions) == ["d"]
+        assert engine.router.sessions() == ["d"]
+        assert sorted(engine._incremental._sessions) == ["d"]
+
+    def test_stale_handle_keeps_its_history(self):
+        """A handle kept past its session's eviction registers itself:
+        the registered handle is the kept one, and its history holds
+        the reports served through it before and after the eviction."""
+        engine = Engine(
+            max_sessions=1,
+            config=GenerationConfig(time_budget_s=0, max_iterations=1, seed=0),
+        )
+        queries = Engine.workload("sdss", 6, seed=0)
+        a = engine.session("a")
+        a.append(*queries[:2])
+        a.interface()
+        engine.session("b")  # evicts 'a' with its log
+        a.append(*queries[2:4])
+        a.interface()
+        assert engine.session("a") is a
+        engine.session("a").append(queries[4])
+        engine.session("a").interface()
+        assert [report.log_size for report in a.history()] == [2, 2, 3]
+
+    def test_evicted_session_restarts_cleanly(self):
+        engine = Engine(config=TINY, max_sessions=1)
+        first = engine.session("a")
+        first.append(*sdss_session_sql(1, seed=0))
+        engine.session("b")  # evicts 'a'
+        fresh = engine.session("a")  # evicts 'b', creates a fresh 'a'
+        assert fresh.log_length == 0
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="max_sessions"):
+            Engine(config=TINY, max_sessions=0)
+
+
 class TestGenerationReport:
     def test_to_dict_is_json_serializable(self):
         report = Engine(config=FAST).generate(listing1_sql(1, 3))
         payload = report.to_dict()
         roundtrip = json.loads(json.dumps(payload))
-        assert roundtrip["schema_version"] == 6
+        assert roundtrip["schema_version"] == 7
+        assert "scheduling" not in roundtrip
         assert roundtrip["source"] == "search"
         assert roundtrip["strategy"] == "mcts"
         assert roundtrip["log_size"] == 3
@@ -288,6 +385,20 @@ class TestGenerationReport:
         assert roundtrip["provenance"]["cache"]["misses"] >= 1
         assert roundtrip["timings"]["total_s"] > 0
         assert roundtrip["screen"] == {"width": 1100.0, "height": 700.0}
+
+    def test_session_search_s_is_the_search_elapsed(self):
+        """A session search reports one number for its search time, as
+        ``Engine.generate`` does: the delivered result's ``elapsed``."""
+        log = get_workload("sdss")(6, seed=0)
+        engine = Engine(
+            config=GenerationConfig(time_budget_s=0, max_iterations=2, seed=0)
+        )
+        session = engine.session("s")
+        for chunk in (log[:4], log[4:]):
+            session.append(*chunk)
+            report = session.interface()
+            assert report.source == "search"
+            assert report.timings["search_s"] == report.search.elapsed
 
     def test_invalid_source_rejected(self):
         report = Engine(config=FAST).generate(listing1_sql(1, 2))

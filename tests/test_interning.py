@@ -198,7 +198,7 @@ class TestIngestReporting:
         assert report.ingest_stats  # sampled
         payload = report.to_dict()
         ingest = payload["provenance"]["ingest"]
-        assert payload["schema_version"] == 6
+        assert payload["schema_version"] == 7
         assert set(ingest) == set(memo.INGEST.snapshot())
         for key in (
             "parses",

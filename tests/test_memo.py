@@ -1,13 +1,15 @@
-"""The ``repro.memo`` gate: one context-local record, one switch.
+"""The ``repro.memo`` gate and its bounded LRU.
 
 ``carry`` lives in a ``ContextVar`` record, so a ``with`` block in one
 thread never flips the path another thread runs, and every block
-restores exactly the record it replaced.
+restores exactly the record it replaced.  :class:`BoundedLRU` keeps its
+bound under concurrent writers.
 """
 
 import threading
 
 from repro import memo
+from repro.memo import BoundedLRU
 
 
 def test_gate_blocks_in_two_threads_do_not_interfere():
@@ -51,3 +53,29 @@ def test_nested_blocks_restore_the_outer_setting():
         assert not memo.carry_enabled()
     assert memo.carry_enabled()
 
+
+class TestBoundedLRUThreadSafety:
+    def test_concurrent_hammer_preserves_bound(self):
+        cache = BoundedLRU(64)
+        errors = []
+
+        def hammer(worker: int) -> None:
+            try:
+                for i in range(2000):
+                    key = (worker * 7 + i) % 200
+                    cache[key] = i
+                    cache.get((i * 13) % 200)
+                    if i % 50 == 0:
+                        len(cache), list(cache.items())
+            except Exception as exc:  # pragma: no cover - the assertion
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=hammer, args=(worker,)) for worker in range(6)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors
+        assert len(cache) <= 64

@@ -6,8 +6,8 @@ Three contracts:
   absorbed ad-hoc sources (memo tables, caches, ingest/kernel counters)
   all surface through one registry snapshot under stable dotted names.
 * **Attribution** — spans collected while producing a report belong to
-  exactly that report, including when the scheduler interleaves many
-  sessions slice by slice (the lossless / non-interleaved guarantee).
+  exactly that report, including when one thread serves many sessions
+  in turn (the lossless / non-interleaved guarantee).
 * **Replay** — every Engine verb's telemetry ``report`` record equals
   ``report.to_dict()`` byte-for-byte, and the JSONL log parses line by
   line even when written from concurrent threads.
@@ -238,6 +238,37 @@ class TestSinks:
         assert sink._fh.closed
         assert read_telemetry(path, record_type="span")[0]["name"] == "unit.owned"
 
+    def test_concurrent_jsonl_lines_all_parse(self, tmp_path):
+        """Threads writing one file: every line is valid JSON (single-
+        string dump + single locked write — no interleaving)."""
+        path = str(tmp_path / "threads.jsonl")
+        payload = Engine(config=TINY).generate(LOG).to_dict()
+        threads, per_thread = 4, 25
+        with TelemetryLog(path, flush_every=1) as log:
+
+            def writer(worker: int) -> None:
+                for seq in range(per_thread):
+                    log.write(
+                        {"type": "report", "worker": worker, "seq": seq,
+                         "report": payload}
+                    )
+
+            pool = [
+                threading.Thread(target=writer, args=(worker,))
+                for worker in range(threads)
+            ]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        records = read_telemetry(path, record_type="report")
+        assert len(records) == threads * per_thread
+        for worker in range(threads):
+            mine = [r for r in records if r["worker"] == worker]
+            assert [r["seq"] for r in mine] == list(range(per_thread))
+        assert all(r["report"] == payload for r in records)
+
     def test_observed_restores_prior_state(self):
         sink = MemoryTelemetry()
         assert not obs.enabled()
@@ -254,7 +285,7 @@ class TestReportIntegration:
     def test_schema_has_trace_and_phase_timings(self):
         report = Engine(config=TINY).generate(LOG)
         payload = report.to_dict()
-        assert payload["schema_version"] == REPORT_SCHEMA_VERSION == 6
+        assert payload["schema_version"] == REPORT_SCHEMA_VERSION == 7
         assert payload["trace"] == []  # disabled -> no spans, key present
         for phase in TIMING_PHASES:
             assert phase in payload["timings"]
@@ -322,91 +353,79 @@ class TestReportIntegration:
         assert warm.difftree.canonical_key == cold.difftree.canonical_key
 
 
-class TestSchedulerObservability:
-    def _scripts(self, n=6):
-        return {
-            f"s{i}": [
-                tuple(sdss_session_sql(2, seed=i)[:1]),
-                tuple(sdss_session_sql(2, seed=i)[1:]),
-            ]
-            for i in range(n)
-        }
+def _scripts(n):
+    """``n`` sessions, each a script of two one-query appends."""
+    return {
+        f"s{i}": [(query,) for query in sdss_session_sql(2, seed=i)]
+        for i in range(n)
+    }
 
-    def test_concurrent_scheduler_spans_lossless_and_attributed(self):
-        """Round robin at one iteration per slice interleaves the
-        sessions: every delivered report carries exactly its own
-        session's spans — no losses, no cross-session interleaving."""
-        scripts = self._scripts()
+
+def _serve_in_turn(scripts):
+    """Serve the scripts on one engine in turn: each round, every session
+    appends its next chunk and is served before the next one's turn.
+    Returns each session's reports in delivery order."""
+    engine = Engine(config=TINY)
+    reports = {sid: [] for sid in scripts}
+    for turn in range(2):
+        for sid, chunks in scripts.items():
+            session = engine.session(sid)
+            session.append(*chunks[turn])
+            reports[sid].append(session.interface())
+    return reports
+
+
+class TestInterleavedSessions:
+    def test_observability_does_not_perturb_results(self):
+        """Eight sessions served in turn with tracing + telemetry on
+        deliver bit-for-bit the disabled run's costs, and each report's
+        trace holds only its own session's spans."""
+        scripts = _scripts(8)
+        baseline = _serve_in_turn(scripts)
         sink = MemoryTelemetry()
         with obs.observed(True, telemetry=sink):
-            engine = Engine(config=TINY)
-            scheduler = engine.scheduler(slice_iterations=1)
-            for sid, chunks in scripts.items():
-                scheduler.submit(sid, chunks)
-            tickets = scheduler.run()
-        assert all(t.state == "done" for t in tickets)
-        for ticket in tickets:
-            assert len(ticket.reports) == 2
-            for report in ticket.reports:
+            served = _serve_in_turn(scripts)
+        for sid, reports in served.items():
+            assert [r.cost for r in reports] == [r.cost for r in baseline[sid]]
+            for report in reports:
+                assert report.trace, "instrumented run must carry spans"
+                for span in report.trace:
+                    session = span.get("tags", {}).get("session")
+                    if session is not None:
+                        assert session == sid
+        # Telemetry carried one replayable record per delivered report.
+        assert len(sink.of_type("report")) == sum(map(len, served.values()))
+
+    def test_interleaved_spans_lossless_and_attributed(self):
+        """Sessions served in turn on one thread: every delivered report
+        carries exactly its own session's spans — no losses, none from
+        another session's serve."""
+        with obs.observed(True):
+            served = _serve_in_turn(_scripts(6))
+        for sid, reports in served.items():
+            assert len(reports) == 2
+            for report in reports:
                 names = [s["name"] for s in report.trace]
-                assert "scheduler.slice" in names
-                assert "serve.open_search" in names
                 # Attribution: every tagged span names this session only.
                 for span in report.trace:
                     session = span.get("tags", {}).get("session")
                     if session is not None:
-                        assert session == ticket.session_id
+                        assert session == sid
                 # Lossless: one open + one finish per delivered report.
                 assert names.count("serve.open_search") == 1
                 assert names.count("serve.finish") == 1
 
-    def test_concurrent_scheduler_replay_records_match_reports(self):
-        scripts = self._scripts(4)
+    def test_interleaved_replay_records_match_reports(self):
         sink = MemoryTelemetry()
         with obs.observed(True, telemetry=sink):
-            engine = Engine(config=TINY)
-            scheduler = engine.scheduler(slice_iterations=1)
-            for sid, chunks in scripts.items():
-                scheduler.submit(sid, chunks)
-            tickets = scheduler.run()
+            served = _serve_in_turn(_scripts(4))
         expected = [
             json.dumps(r.to_dict(), sort_keys=True)
-            for t in tickets
-            for r in t.reports
+            for reports in served.values()
+            for r in reports
         ]
         recorded = [
             json.dumps(rec["report"], sort_keys=True)
             for rec in sink.of_type("report")
         ]
         assert sorted(recorded) == sorted(expected)
-
-    def test_concurrent_jsonl_lines_all_parse(self, tmp_path):
-        """Threads writing one file: every line is valid JSON (single-
-        string dump + single locked write — no interleaving)."""
-        path = str(tmp_path / "threads.jsonl")
-        payload = Engine(config=TINY).generate(LOG).to_dict()
-        threads, per_thread = 4, 25
-        with TelemetryLog(path, flush_every=1) as log:
-
-            def writer(worker: int) -> None:
-                for seq in range(per_thread):
-                    log.write(
-                        {"type": "report", "worker": worker, "seq": seq,
-                         "report": payload}
-                    )
-
-            pool = [
-                threading.Thread(target=writer, args=(worker,))
-                for worker in range(threads)
-            ]
-            for thread in pool:
-                thread.start()
-            for thread in pool:
-                thread.join(timeout=60)
-                assert not thread.is_alive()
-        records = read_telemetry(path, record_type="report")
-        assert len(records) == threads * per_thread
-        for worker in range(threads):
-            mine = [r for r in records if r["worker"] == worker]
-            assert [r["seq"] for r in mine] == list(range(per_thread))
-        assert all(r["report"] == payload for r in records)

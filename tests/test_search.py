@@ -1,9 +1,16 @@
-"""Tests for MCTS and the baseline search strategies."""
+"""Tests for MCTS and the baseline search strategies.
+
+Slicing parity: every strategy stepped in arbitrary slices equals its
+monolithic run bit-for-bit at equal totals (seed-fixed), for cold
+tasks and for warm-started session searches.
+"""
 
 import math
 
 import pytest
 
+from repro import Engine, GenerationConfig, generate_interface
+from repro.core import open_search_task, prepare_search
 from repro.cost import CostModel
 from repro.difftree import expresses_all, initial_difftree
 from repro.layout import Screen
@@ -18,6 +25,7 @@ from repro.search import (
     normalized_reward,
 )
 from repro.sqlast import parse
+from repro.workloads import listing1_sql, sdss_session_sql
 
 FIG1 = (
     "SELECT sales FROM sales WHERE cty = 'USA'",
@@ -156,3 +164,218 @@ class TestBaselines:
             config=MCTSConfig(time_budget_s=4.0, seed=5),
         ).open(tree).run()
         assert mcts.best_cost <= exact.best_cost * 1.1 + 1e-9
+
+
+#: Iteration-capped, seed-fixed: equal work regardless of wall clock.
+DETERMINISTIC = GenerationConfig(
+    time_budget_s=0.0, max_iterations=6, seed=0, final_cap=200
+)
+
+LOG = listing1_sql(1, 3)
+
+
+def _open_task(config, log=LOG):
+    asts, screen, model, initial, engine = prepare_search(log, config=config)
+    return open_search_task(model, initial, engine, config)
+
+
+class TestSlicingParity:
+    def test_mcts_sliced_equals_monolithic(self):
+        """step(1)+step(2)+... == one monolithic run at equal iterations."""
+        mono = generate_interface(LOG, config=DETERMINISTIC)
+
+        task = _open_task(DETERMINISTIC)
+        slices = []
+        while not task.done:
+            slices.append(task.step(n_iterations=2))
+        result = task.result()
+
+        assert result.best_cost == mono.cost
+        assert result.stats.iterations == mono.search.stats.iterations
+        assert result.stats.states_evaluated == mono.search.stats.states_evaluated
+        assert result.best_state.canonical_key == mono.best.tree.canonical_key
+        assert sum(slices) == DETERMINISTIC.max_iterations
+        assert len(slices) >= 3
+
+    def test_mcts_one_iteration_slices(self):
+        mono = generate_interface(LOG, config=DETERMINISTIC)
+        task = _open_task(DETERMINISTIC)
+        while not task.done:
+            task.step(n_iterations=1)
+        result = task.result()
+        assert result.best_cost == mono.cost
+        assert result.best_state.canonical_key == mono.best.tree.canonical_key
+
+    def test_step_after_done_is_noop(self):
+        task = _open_task(DETERMINISTIC)
+        task.step()
+        assert task.done
+        assert task.step() == 0
+        assert task.step(n_iterations=5) == 0
+
+    def test_result_before_done_returns_incumbent(self):
+        task = _open_task(DETERMINISTIC)
+        task.step(n_iterations=1)
+        assert not task.done
+        early = task.result()
+        assert early.best_cost > 0
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda model, initial, engine: RandomSearchTask(
+                model, initial, engine=engine, time_budget_s=60.0,
+                max_walk_steps=12, seed=3,
+            ),
+            lambda model, initial, engine: GreedySearchTask(
+                model, initial, engine=engine, time_budget_s=60.0, seed=3
+            ),
+            lambda model, initial, engine: BeamSearchTask(
+                model, initial, engine=engine, time_budget_s=60.0,
+                beam_width=3, max_depth=4, seed=3,
+            ),
+            lambda model, initial, engine: ExhaustiveSearchTask(
+                model, initial, engine=engine, max_states=60, seed=3
+            ),
+        ],
+        ids=["random", "greedy", "beam", "exhaustive"],
+    )
+    def test_baseline_sliced_equals_batched(self, factory):
+        """One-unit slices equal one big slice at equal unit totals."""
+        asts, screen, model, initial, engine = prepare_search(
+            LOG, config=DETERMINISTIC
+        )
+        _, _, model2, initial2, engine2 = prepare_search(
+            LOG, config=DETERMINISTIC
+        )
+
+        sliced = factory(model, initial, engine)
+        units = 0
+        while units < 6 and not sliced.done:
+            units += sliced.step(n_iterations=1)
+        batched = factory(model2, initial2, engine2)
+        batched_units = batched.step(n_iterations=units)
+
+        assert batched_units == units
+        a, b = sliced.result(), batched.result()
+        assert a.best_cost == b.best_cost
+        assert a.best_state.canonical_key == b.best_state.canonical_key
+        assert a.stats.states_evaluated == b.stats.states_evaluated
+
+    def test_exhaustive_task_matches_function(self):
+        asts, screen, model, initial, engine = prepare_search(
+            LOG, config=DETERMINISTIC
+        )
+        mono = ExhaustiveSearchTask(
+            model, initial, engine=engine, max_states=60
+        ).run()
+        _, _, model2, initial2, engine2 = prepare_search(
+            LOG, config=DETERMINISTIC
+        )
+        task = ExhaustiveSearchTask(model2, initial2, engine=engine2, max_states=60)
+        while not task.done:
+            task.step(n_iterations=3)
+        sliced = task.result()
+        assert sliced.best_cost == mono.best_cost
+        assert sliced.stats.iterations == mono.stats.iterations
+
+    def test_incremental_open_search_sliced_parity(self):
+        """Warm-started session searches slice identically too."""
+        log = sdss_session_sql(6, seed=0)
+        mono_engine = Engine(config=DETERMINISTIC)
+        mono_session = mono_engine.session("a")
+        sliced_engine = Engine(config=DETERMINISTIC)
+        sliced_service = sliced_engine._incremental_service()
+
+        for start in (0, 3):
+            chunk = log[start : start + 3]
+            mono_session.append(*chunk)
+            mono_report = mono_session.interface()
+
+            sliced_service.append(*chunk, session_id="a")
+            pending = sliced_service.open_search("a")
+            assert pending.cached is None
+            while not pending.task.done:
+                pending.task.step(n_iterations=2)
+            sliced_result = pending.finish()
+
+            assert sliced_result.cost == mono_report.cost
+            assert (
+                sliced_result.difftree.canonical_key
+                == mono_report.difftree.canonical_key
+            )
+
+    # -- monolithic vs sliced, full result ------------------------------------
+
+    def _assert_identical(self, mono, sliced):
+        assert mono.best_cost == sliced.best_cost
+        assert mono.best.tree.canonical_key == sliced.best.tree.canonical_key
+        assert mono.stats == sliced.stats
+        assert [c for _, c in mono.history] == [c for _, c in sliced.history]
+
+    def _drive(self, make_task, total=None):
+        mono, sliced = make_task(), make_task()
+        if total is None:  # self-terminating strategy
+            mono.step()
+            while not sliced.done:
+                sliced.step(n_iterations=3)
+        else:
+            assert mono.step(n_iterations=total) == total
+            run = 0
+            while run < total:
+                run += sliced.step(n_iterations=2)
+        self._assert_identical(mono.result(), sliced.result())
+
+    def _fixture(self, n=2):
+        # The model is built inside each task factory call: kernel
+        # counters are cumulative per model, so sharing one would make
+        # the second run's stats snapshot include the first run's work.
+        queries = [parse(q) for q in sdss_session_sql(n, seed=5)]
+        initial = initial_difftree(queries)
+        return (lambda: CostModel(queries, Screen.wide())), initial
+
+    def test_random_sliced_matches_monolithic(self):
+        # Short walks: unbiased 200-step walks grow large states, and
+        # slicing is exercised by the walk count, not the walk length.
+        make_model, initial = self._fixture()
+        self._drive(
+            lambda: RandomSearchTask(
+                make_model(),
+                initial,
+                time_budget_s=None,
+                max_walk_steps=24,
+                seed=3,
+                final_cap=50,
+            ),
+            total=8,
+        )
+
+    def test_greedy_sliced_matches_monolithic(self):
+        make_model, initial = self._fixture()
+        self._drive(
+            lambda: GreedySearchTask(
+                make_model(), initial, time_budget_s=None, seed=3, final_cap=50
+            )
+        )
+
+    def test_beam_sliced_matches_monolithic(self):
+        make_model, initial = self._fixture()
+        self._drive(
+            lambda: BeamSearchTask(
+                make_model(),
+                initial,
+                time_budget_s=None,
+                beam_width=4,
+                max_depth=6,
+                seed=3,
+                final_cap=50,
+            )
+        )
+
+    def test_exhaustive_sliced_matches_monolithic(self):
+        make_model, initial = self._fixture()
+        self._drive(
+            lambda: ExhaustiveSearchTask(
+                make_model(), initial, max_states=120, seed=3, final_cap=50
+            )
+        )

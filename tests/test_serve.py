@@ -22,7 +22,7 @@ from repro.serve import (
     SessionRouter,
     context_key,
 )
-from repro.sqlast import parse
+from repro.sqlast import SqlError, parse
 from repro.workloads import get_workload, listing1_sql, sdss_session_sql
 
 #: A fast config for tests that exercise plumbing, not search quality.
@@ -80,6 +80,15 @@ class TestLogStream:
         with pytest.raises(TypeError):
             LogStream().append(42)
 
+    def test_failed_append_leaves_log_unchanged(self):
+        """A parse error mid-batch commits none of the batch, so a
+        session's log never holds a partial append."""
+        engine = Engine()
+        with pytest.raises(SqlError):
+            engine.session("bad").append(listing1_sql()[0], "SELECT !!! garbage $$$")
+        assert len(engine.router.stream("bad")) == 0
+        assert engine.router.sessions() == []
+
 
 class TestSessionRouter:
     def test_sessions_isolated(self):
@@ -108,7 +117,6 @@ class TestSessionRouter:
     def test_reads_do_not_register_sessions(self):
         router = SessionRouter()
         assert len(router.stream("ghost")) == 0
-        assert router.truncate("ghost", 0) == 0
         assert router.remove("ghost", [0]) == ()
         assert router.retain("ghost", last_n=1) == ()
         assert router.sessions() == []

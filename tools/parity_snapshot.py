@@ -18,12 +18,7 @@ the difftree canonical key and the full ``SearchStats`` of
 * random, greedy, beam and exhaustive search opened through
   ``open_search_task`` on the Listing-1 log and stepped one unit at a
   time for four units (these need a wall-clock budget to be dispatched,
-  so they get a generous one that never expires, and 24-step walks),
-* the session scheduler serving three sdss and three tpch sessions
-  (6-query logs, seeds 0-2, three 2-query chunks each) under
-  ``round_robin`` at one iteration per slice and under ``fifo``: per
-  delivery the source, log size, slices, preemptions and iterations
-  besides the outcome, but no latencies.
+  so they get a generous one that never expires, and 24-step walks).
 """
 
 from __future__ import annotations
@@ -99,28 +94,6 @@ def snapshot() -> dict:
         entry["history"] = [repr(cost) for _, cost in result.history]
         out[f"listing1.{strategy}"] = entry
 
-    for policy, slice_iterations in (("round_robin", 1), ("fifo", None)):
-        scheduler = Engine(config=CONFIG).scheduler(
-            slice_iterations=slice_iterations, policy=policy
-        )
-        for name, workload in (("sdss", sdss_session_sql), ("tpch", tpch_session_sql)):
-            for seed in range(3):
-                log = workload(6, seed=seed)
-                scheduler.submit(
-                    f"{name}-{seed}", [log[start : start + 2] for start in (0, 2, 4)]
-                )
-        deliveries = {}
-        for ticket in scheduler.run():
-            steps = []
-            for report in ticket.reports:
-                entry = _outcome(report.cost, report.difftree, report.result.search)
-                entry["source"] = report.source
-                entry["log_size"] = report.log_size
-                for counter in ("slices", "preemptions", "iterations"):
-                    entry[counter] = report.scheduling[counter]
-                steps.append(entry)
-            deliveries[ticket.session_id] = {"state": ticket.state, "reports": steps}
-        out[f"scheduler.{policy}"] = deliveries
     return out
 
 
