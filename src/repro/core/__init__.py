@@ -4,7 +4,6 @@ from .api import (
     STRATEGIES,
     GeneratedInterface,
     GenerationConfig,
-    as_mcts_config,
     generate_interface,
     open_search_task,
     prepare_search,
@@ -16,7 +15,6 @@ __all__ = [
     "generate_interface",
     "GenerationConfig",
     "GeneratedInterface",
-    "as_mcts_config",
     "open_search_task",
     "prepare_search",
     "run_search",

@@ -14,12 +14,14 @@ For repeated generation over a growing log — and for the structured
 oriented :class:`repro.engine.Engine`, which supersedes this module as
 the primary entry point.  ``generate_interface`` remains as a thin
 stable shim over the same search dispatch: the strategy is chosen by
-name from :data:`STRATEGIES`.
+name from :data:`STRATEGIES`, and every strategy's task is built from
+the model, the rule engine and the one :class:`GenerationConfig`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
 from ..cost import CostModel, CostWeights, EvaluatedInterface
@@ -33,7 +35,6 @@ from ..search import (
     BeamSearchTask,
     ExhaustiveSearchTask,
     GreedySearchTask,
-    MCTSConfig,
     RandomSearchTask,
     SearchResult,
     SearchTask,
@@ -54,12 +55,14 @@ class GenerationConfig:
             is the paper's; the others are its baselines).
         time_budget_s: wall-clock search budget (paper used ~60 s).
             Every strategy but ``"exhaustive"`` needs it positive, except
-            ``"mcts"`` with a positive ``max_iterations``.
+            ``"mcts"`` with a positive ``max_iterations``; the exhaustive
+            search ignores it.
         k_assignments: widget-assignment samples per state reward.
         exploration_c: UCT exploration constant (MCTS only).
-        max_walk_steps: random-walk cap (paper: 200).
-        max_iterations: hard iteration cap, 0 = unlimited (MCTS only;
-            useful for deterministic equal-work comparisons).
+        max_walk_steps: random-walk cap (paper: 200; MCTS and random).
+        max_iterations: hard cap on a task's units of work, 0 =
+            unlimited (useful for deterministic equal-work comparisons);
+            only ``"mcts"`` may use it as its sole stop condition.
         seed: RNG seed for reproducible generation.
         weights: cost-term weights.
         exclude_rules: rule names to disable (ablations).
@@ -83,25 +86,30 @@ class GenerationConfig:
                 f"unknown strategy {self.strategy!r} "
                 f"(have: {', '.join(STRATEGIES)})"
             )
-        if self.time_budget_s < 0:
-            raise ValueError(f"time_budget_s must be >= 0, got {self.time_budget_s}")
+        if not 0 <= self.time_budget_s < math.inf:
+            raise ValueError(
+                f"time_budget_s must be finite and >= 0, got {self.time_budget_s}"
+            )
         if self.k_assignments < 1:
             raise ValueError(f"k_assignments must be >= 1, got {self.k_assignments}")
         if self.max_walk_steps < 1:
             raise ValueError(f"max_walk_steps must be >= 1, got {self.max_walk_steps}")
         if self.max_iterations < 0:
             raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations}")
-        if self.exploration_c < 0:
-            raise ValueError(f"exploration_c must be >= 0, got {self.exploration_c}")
+        if not 0 <= self.exploration_c < math.inf:
+            raise ValueError(
+                f"exploration_c must be finite and >= 0, got {self.exploration_c}"
+            )
         if self.final_cap < 1:
             raise ValueError(f"final_cap must be >= 1, got {self.final_cap}")
-        # Only MCTS consumes max_iterations; for the walk/beam baselines a
-        # zero budget would silently evaluate nothing but the initial state.
+        # Only MCTS may stop on max_iterations alone: the baselines are
+        # compared with it at equal wall clock, and their units (a whole
+        # walk, sweep or beam level) are not MCTS iterations.
         if self.time_budget_s <= 0 and self.strategy != "exhaustive":
             if self.strategy != "mcts":
                 raise ValueError(
                     f"strategy {self.strategy!r} needs a stop condition: set "
-                    "time_budget_s > 0 (it does not consume max_iterations)"
+                    "time_budget_s > 0 (it does not consume max_iterations as one)"
                 )
             if self.max_iterations == 0:
                 raise ValueError(
@@ -114,12 +122,6 @@ class GenerationConfig:
                 f"unknown exclude_rules names: {sorted(unknown)} "
                 f"(have: {', '.join(DEFAULT_RULE_NAMES)})"
             )
-
-    def replace(self, **changes) -> "GenerationConfig":
-        """A copy with ``changes`` applied (re-validated)."""
-        current = {f.name: getattr(self, f.name) for f in fields(self)}
-        current.update(changes)
-        return GenerationConfig(**current)
 
 
 @dataclass
@@ -160,19 +162,6 @@ class GeneratedInterface:
         )
 
 
-def as_mcts_config(config: GenerationConfig) -> MCTSConfig:
-    """Project the end-to-end settings onto the MCTS tunables."""
-    return MCTSConfig(
-        exploration_c=config.exploration_c,
-        max_walk_steps=config.max_walk_steps,
-        k_assignments=config.k_assignments,
-        time_budget_s=config.time_budget_s,
-        max_iterations=config.max_iterations,
-        seed=config.seed,
-        final_cap=config.final_cap,
-    )
-
-
 def prepare_search(
     queries: Sequence[Union[str, Node]],
     screen: Optional[Screen] = None,
@@ -196,69 +185,22 @@ def prepare_search(
 
 # -- strategies ----------------------------------------------------------------
 #
-# Each strategy opens one resumable, cold SearchTask.  run_search() runs
-# the task to completion in one step; a caller may also step it in slices.
+# Each strategy opens one resumable, cold SearchTask from
+# (model, initial, engine, config).  run_search() runs the task to
+# completion in one step; a caller may also step it in slices.
 
 
-def _open_mcts(model, initial, engine, config) -> SearchTask:
-    return MCTS(model, engine=engine, config=as_mcts_config(config)).open(initial)
+def _open_mcts(model, initial, engine, config) -> MCTS:
+    return MCTS(model, engine, config).open(initial)
 
 
-def _open_random(model, initial, engine, config) -> SearchTask:
-    return RandomSearchTask(
-        model,
-        initial,
-        engine=engine,
-        time_budget_s=config.time_budget_s,
-        max_walk_steps=config.max_walk_steps,
-        k_assignments=config.k_assignments,
-        seed=config.seed,
-        final_cap=config.final_cap,
-    )
-
-
-def _open_greedy(model, initial, engine, config) -> SearchTask:
-    return GreedySearchTask(
-        model,
-        initial,
-        engine=engine,
-        time_budget_s=config.time_budget_s,
-        k_assignments=config.k_assignments,
-        seed=config.seed,
-        final_cap=config.final_cap,
-    )
-
-
-def _open_beam(model, initial, engine, config) -> SearchTask:
-    return BeamSearchTask(
-        model,
-        initial,
-        engine=engine,
-        time_budget_s=config.time_budget_s,
-        k_assignments=config.k_assignments,
-        seed=config.seed,
-        final_cap=config.final_cap,
-    )
-
-
-def _open_exhaustive(model, initial, engine, config) -> SearchTask:
-    return ExhaustiveSearchTask(
-        model,
-        initial,
-        engine=engine,
-        k_assignments=config.k_assignments,
-        seed=config.seed,
-        final_cap=config.final_cap,
-    )
-
-
-#: Strategy name -> the function opening its search task.
+#: Strategy name -> the callable opening its search task.
 _OPENERS = {
     "mcts": _open_mcts,  # the paper's search; sessions warm-start it
-    "random": _open_random,
-    "greedy": _open_greedy,
-    "beam": _open_beam,
-    "exhaustive": _open_exhaustive,  # stops on its own: tiny logs only
+    "random": RandomSearchTask,
+    "greedy": GreedySearchTask,
+    "beam": BeamSearchTask,
+    "exhaustive": ExhaustiveSearchTask,  # stops on its own: tiny logs only
 }
 
 #: The ``GenerationConfig.strategy`` names.

@@ -108,12 +108,22 @@ class CostWeights:
             Figure 6(a) versus Figure 2(a)-style interfaces).
         steiner: weight (inside U) of the connecting-subtree size.
         effort: weight (inside U) of per-widget interaction effort.
+
+    Each weight must be finite and ``>= 0`` (``0`` drops its term): a NaN
+    weight would score every interface NaN, and NaN compares as neither
+    cheaper nor dearer, so no search could rank by it.
     """
 
     m: float = 1.0
     u: float = 0.3
     steiner: float = 0.25
     effort: float = 1.0
+
+    def __post_init__(self) -> None:
+        for name in ("m", "u", "steiner", "effort"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"weight {name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)

@@ -43,15 +43,9 @@ from .kernel import (
 
 __all__ = ["CostModel", "CostWeights", "CostBreakdown"]
 
-#: Cache-miss sentinel (``None`` is a legitimate cached value).
-_MISSING = object()
-
 #: How many per-difftree compiled kernels a model keeps (bounded LRU —
 #: long sessions evict cold kernels one at a time, never wholesale).
 KERNEL_CACHE_SIZE = 512
-
-#: Bound of a model's per-difftree assignment cache.
-ASSIGNMENT_CACHE_SIZE = 4096
 
 
 class CostModel:
@@ -74,10 +68,6 @@ class CostModel:
         self.queries = list(queries)
         self.screen = screen
         self.weights = weights
-        #: difftree canonical key -> per-query assignments (bounded LRU).
-        self._assignment_cache = BoundedLRU(
-            ASSIGNMENT_CACHE_SIZE, name="cost.assignments"
-        )
         #: difftree canonical key -> compiled kernel (bounded LRU).
         self._kernels = BoundedLRU(KERNEL_CACHE_SIZE, name="cost.kernels")
         #: difftree canonical key -> prior-run CompiledSequence to extend
@@ -119,7 +109,6 @@ class CostModel:
                 sequence = carried.extend(tree, self.queries[prefix:])
                 if prefix < len(self.queries):
                     self.kernel_stats.sequences_extended += 1
-                self._assignment_cache[key] = sequence.assignments
                 return sequence
         with _trace("cost.sequence.compile"):
             sequence = CompiledSequence.compile(
@@ -176,19 +165,15 @@ class CostModel:
 
         Returns ``None`` when some query is not expressible (an invalid
         state; rules never produce one, but callers stay defensive).
+        Not cached here: a kernel compile, the one hot caller, is cached
+        per tree, and ``assignment_for`` is memoized per (tree, query).
         """
-        key = tree.canonical_key
-        cached = self._assignment_cache.get(key, _MISSING)
-        if cached is not _MISSING:
-            return cached
-        assignments: Optional[List[Assignment]] = []
+        assignments: List[Assignment] = []
         for query in self.queries:
             assignment = assignment_for(tree, query)
             if assignment is None:
-                assignments = None
-                break
+                return None
             assignments.append(assignment)
-        self._assignment_cache[key] = assignments
         return assignments
 
     def sequence_cost(

@@ -9,9 +9,10 @@ share the state without importing each other.
 
 The contract of the disabled path (the default): ``enabled()`` is a
 plain global read, ``trace(...)`` returns a shared no-op context
-manager, and nothing is recorded anywhere — benchmarked to be
-statistically indistinguishable from uninstrumented code by
-``benchmarks/bench_obs.py``.
+manager, and nothing is recorded anywhere.  ``benchmarks/bench_obs.py``
+gates the per-call cost of a disabled ``trace`` (2 µs by default); its
+enabled/disabled ratio compares tracing on and off, so nothing measures
+the disabled path against uninstrumented code.
 """
 
 from __future__ import annotations

@@ -1,10 +1,12 @@
 """Search strategies: MCTS (the paper's contribution) and baselines.
 
 Every strategy is a resumable :class:`SearchTask` (``open`` → ``step`` →
-``result``); ``run()`` is the monolithic run, one unbounded step.
-Construct a baseline task directly
-(``RandomSearchTask(model, initial, ...).run()``); MCTS opens through its
-search instance (``MCTS(model, config=...).open(initial).run()``).
+``result``) built from the cost model, the rule engine and the one
+:class:`~repro.core.GenerationConfig`; ``run()`` is the monolithic run,
+one unbounded step.  Constructing a baseline opens it
+(``RandomSearchTask(model, initial, engine, config).run()``); MCTS opens
+explicitly, so a session can seed it with warm states
+(``MCTS(model, engine, config).open(initial).run()``).
 """
 
 from .carry import CarriedTree, CarryStats
@@ -21,14 +23,12 @@ from .common import (
     StateEvaluator,
     normalized_reward,
 )
-from .mcts import MCTS, MCTSConfig, MCTSTask
+from .mcts import MCTS
 
 __all__ = [
     "CarriedTree",
     "CarryStats",
     "MCTS",
-    "MCTSConfig",
-    "MCTSTask",
     "RandomSearchTask",
     "GreedySearchTask",
     "BeamSearchTask",

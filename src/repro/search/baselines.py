@@ -12,22 +12,34 @@
   (used to validate MCTS answer quality in tests).
 
 Every baseline is a resumable :class:`~repro.search.common.SearchTask`
-state machine — construct (open) → ``step()`` → ``result()`` — stepped
-exactly like MCTS; ``run()`` is one unbounded step.  One unit of work
-per strategy: a full random walk, one hill-climbing sweep, one beam
-level, one BFS expansion.
+built as ``Cls(model, initial, engine, config)`` — constructing it opens
+it — and stepped exactly like MCTS; ``run()`` is one unbounded step.
+One unit of work per strategy: a full random walk, one hill-climbing
+sweep, one beam level, one BFS expansion.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from typing import List, Optional, Set
+from typing import TYPE_CHECKING, List, Optional, Set
 
 from ..cost import CostModel
 from ..difftree import DTNode
-from ..rules import RuleEngine, default_engine
-from .common import SearchTask, StateEvaluator
+from ..rules import RuleEngine
+from .common import SearchTask
+
+if TYPE_CHECKING:
+    from ..core import GenerationConfig
+
+#: States the beam keeps at each depth.
+BEAM_WIDTH = 8
+
+#: Levels the beam descends before it stops.
+BEAM_MAX_DEPTH = 30
+
+#: Exhaustive search stops once it has discovered this many states.
+EXHAUSTIVE_MAX_STATES = 2000
 
 
 class RandomSearchTask(SearchTask):
@@ -39,32 +51,23 @@ class RandomSearchTask(SearchTask):
         self,
         model: CostModel,
         initial: DTNode,
-        engine: Optional[RuleEngine] = None,
-        time_budget_s: float = 5.0,
-        max_walk_steps: int = 200,
-        k_assignments: int = 5,
-        seed: int = 0,
-        final_cap: int = 4000,
+        engine: RuleEngine,
+        config: "GenerationConfig",
     ) -> None:
-        evaluator = StateEvaluator(model, k_assignments=k_assignments, seed=seed)
-        super().__init__(
-            evaluator, time_budget_s=time_budget_s, final_cap=final_cap
-        )
-        self._engine = engine or default_engine()
-        self._rng = random.Random(seed)
+        super().__init__(model, engine, config)
+        self._rng = random.Random(config.seed)
         self._initial = initial
-        self._max_walk_steps = max_walk_steps
-        evaluator.evaluate(initial)
+        self.evaluator.evaluate(initial)
 
     def _iterate(self) -> bool:
         current = self._initial
-        for _ in range(self._max_walk_steps):
+        for _ in range(self.config.max_walk_steps):
             if time.perf_counter() >= self._deadline:
                 break
-            move = self._engine.random_move(current, self._rng)
+            move = self.engine.random_move(current, self._rng)
             if move is None:
                 break
-            current = self._engine.apply(current, move)
+            current = self.engine.apply(current, move)
             self.evaluator.evaluate(current)
             self.evaluator.stats.walk_steps += 1
         self.evaluator.stats.iterations += 1
@@ -84,27 +87,20 @@ class GreedySearchTask(SearchTask):
         self,
         model: CostModel,
         initial: DTNode,
-        engine: Optional[RuleEngine] = None,
-        time_budget_s: float = 5.0,
-        k_assignments: int = 5,
-        seed: int = 0,
-        final_cap: int = 4000,
+        engine: RuleEngine,
+        config: "GenerationConfig",
     ) -> None:
-        evaluator = StateEvaluator(model, k_assignments=k_assignments, seed=seed)
-        super().__init__(
-            evaluator, time_budget_s=time_budget_s, final_cap=final_cap
-        )
-        self._engine = engine or default_engine()
+        super().__init__(model, engine, config)
         #: Current descent position (None once a sweep found the local
         #: minimum).
         self._current: Optional[DTNode] = initial
-        self._current_cost = evaluator.evaluate(initial).cost
+        self._current_cost = self.evaluator.evaluate(initial).cost
 
     def _iterate(self) -> bool:
         if self._current is None:
             return False
         evaluator = self.evaluator
-        neighbors = self._engine.neighbors(self._current)
+        neighbors = self.engine.neighbors(self._current)
         evaluator.stats.max_fanout = max(
             evaluator.stats.max_fanout, len(neighbors)
         )
@@ -126,7 +122,7 @@ class GreedySearchTask(SearchTask):
 
 
 class BeamSearchTask(SearchTask):
-    """Keep the ``beam_width`` cheapest states at each depth."""
+    """Keep the :data:`BEAM_WIDTH` cheapest states at each depth."""
 
     strategy = "beam"
 
@@ -134,28 +130,17 @@ class BeamSearchTask(SearchTask):
         self,
         model: CostModel,
         initial: DTNode,
-        engine: Optional[RuleEngine] = None,
-        beam_width: int = 8,
-        max_depth: int = 30,
-        time_budget_s: float = 10.0,
-        k_assignments: int = 5,
-        seed: int = 0,
-        final_cap: int = 4000,
+        engine: RuleEngine,
+        config: "GenerationConfig",
     ) -> None:
-        evaluator = StateEvaluator(model, k_assignments=k_assignments, seed=seed)
-        super().__init__(
-            evaluator, time_budget_s=time_budget_s, final_cap=final_cap
-        )
-        self._engine = engine or default_engine()
-        self._beam_width = beam_width
-        self._max_depth = max_depth
+        super().__init__(model, engine, config)
         self._depth = 0
         self._beam: List[DTNode] = [initial]
         self._seen: Set[str] = {initial.canonical_key}
-        evaluator.evaluate(initial)
+        self.evaluator.evaluate(initial)
 
     def _iterate(self) -> bool:
-        if self._depth >= self._max_depth:
+        if self._depth >= BEAM_MAX_DEPTH:
             return False
         evaluator = self.evaluator
         # Collect the level's unseen successors first, then score them as
@@ -164,7 +149,7 @@ class BeamSearchTask(SearchTask):
         frontier: List[DTNode] = []
         keys: List[str] = []
         for state in self._beam:
-            for _, successor in self._engine.neighbors(state):
+            for _, successor in self.engine.neighbors(state):
                 key = successor.canonical_key
                 if key in self._seen:
                     continue
@@ -179,7 +164,7 @@ class BeamSearchTask(SearchTask):
         if not candidates:
             return False
         candidates.sort(key=lambda item: (item[0], item[1]))
-        self._beam = [state for _, _, state in candidates[: self._beam_width]]
+        self._beam = [state for _, _, state in candidates[:BEAM_WIDTH]]
         evaluator.stats.iterations += 1
         self._depth += 1
         evaluator.stats.max_depth = self._depth
@@ -187,7 +172,8 @@ class BeamSearchTask(SearchTask):
 
 
 class ExhaustiveSearchTask(SearchTask):
-    """BFS over the whole (deduplicated) state space, up to ``max_states``.
+    """BFS over the whole (deduplicated) state space, up to
+    :data:`EXHAUSTIVE_MAX_STATES`.
 
     Exact within its horizon; used on tiny logs to validate that MCTS
     finds the true optimum.  Terminates on its own (no time budget).
@@ -199,28 +185,23 @@ class ExhaustiveSearchTask(SearchTask):
         self,
         model: CostModel,
         initial: DTNode,
-        engine: Optional[RuleEngine] = None,
-        max_states: int = 2000,
-        k_assignments: int = 5,
-        seed: int = 0,
-        final_cap: int = 4000,
+        engine: RuleEngine,
+        config: "GenerationConfig",
     ) -> None:
-        evaluator = StateEvaluator(model, k_assignments=k_assignments, seed=seed)
-        super().__init__(evaluator, time_budget_s=None, final_cap=final_cap)
-        self._engine = engine or default_engine()
-        self._max_states = max_states
+        super().__init__(model, engine, config)
+        self.time_budget_s = None
         self._queue: List[DTNode] = [initial]
         self._seen: Set[str] = {initial.canonical_key}
         self._index = 0
-        evaluator.evaluate(initial)
+        self.evaluator.evaluate(initial)
 
     def _iterate(self) -> bool:
-        if self._index >= len(self._queue) or len(self._seen) >= self._max_states:
+        if self._index >= len(self._queue) or len(self._seen) >= EXHAUSTIVE_MAX_STATES:
             return False
         evaluator = self.evaluator
         state = self._queue[self._index]
         self._index += 1
-        neighbors = self._engine.neighbors(state)
+        neighbors = self.engine.neighbors(state)
         evaluator.stats.max_fanout = max(
             evaluator.stats.max_fanout, len(neighbors)
         )

@@ -6,13 +6,15 @@ so they are comparable head-to-head.  The :class:`StateEvaluator` caches
 those scores by canonical state key, and a :class:`SearchResult` records
 the winner plus a convergence history for the benchmark harness.
 
-Strategies are *resumable*: each one is packaged as a :class:`SearchTask`
-state machine (``open`` at construction → repeated :meth:`SearchTask.step`
-→ :meth:`SearchTask.result`) instead of a blocking run-to-completion
-function.  A task owns its RNG (through its evaluator), so an
-iteration-capped run stepped in slices is bit-for-bit identical to a
-monolithic one at equal totals.  Time budgets count wall clock from the
-evaluator's :meth:`StateEvaluator.restart_clock`.
+Strategies are *resumable*: each one is a :class:`SearchTask` state
+machine (``open`` at construction → repeated :meth:`SearchTask.step` →
+:meth:`SearchTask.result`) instead of a blocking run-to-completion
+function.  Every task is built from the same three arguments — the cost
+model, the rule engine and the :class:`~repro.core.GenerationConfig` —
+so the strategies share one set of settings.  A task owns its RNG
+(through its evaluator), so an iteration-capped run stepped in slices is
+bit-for-bit identical to a monolithic one at equal totals.  Time budgets
+count wall clock from the evaluator's :meth:`StateEvaluator.restart_clock`.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..cost import (
     BoundedLRU,
@@ -34,6 +36,10 @@ from ..difftree import DTNode
 from ..obs import REGISTRY as _OBS_REGISTRY
 from ..obs import enabled as _obs_enabled
 from ..obs import trace as _trace
+from ..rules import RuleEngine
+
+if TYPE_CHECKING:
+    from ..core import GenerationConfig
 
 #: Bound of the per-state evaluation cache (entries, LRU-evicted).
 _STATE_CACHE_CAPACITY = 100_000
@@ -74,7 +80,9 @@ class SearchStats:
     kernel_fallback_evals: int = 0
     kernel_sequences_extended: int = 0
     #: Always 0: candidates are scored one at a time.  Kept because
-    #: report envelopes (schema v4) serialize every field.
+    #: perfbench's trace reads ``kernel_batched_evals`` (its
+    #: ``cost.candidates.batched``), and a snapshot refuses stats fields
+    #: it does not know.
     kernel_batched_evals: int = field(default=0, compare=False)
     kernel_batch_fallbacks: int = field(default=0, compare=False)
 
@@ -268,7 +276,12 @@ def finish_search(
 class SearchTask:
     """A resumable search: construct (open) → :meth:`step` → :meth:`result`.
 
-    Subclasses implement :meth:`_iterate` — one indivisible unit of work
+    Every strategy is built from the cost model to score states under,
+    the rule engine whose moves it explores, and the
+    :class:`~repro.core.GenerationConfig` holding every setting (budget,
+    iteration cap, ``k``, seed, walk length, final cap); a baseline also
+    takes the initial state, MCTS takes it in ``open``.  Subclasses
+    implement :meth:`_iterate` — one indivisible unit of work
     (an MCTS expansion, one random walk, one hill-climbing sweep, one
     beam level, one BFS expansion) — and the base class owns slicing,
     budget accounting, and termination:
@@ -288,8 +301,8 @@ class SearchTask:
     ``time_budget_s`` semantics: ``None`` means no time stop (strategies
     like exhaustive search that terminate on their own); ``<= 0`` means
     "iteration-capped only" when ``max_iterations > 0`` and "stop
-    immediately" otherwise (matching the dispatcher's validation that a
-    strategy must have *some* stop condition).
+    immediately" otherwise (the config refuses a strategy that would
+    have no stop condition).
 
     :meth:`result` may be called at any time — before completion it
     packages the incumbent found so far.
@@ -299,16 +312,16 @@ class SearchTask:
     strategy = "task"
 
     def __init__(
-        self,
-        evaluator: StateEvaluator,
-        time_budget_s: Optional[float] = None,
-        max_iterations: int = 0,
-        final_cap: int = 4000,
+        self, model: CostModel, engine: RuleEngine, config: "GenerationConfig"
     ) -> None:
-        self.evaluator = evaluator
-        self.time_budget_s = time_budget_s
-        self.max_iterations = max_iterations
-        self.final_cap = final_cap
+        self.engine = engine
+        self.config = config
+        self.evaluator = StateEvaluator(
+            model, k_assignments=config.k_assignments, seed=config.seed
+        )
+        self.time_budget_s: Optional[float] = config.time_budget_s
+        self.max_iterations = config.max_iterations
+        self.final_cap = config.final_cap
         #: Wall-clock end of the time budget for the current unit's inner
         #: loops (``inf`` when unconstrained).
         self._deadline = math.inf

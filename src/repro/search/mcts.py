@@ -36,8 +36,10 @@ and known-good states (e.g. the previous run's best difftree extended to
 newly appended queries) can seed the transposition table and the
 incumbent before the first iteration.
 
-The search is *resumable*: :meth:`MCTS.open` performs the setup (root,
-frontier rebuild, warm seeding) and returns an :class:`MCTSTask` whose
+The search is a resumable :class:`~repro.search.common.SearchTask`,
+built like every strategy from the cost model, the rule engine and the
+:class:`~repro.core.GenerationConfig`: :meth:`MCTS.open` performs the
+setup (root, frontier rebuild, warm seeding) and returns the task, whose
 ``step(n_iterations=...)`` runs bounded slices of the iteration loop.  A
 monolithic run is ``open(...).run()``: one unbounded ``step`` +
 ``result``, so monolithic and sliced runs share every code path and are
@@ -51,12 +53,15 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..cost import CostModel
 from ..difftree import DTNode
-from ..rules import RuleEngine, default_engine
-from .common import SearchTask, StateEvaluator, normalized_reward
+from ..rules import RuleEngine
+from .common import SearchTask, normalized_reward
+
+if TYPE_CHECKING:
+    from ..core import GenerationConfig
 
 #: The compressing (forward) rules used by the biased rollout policy.
 _FORWARD_RULES = ("Lift", "Any2All", "Optional", "Multi")
@@ -93,30 +98,6 @@ ROLLOUTS_PER_EXPANSION = 6
 WARM_SEED_BUDGET_FRAC = 0.5
 
 
-@dataclass(frozen=True)
-class MCTSConfig:
-    """Tunables of the MCTS search (paper defaults where stated).
-
-    Attributes:
-        exploration_c: UCT exploration constant ``c``.
-        max_walk_steps: random-walk cap per simulation (paper: 200).
-        k_assignments: widget-assignment samples per state reward
-            (the paper's ``k``).
-        time_budget_s: wall-clock stop (paper: ~60 s; benches use less).
-        max_iterations: hard iteration cap (0 = unlimited).
-        seed: RNG seed; fixed seed ⇒ reproducible searches.
-        final_cap: widget-enumeration cap for the final phase.
-    """
-
-    exploration_c: float = 1.4
-    max_walk_steps: int = 200
-    k_assignments: int = 5
-    time_budget_s: float = 5.0
-    max_iterations: int = 0
-    seed: int = 0
-    final_cap: int = 4000
-
-
 @dataclass
 class _TreeNode:
     state: DTNode
@@ -130,15 +111,18 @@ class _TreeNode:
         return self.reward_sum / self.visits if self.visits else 0.0
 
 
-class MCTS:
-    """One reusable search instance (per query log / screen / config).
+class MCTS(SearchTask):
+    """The paper's search over one query log, screen and config.
+
+    One unit of work is one full MCTS iteration (selection, expansion,
+    simulations, backpropagation), so ``step(3)`` + ``step(2)`` is
+    bit-for-bit ``step(5)``.
 
     Args:
         model: cost model for the (full, current) query log.
         engine: rewrite-rule engine.
-        config: search tunables.
-        evaluator: optional pre-built state evaluator to reuse (its
-            incumbent and history carry into this search).
+        config: the generation settings; MCTS reads ``exploration_c``
+            and ``max_walk_steps`` beside the settings every task reads.
         node_table: optional transposition table to start from; every
             unexpanded entry re-enters the selection frontier.  Entries
             must describe states valid for *this* search's query log —
@@ -146,21 +130,17 @@ class MCTS:
             before injecting them.
     """
 
+    strategy = "mcts"
+
     def __init__(
         self,
         model: CostModel,
-        engine: Optional[RuleEngine] = None,
-        config: MCTSConfig = MCTSConfig(),
-        evaluator: Optional[StateEvaluator] = None,
+        engine: RuleEngine,
+        config: "GenerationConfig",
         node_table: Optional[Dict[str, _TreeNode]] = None,
     ) -> None:
-        self.model = model
-        self.engine = engine or default_engine()
-        self.config = config
+        super().__init__(model, engine, config)
         self.rng = random.Random(config.seed)
-        self.evaluator = evaluator or StateEvaluator(
-            model, k_assignments=config.k_assignments, seed=config.seed
-        )
         self.nodes: Dict[str, _TreeNode] = node_table if node_table is not None else {}
         #: Unexpanded node keys eligible for selection.
         self.frontier: set = set()
@@ -168,22 +148,17 @@ class MCTS:
         self._heap_seq = 0
         self._best_seen_cost = math.inf
         self._worst_seen_cost = -math.inf
-        self._deadline = math.inf
 
     # -- public API ---------------------------------------------------------
 
-    def open(
-        self, initial: DTNode, warm_states: Sequence[DTNode] = ()
-    ) -> "MCTSTask":
-        """Open a resumable search task from ``initial``.
+    def open(self, initial: DTNode, warm_states: Sequence[DTNode] = ()) -> "MCTS":
+        """Open the search from ``initial``; returns this task.
 
         Performs the whole pre-loop setup — root node, frontier rebuild,
-        initial evaluation, warm-state seeding — and returns the
-        :class:`MCTSTask` whose ``step()`` runs the iteration loop in
-        bounded slices.  Setup time counts against the task's budget:
-        the clock restarts when this call begins.  One MCTS instance
-        drives one live task at a time: opening again rebuilds the
-        frontier and restarts the clock.
+        initial evaluation, warm-state seeding — so that ``step()`` runs
+        only the iteration loop.  Setup time counts against the task's
+        budget: the clock restarts when this call begins.  Open a task
+        once.
 
         Args:
             initial: the root state (``ANY`` over the query log).
@@ -195,7 +170,6 @@ class MCTS:
                 same ``time_budget_s`` are directly comparable.
         """
         self.evaluator.restart_clock()
-        self._deadline = math.inf
 
         root_key = initial.canonical_key
         root = self.nodes.get(root_key)
@@ -213,7 +187,7 @@ class MCTS:
         self._backpropagate(root_key, self._reward_of(initial))
 
         self._seed_warm_states(root_key, warm_states)
-        return MCTSTask(self)
+        return self
 
     # -- internals -----------------------------------------------------------
 
@@ -286,7 +260,9 @@ class MCTS:
         )
         return node.mean_reward() + explore
 
-    def _iterate(self) -> None:
+    def _iterate(self) -> bool:
+        if not self.frontier:
+            return False
         key = self._select()
         node = self.nodes[key]
         node.expanded = True
@@ -342,8 +318,11 @@ class MCTS:
             else:
                 reward = direct
             self._backpropagate(child_key, reward)
+            # Inner loops yield at the budget deadline step() computed.
             if time.perf_counter() >= self._deadline:
                 break
+        self.evaluator.stats.iterations += 1
+        return True
 
     def _select(self) -> str:
         """Frontier state with the (approximately) highest UCT.
@@ -422,38 +401,4 @@ class MCTS:
             node.visits += 1
             node.reward_sum += reward
             cursor = node.parent_key
-
-
-class MCTSTask(SearchTask):
-    """The resumable slice-driver of one opened MCTS search.
-
-    One unit of work is one full MCTS iteration (selection, expansion,
-    simulations, backpropagation).  All mutable search state lives on
-    the owning :class:`MCTS` instance; the task adds only slicing and
-    budget accounting (see :class:`~repro.search.common.SearchTask`),
-    so ``step(3)`` + ``step(2)`` is bit-for-bit ``step(5)``.
-    """
-
-    strategy = "mcts"
-
-    def __init__(self, search: MCTS) -> None:
-        config = search.config
-        super().__init__(
-            search.evaluator,
-            time_budget_s=config.time_budget_s,
-            max_iterations=config.max_iterations,
-            final_cap=config.final_cap,
-        )
-        self.search = search
-
-    def _iterate(self) -> bool:
-        mcts = self.search
-        if not mcts.frontier:
-            return False
-        # Inner loops (move expansion, random walks) yield at the budget
-        # deadline the base class computed for this unit.
-        mcts._deadline = self._deadline
-        mcts._iterate()
-        self.evaluator.stats.iterations += 1
-        return True
 

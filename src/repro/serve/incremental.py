@@ -35,10 +35,11 @@ and cold runs at equal ``time_budget_s`` are directly comparable.
 
 Generation is *resumable*: :meth:`IncrementalGenerator.open_search`
 builds the full warm-started machinery (cache probe, extended warm
-states, adopted compiled sequences, opened MCTS task) without running
-the search, returning a :class:`PendingSearch` whose ``task`` the caller
-steps and whose ``finish()`` performs the elite/sequence harvest and
-cache insertion.  :meth:`IncrementalGenerator.generate` and
+states, adopted compiled sequences, an opened :class:`~repro.search.MCTS`
+task built from the generator's config) without running the search,
+returning a :class:`PendingSearch` whose ``task`` the caller steps and
+whose ``finish()`` performs the elite/sequence harvest and cache
+insertion.  :meth:`IncrementalGenerator.generate` and
 :meth:`repro.engine.LogSession.interface` are both open → step → finish.
 """
 
@@ -51,17 +52,12 @@ from typing import Dict, List, Optional, Tuple
 
 from .. import memo as _memo
 from ..obs import trace as _trace
-from ..core import (
-    GeneratedInterface,
-    GenerationConfig,
-    as_mcts_config,
-    prepare_search,
-)
+from ..core import GeneratedInterface, GenerationConfig, prepare_search
 from ..cost import CompiledSequence
 from ..difftree import DTNode, extend_difftree
 from ..layout import Screen
 from ..search.carry import STATS as CARRY_STATS, CarriedTree
-from ..search.mcts import MCTS, MCTSTask
+from ..search.mcts import MCTS
 from .cache import InterfaceCache, context_key
 from .stream import QueryLike, SessionRouter
 
@@ -102,7 +98,7 @@ class PendingSearch:
     Produced by :meth:`IncrementalGenerator.open_search`.  Either the
     cache already had the answer (``cached`` is set, ``task`` is None)
     or ``task`` is an opened, warm-started
-    :class:`~repro.search.mcts.MCTSTask` the caller steps (in slices, or
+    :class:`~repro.search.mcts.MCTS` the caller steps (in slices, or
     to completion with ``task.step()``) before calling :meth:`finish`
     exactly once to harvest elites/compiled sequences, insert the cache
     entry, and update the session's warm-start carry.
@@ -113,8 +109,7 @@ class PendingSearch:
         service: "IncrementalGenerator",
         session_id: str,
         cached: Optional[GeneratedInterface] = None,
-        task: Optional[MCTSTask] = None,
-        mcts: Optional[MCTS] = None,
+        task: Optional[MCTS] = None,
         key: str = "",
         query_keys: Tuple[str, ...] = (),
         asts: Tuple = (),
@@ -126,7 +121,6 @@ class PendingSearch:
         self.session_id = session_id
         self.cached = cached
         self.task = task
-        self._mcts = mcts
         self._key = key
         self._query_keys = query_keys
         self._asts = asts
@@ -161,7 +155,7 @@ class PendingSearch:
             search_result = self.task.result()
             render_started = time.perf_counter()
             elite = service._elite_states(
-                self._mcts, self._initial, search_result.best_state
+                self.task, self._initial, search_result.best_state
             )
             result = GeneratedInterface(
                 queries=list(self._asts),
@@ -169,7 +163,7 @@ class PendingSearch:
                 search=search_result,
                 best=search_result.best,
             )
-            model = self._mcts.model
+            model = self.task.evaluator.model
             state = self._state
             with service._lock:
                 state.sequences = service._harvest_sequences(
@@ -185,7 +179,7 @@ class PendingSearch:
                 # refreshed).  The next open_search rebases it.
                 if _memo.carry_enabled():
                     state.tree = CarriedTree.harvest(
-                        self._mcts,
+                        self.task,
                         model,
                         log_len=len(self._asts),
                         max_nodes=CARRY_MAX_NODES,
@@ -438,20 +432,15 @@ class IncrementalGenerator:
                         initial, boundary, asts[carried.log_len :]
                     )
                 timings["difftree_s"] = time.perf_counter() - difftree_started
-                mcts = MCTS(
-                    model,
-                    engine=engine,
-                    config=as_mcts_config(self.config),
-                    node_table=node_table,
-                )
                 # Warm seeding inside open() spends search budget, so the
                 # task's clock (-> ``search_s``) accounts for it.
-                task = mcts.open(initial, warm_states=warm)
+                task = MCTS(model, engine, self.config, node_table=node_table).open(
+                    initial, warm_states=warm
+                )
                 pending = PendingSearch(
                     self,
                     session_id,
                     task=task,
-                    mcts=mcts,
                     key=key,
                     query_keys=query_keys,
                     asts=tuple(asts),

@@ -39,9 +39,10 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..core import GeneratedInterface, prepare_search
 from ..cost import CompiledSequence
-from ..difftree import DTNode, tree_from_payload, tree_payload
+from ..difftree import DTNode, as_asts, tree_from_payload, tree_payload
 from ..obs import trace as _trace
 from ..search.common import SearchResult, SearchStats
+from ..sqlast import SqlError
 from .cache import context_key
 
 #: Bump when the snapshot payload shape changes.  Restore refuses other
@@ -206,7 +207,10 @@ class SessionSnapshot:
         """Validate and decode a :meth:`to_payload` envelope.
 
         Top-level keys this version does not read are ignored, so a
-        payload that carries extra fields still restores.
+        payload that carries extra fields still restores.  The log, its
+        ids and counts and the warm-state tree slots are type-checked
+        here, so a wrong type there is a :class:`SnapshotError`, not an
+        exception from deep in restore.
         """
         if not isinstance(payload, dict):
             raise SnapshotError(f"snapshot payload must be a dict, got {type(payload)}")
@@ -222,11 +226,24 @@ class SessionSnapshot:
         ]
         if missing:
             raise SnapshotError(f"snapshot payload missing keys {missing}")
+        if not isinstance(payload["session_id"], str):
+            raise SnapshotError("snapshot session_id must be a string")
         queries = payload["queries"]
         if not isinstance(queries, list) or not all(
-            isinstance(q, dict) and ("sql" in q or "ast" in q) for q in queries
+            isinstance(q, dict)
+            and (isinstance(q.get("sql"), str) or isinstance(q.get("ast"), dict))
+            for q in queries
         ):
-            raise SnapshotError("snapshot queries must be sql/ast entries")
+            raise SnapshotError("snapshot queries must be sql (text) / ast (dict) entries")
+        for name in ("generation", "log_len"):
+            if type(payload[name]) is not int:  # bool is an int subclass
+                raise SnapshotError(f"snapshot {name} must be an int, got {payload[name]!r}")
+        best = payload.get("best")
+        elite = payload.get("elite") or []
+        if not (best is None or isinstance(best, dict)) or not (
+            isinstance(elite, list) and all(isinstance(tree, dict) for tree in elite)
+        ):
+            raise SnapshotError("snapshot best and elite entries must be tree payloads")
         generation = payload["generation"]
         if generation != len(queries):
             raise SnapshotError(
@@ -257,8 +274,8 @@ class SessionSnapshot:
             ctx=payload["ctx"],
             queries=queries,
             log_len=log_len,
-            best=payload.get("best"),
-            elite=list(payload.get("elite") or ()),
+            best=best,
+            elite=list(elite),
             cached=cached,
             carry=carry,
         )
@@ -270,11 +287,13 @@ class SessionSnapshot:
 
         Any existing state under the same id is dropped first — a
         restore is a full replacement, not a merge.  Raises
-        :class:`SnapshotError` on context mismatch, when the cached
-        decision vector holds a value that is not an option of its
-        decision, or when the replayed cache entry's cost disagrees with
-        the stored one (corrupt or cross-version state must not be
-        served).
+        :class:`SnapshotError` on context mismatch, on a tree or SQL
+        text that does not decode, when the cached decision vector holds
+        a value that is not an option of its decision, or when the
+        replayed cache entry's cost disagrees with the stored one
+        (corrupt or cross-version state must not be served).  Every
+        check runs before the engine is touched, so a refused restore
+        leaves a session already under the id as it was.
         """
         with _trace("serve.snapshot.restore", session=self.session_id):
             expected_ctx = context_key(engine.screen, engine.config)
@@ -295,16 +314,14 @@ class SessionSnapshot:
                 )
             except (KeyError, ValueError, TypeError) as exc:
                 raise SnapshotError(f"corrupt snapshot tree payload: {exc}") from exc
-
-            service = engine._incremental_service()
-            engine.drop_session(self.session_id)
-            if replayed:
-                engine.router.append(self.session_id, *replayed)
-            stream = engine.router.stream(self.session_id)
+            try:
+                asts = as_asts(replayed)
+            except (SqlError, TypeError) as exc:
+                raise SnapshotError(f"snapshot query does not parse: {exc}") from exc
 
             sequences: Dict[str, CompiledSequence] = {}
             if best is not None and self.log_len:
-                prior = stream.asts(end=self.log_len)
+                prior = asts[: self.log_len]
                 for tree in (best,) + elite:
                     key = tree.canonical_key
                     if key not in sequences:
@@ -319,6 +336,15 @@ class SessionSnapshot:
                     raise SnapshotError(
                         f"corrupt carried-tree payload: {exc}"
                     ) from exc
+            cached = None
+            if self.cached is not None:
+                cached = self._replay_cached(engine, asts)
+
+            service = engine._incremental_service()
+            engine.drop_session(self.session_id)
+            if replayed:
+                engine.router.append(self.session_id, *replayed)
+            stream = engine.router.stream(self.session_id)
             service.import_session(
                 self.session_id,
                 log_len=self.log_len,
@@ -327,8 +353,12 @@ class SessionSnapshot:
                 sequences=sequences,
                 tree=carried,
             )
-            if self.cached is not None:
-                self._restore_cached(engine, stream)
+            if cached is not None:
+                engine.cache.put(
+                    f"{stream.log_key()}:{self.ctx}", cached,
+                    query_keys=stream.query_keys(end=len(asts)),
+                    ctx=self.ctx,
+                )
             note = getattr(engine, "_note_restored", None)
             if note is not None:
                 note(
@@ -341,9 +371,8 @@ class SessionSnapshot:
                 )
             return self.session_id
 
-    def _restore_cached(self, engine, stream) -> None:
-        """Re-score the cached winner's vector and re-insert the entry."""
-        asts = stream.asts()
+    def _replay_cached(self, engine, asts) -> GeneratedInterface:
+        """Re-score the cached winner's vector against the log ``asts``."""
         if not asts:
             raise SnapshotError("cached entry on an empty log")
         asts, screen, model, _initial, _rules = prepare_search(
@@ -389,12 +418,6 @@ class SessionSnapshot:
             elapsed=entry["elapsed"],
             strategy=entry["strategy"],
         )
-        generated = GeneratedInterface(
+        return GeneratedInterface(
             queries=list(asts), screen=screen, search=search, best=best
-        )
-        key = f"{stream.log_key()}:{self.ctx}"
-        engine.cache.put(
-            key, generated,
-            query_keys=stream.query_keys(end=len(asts)),
-            ctx=self.ctx,
         )

@@ -19,7 +19,8 @@ from repro.cost import CostModel
 from repro.cost.kernel import CompiledSequence
 from repro.difftree import initial_difftree
 from repro.layout import Screen
-from repro.search import CarriedTree, MCTS, MCTSConfig
+from repro.rules import default_engine
+from repro.search import CarriedTree, MCTS
 from repro.search.carry import STAT_DECAY, STATS
 from repro.search.mcts import _TreeNode
 from repro.serve import IncrementalGenerator, LogStream, log_key
@@ -38,13 +39,14 @@ def run_mcts(queries, max_iterations=6, seed=3):
     initial = initial_difftree(queries)
     mcts = MCTS(
         model,
-        config=MCTSConfig(
+        default_engine(),
+        GenerationConfig(
             time_budget_s=0.0, max_iterations=max_iterations, seed=seed
         ),
     )
-    task = mcts.open(initial)
-    task.step()
-    task.result()
+    mcts.open(initial)
+    mcts.step()
+    mcts.result()
     return model, initial, mcts
 
 
@@ -341,7 +343,7 @@ class TestSlicedParity:
         model0, _, mcts0 = run_mcts(base[:2], max_iterations=6)
         carried = CarriedTree.harvest(mcts0, model0, log_len=2)
         full_initial = initial_difftree(base)
-        config = MCTSConfig(time_budget_s=0.0, max_iterations=8, seed=3)
+        config = GenerationConfig(time_budget_s=0.0, max_iterations=8, seed=3)
 
         def make_task():
             # rebase() returns a fresh copy-table each call, so the two
@@ -349,7 +351,7 @@ class TestSlicedParity:
             # the per-model kernel counters comparable.
             table, _ = carried.rebase(full_initial, base[1], base[2:])
             model = CostModel(base, Screen.wide())
-            return MCTS(model, config=config, node_table=table).open(
+            return MCTS(model, default_engine(), config, node_table=table).open(
                 full_initial
             )
 

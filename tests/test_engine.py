@@ -2,7 +2,9 @@
 strategy constraints, early config validation, session eviction, and
 the report envelope."""
 
+import dataclasses
 import json
+import math
 
 import pytest
 
@@ -15,13 +17,13 @@ from repro import (
     generate_interface,
 )
 from repro.core import STRATEGIES, open_search_task, prepare_search
-from repro.cost import CostModel
+from repro.cost import CostModel, CostWeights
 from repro.difftree import as_asts, expresses_all
 from repro.search import (
+    MCTS,
     BeamSearchTask,
     ExhaustiveSearchTask,
     GreedySearchTask,
-    MCTSTask,
     RandomSearchTask,
 )
 from repro.sqlast import parse
@@ -47,20 +49,32 @@ class TestStrategyRegistry:
             GenerationConfig(strategy="simulated-annealing")
 
     def test_each_name_opens_its_task(self, fig1_queries):
-        # Each name opens its own task class; opening runs no search step.
+        # Each name opens its own task class, built from the config's
+        # settings; opening runs no search step.
         classes = (
-            MCTSTask,
+            MCTS,
             RandomSearchTask,
             GreedySearchTask,
             BeamSearchTask,
             ExhaustiveSearchTask,
         )
         for name, cls in zip(STRATEGIES, classes, strict=True):
-            config = GenerationConfig(strategy=name, time_budget_s=60.0)
+            config = GenerationConfig(
+                strategy=name,
+                time_budget_s=60.0,
+                max_iterations=7,
+                k_assignments=3,
+                final_cap=90,
+            )
             _, _, model, initial, rules = prepare_search(fig1_queries, config=config)
             task = open_search_task(model, initial, rules, config)
             assert task.strategy == name
             assert type(task) is cls
+            assert task.max_iterations == 7
+            assert task.final_cap == 90
+            assert task.time_budget_s == (None if name == "exhaustive" else 60.0)
+            assert task.evaluator.k_assignments == 3
+            assert task.iterations == 0
 
 
 class TestWorkloadRegistry:
@@ -112,8 +126,30 @@ class TestConfigValidation:
 
     def test_replace_revalidates(self):
         with pytest.raises(ValueError, match="time_budget_s"):
-            FAST.replace(time_budget_s=-1.0)
-        assert FAST.replace(seed=7).seed == 7
+            dataclasses.replace(FAST, time_budget_s=-1.0)
+        assert dataclasses.replace(FAST, seed=7).seed == 7
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_time_budget(self, value):
+        # A NaN budget never compares as spent, so the search never stops.
+        with pytest.raises(ValueError, match="time_budget_s"):
+            GenerationConfig(strategy="random", time_budget_s=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_exploration_c(self, value):
+        # A NaN UCT score never equals its heap entry: selection re-pushes
+        # it forever.
+        with pytest.raises(ValueError, match="exploration_c"):
+            GenerationConfig(exploration_c=value, max_iterations=3)
+
+    @pytest.mark.parametrize("term", ["m", "u", "steiner", "effort"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -0.5])
+    def test_cost_weight_must_be_finite_and_non_negative(self, term, value):
+        with pytest.raises(ValueError, match=f"weight {term} "):
+            CostWeights(**{term: value})
+
+    def test_zero_cost_weight_is_legal(self):
+        assert CostWeights(u=0).u == 0
 
 
 class TestCapabilityEnforcement:

@@ -101,13 +101,14 @@ class TestEndToEnd:
 
     def test_deterministic_generation_under_iteration_cap(self):
         config = GenerationConfig(time_budget_s=60.0, seed=9)
-        from repro.search import MCTS, MCTSConfig
+        from repro.search import MCTS
         from repro.cost import CostModel
         from repro.difftree import initial_difftree
+        from repro.rules import default_engine
 
         queries = [parse(s) for s in listing1_sql(1, 4)]
-        cfg = MCTSConfig(time_budget_s=60.0, max_iterations=3, seed=9)
-        a = MCTS(CostModel(queries, Screen.wide()), config=cfg).open(initial_difftree(queries)).run()
-        b = MCTS(CostModel(queries, Screen.wide()), config=cfg).open(initial_difftree(queries)).run()
+        cfg = GenerationConfig(time_budget_s=60.0, max_iterations=3, seed=9)
+        a = MCTS(CostModel(queries, Screen.wide()), default_engine(), cfg).open(initial_difftree(queries)).run()
+        b = MCTS(CostModel(queries, Screen.wide()), default_engine(), cfg).open(initial_difftree(queries)).run()
         assert to_sql(a.best_state and parse("select a from t")) == to_sql(parse("select a from t"))
         assert a.best_cost == b.best_cost

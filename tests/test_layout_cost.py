@@ -159,13 +159,6 @@ class TestCostModel:
             2 * model1.evaluate(tree, root).m_cost
         )
 
-    def test_assignment_cache_consistency(self):
-        model, queries = self.model()
-        tree = factored(self.FIG1)
-        first = model.assignments(tree)
-        second = model.assignments(tree)
-        assert first is second  # cached
-
     def test_steiner_single_widget_is_one(self):
         model, queries = self.model(
             queries=["select a from t where x < 1", "select a from t where x < 2"]

@@ -152,7 +152,6 @@ class TestAbsorbedSources:
         asts, screen, model, initial, rules = prepare_search(LOG, config=TINY)
         snap = obs.snapshot()
         assert any(k.startswith("cache.cost.kernels") for k in snap)
-        assert any(k.startswith("cache.cost.assignments") for k in snap)
         del model
         snap = obs.snapshot()
         assert not any(k.startswith("cache.cost.kernels") for k in snap)

@@ -270,20 +270,32 @@ def test_tcmp_mcts_beats_naive_search_and_the_miner(model, wide, initial_cost, s
     queries = listing1_queries()
     initial = initial_difftree(queries)
     states = mcts.stats.states_evaluated
+    # A budget that never expires: the baselines stop on their own or
+    # on the state count.
+    budget = dict(time_budget_s=600.0, seed=seed)
     greedy = GreedySearchTask(
-        _model(queries), initial, time_budget_s=None, seed=seed
+        _model(queries),
+        initial,
+        default_engine(),
+        GenerationConfig(strategy="greedy", **budget),
     ).run()
     beam = _until_states(
-        BeamSearchTask(_model(queries), initial, time_budget_s=None, seed=seed),
+        BeamSearchTask(
+            _model(queries),
+            initial,
+            default_engine(),
+            GenerationConfig(strategy="beam", **budget),
+        ),
         states,
     )
     rand = _until_states(
         RandomSearchTask(
             _model(queries),
             initial,
-            time_budget_s=None,
-            max_walk_steps=RANDOM_WALK_STEPS,
-            seed=seed,
+            default_engine(),
+            GenerationConfig(
+                strategy="random", max_walk_steps=RANDOM_WALK_STEPS, **budget
+            ),
         ),
         states,
     )

@@ -14,13 +14,15 @@ from repro.core import open_search_task, prepare_search
 from repro.cost import CostModel
 from repro.difftree import expresses_all, initial_difftree
 from repro.layout import Screen
+from repro.rules import default_engine
 from repro.search import (
     MCTS,
     BeamSearchTask,
     ExhaustiveSearchTask,
     GreedySearchTask,
-    MCTSConfig,
     RandomSearchTask,
+    SearchResult,
+    SearchTask,
     StateEvaluator,
     normalized_reward,
 )
@@ -40,6 +42,25 @@ def setup():
     model = CostModel(queries, Screen.wide())
     tree = initial_difftree(queries)
     return queries, model, tree
+
+
+def _mcts(model, tree, **settings) -> SearchResult:
+    config = GenerationConfig(**settings)
+    return MCTS(model, default_engine(), config).open(tree).run()
+
+
+def _baseline(cls, model, tree, **settings) -> SearchTask:
+    config = GenerationConfig(strategy=cls.strategy, **settings)
+    return cls(model, tree, default_engine(), config)
+
+
+def _until_states(task: SearchTask, states: int) -> SearchResult:
+    """Step ``task`` one unit at a time until it has scored ``states`` states."""
+    while task.evaluator.stats.states_evaluated < states and task.step(
+        n_iterations=1
+    ):
+        pass
+    return task.result()
 
 
 class TestNormalizedReward:
@@ -85,22 +106,22 @@ class TestStateEvaluator:
 class TestMCTS:
     def test_finds_valid_interface(self, setup):
         queries, model, tree = setup
-        result = MCTS(model, config=MCTSConfig(time_budget_s=1.5, seed=1)).open(tree).run()
+        result = _mcts(model, tree, time_budget_s=1.5, seed=1)
         assert result.best.breakdown.feasible
         assert expresses_all(result.best_state, queries)
         assert result.strategy == "mcts"
 
     def test_deterministic_under_iteration_cap(self, setup):
         queries, model, tree = setup
-        config = MCTSConfig(time_budget_s=60.0, max_iterations=5, seed=7)
-        a = MCTS(CostModel(queries, Screen.wide()), config=config).open(tree).run()
-        b = MCTS(CostModel(queries, Screen.wide()), config=config).open(tree).run()
+        settings = dict(time_budget_s=60.0, max_iterations=5, seed=7)
+        a = _mcts(CostModel(queries, Screen.wide()), tree, **settings)
+        b = _mcts(CostModel(queries, Screen.wide()), tree, **settings)
         assert a.best_cost == b.best_cost
         assert a.stats.states_evaluated == b.stats.states_evaluated
 
     def test_history_costs_monotone(self, setup):
         _, model, tree = setup
-        result = MCTS(model, config=MCTSConfig(time_budget_s=1.0, seed=2)).open(tree).run()
+        result = _mcts(model, tree, time_budget_s=1.0, seed=2)
         costs = [c for _, c in result.history]
         assert costs == sorted(costs, reverse=True)
 
@@ -109,25 +130,26 @@ class TestMCTS:
         from repro.cost import sampled_evaluation
 
         initial_cost = sampled_evaluation(model, tree, k=5).cost
-        result = MCTS(model, config=MCTSConfig(time_budget_s=2.0, seed=3)).open(tree).run()
+        result = _mcts(model, tree, time_budget_s=2.0, seed=3)
         assert result.best_cost <= initial_cost
 
     def test_respects_iteration_cap(self, setup):
         _, model, tree = setup
-        config = MCTSConfig(time_budget_s=60.0, max_iterations=2, seed=0)
-        result = MCTS(model, config=config).open(tree).run()
+        result = _mcts(model, tree, time_budget_s=60.0, max_iterations=2, seed=0)
         assert result.stats.iterations <= 2
 
     def test_fanout_recorded(self, setup):
         _, model, tree = setup
-        result = MCTS(model, config=MCTSConfig(time_budget_s=1.0, seed=0)).open(tree).run()
+        result = _mcts(model, tree, time_budget_s=1.0, seed=0)
         assert result.stats.max_fanout >= 1
 
 
 class TestBaselines:
     def test_random_search_valid(self, setup):
         queries, model, tree = setup
-        result = RandomSearchTask(model, tree, time_budget_s=1.0, seed=1).run()
+        result = _baseline(
+            RandomSearchTask, model, tree, time_budget_s=1.0, seed=1
+        ).run()
         assert result.best.breakdown.feasible
         assert expresses_all(result.best_state, queries)
         assert result.strategy == "random"
@@ -136,33 +158,41 @@ class TestBaselines:
         queries, model, tree = setup
         from repro.cost import sampled_evaluation
 
-        result = GreedySearchTask(model, tree, time_budget_s=2.0, seed=1).run()
+        result = _baseline(
+            GreedySearchTask, model, tree, time_budget_s=2.0, seed=1
+        ).run()
         assert result.best_cost <= sampled_evaluation(model, tree, k=5).cost
 
     def test_beam_search_valid(self, setup):
         queries, model, tree = setup
-        result = BeamSearchTask(
-            model, tree, beam_width=4, max_depth=6, time_budget_s=3.0
-        ).run()
+        # 63 states: as many as a 4-wide beam scores in 6 levels here.
+        result = _until_states(
+            _baseline(BeamSearchTask, model, tree, time_budget_s=3.0), 63
+        )
         assert result.best.breakdown.feasible
         assert expresses_all(result.best_state, queries)
 
     def test_exhaustive_explores_dedicated_states(self, setup):
         _, model, tree = setup
-        result = ExhaustiveSearchTask(model, tree, max_states=60).run()
+        result = _until_states(
+            _baseline(ExhaustiveSearchTask, model, tree, time_budget_s=0), 60
+        )
         assert result.stats.states_evaluated >= 10
 
     def test_exhaustive_is_lower_bound_for_others(self, setup):
         """On this tiny log exhaustive BFS finds the optimum within its
         horizon; MCTS with a decent budget should match it."""
         queries, model, tree = setup
-        exact = ExhaustiveSearchTask(
-            CostModel(queries, Screen.wide()), tree, max_states=400
-        ).run()
-        mcts = MCTS(
-            CostModel(queries, Screen.wide()),
-            config=MCTSConfig(time_budget_s=4.0, seed=5),
-        ).open(tree).run()
+        exact = _until_states(
+            _baseline(
+                ExhaustiveSearchTask,
+                CostModel(queries, Screen.wide()),
+                tree,
+                time_budget_s=0,
+            ),
+            400,
+        )
+        mcts = _mcts(CostModel(queries, Screen.wide()), tree, time_budget_s=4.0, seed=5)
         assert mcts.best_cost <= exact.best_cost * 1.1 + 1e-9
 
 
@@ -221,27 +251,19 @@ class TestSlicingParity:
         assert early.best_cost > 0
 
     @pytest.mark.parametrize(
-        "factory",
-        [
-            lambda model, initial, engine: RandomSearchTask(
-                model, initial, engine=engine, time_budget_s=60.0,
-                max_walk_steps=12, seed=3,
-            ),
-            lambda model, initial, engine: GreedySearchTask(
-                model, initial, engine=engine, time_budget_s=60.0, seed=3
-            ),
-            lambda model, initial, engine: BeamSearchTask(
-                model, initial, engine=engine, time_budget_s=60.0,
-                beam_width=3, max_depth=4, seed=3,
-            ),
-            lambda model, initial, engine: ExhaustiveSearchTask(
-                model, initial, engine=engine, max_states=60, seed=3
-            ),
-        ],
+        "cls",
+        [RandomSearchTask, GreedySearchTask, BeamSearchTask, ExhaustiveSearchTask],
         ids=["random", "greedy", "beam", "exhaustive"],
     )
-    def test_baseline_sliced_equals_batched(self, factory):
+    def test_baseline_sliced_equals_batched(self, cls):
         """One-unit slices equal one big slice at equal unit totals."""
+        config = GenerationConfig(
+            strategy=cls.strategy, time_budget_s=60.0, max_walk_steps=12, seed=3
+        )
+
+        def factory(model, initial, engine):
+            return cls(model, initial, engine, config)
+
         asts, screen, model, initial, engine = prepare_search(
             LOG, config=DETERMINISTIC
         )
@@ -263,18 +285,16 @@ class TestSlicingParity:
         assert a.stats.states_evaluated == b.stats.states_evaluated
 
     def test_exhaustive_task_matches_function(self):
-        asts, screen, model, initial, engine = prepare_search(
-            LOG, config=DETERMINISTIC
-        )
-        mono = ExhaustiveSearchTask(
-            model, initial, engine=engine, max_states=60
-        ).run()
-        _, _, model2, initial2, engine2 = prepare_search(
-            LOG, config=DETERMINISTIC
-        )
-        task = ExhaustiveSearchTask(model2, initial2, engine=engine2, max_states=60)
-        while not task.done:
-            task.step(n_iterations=3)
+        # 7 BFS expansions score about 60 of this log's states.
+        config = GenerationConfig(strategy="exhaustive", time_budget_s=0)
+        asts, screen, model, initial, engine = prepare_search(LOG, config=config)
+        mono_task = ExhaustiveSearchTask(model, initial, engine, config)
+        assert mono_task.step(n_iterations=7) == 7
+        mono = mono_task.result()
+        _, _, model2, initial2, engine2 = prepare_search(LOG, config=config)
+        task = ExhaustiveSearchTask(model2, initial2, engine2, config)
+        while task.iterations < 7:
+            task.step(n_iterations=min(3, 7 - task.iterations))
         sliced = task.result()
         assert sliced.best_cost == mono.best_cost
         assert sliced.stats.iterations == mono.stats.iterations
@@ -339,10 +359,11 @@ class TestSlicingParity:
         # slicing is exercised by the walk count, not the walk length.
         make_model, initial = self._fixture()
         self._drive(
-            lambda: RandomSearchTask(
+            lambda: _baseline(
+                RandomSearchTask,
                 make_model(),
                 initial,
-                time_budget_s=None,
+                time_budget_s=600.0,
                 max_walk_steps=24,
                 seed=3,
                 final_cap=50,
@@ -353,29 +374,41 @@ class TestSlicingParity:
     def test_greedy_sliced_matches_monolithic(self):
         make_model, initial = self._fixture()
         self._drive(
-            lambda: GreedySearchTask(
-                make_model(), initial, time_budget_s=None, seed=3, final_cap=50
+            lambda: _baseline(
+                GreedySearchTask,
+                make_model(),
+                initial,
+                time_budget_s=600.0,
+                seed=3,
+                final_cap=50,
             )
         )
 
     def test_beam_sliced_matches_monolithic(self):
         make_model, initial = self._fixture()
         self._drive(
-            lambda: BeamSearchTask(
+            lambda: _baseline(
+                BeamSearchTask,
                 make_model(),
                 initial,
-                time_budget_s=None,
-                beam_width=4,
-                max_depth=6,
+                time_budget_s=600.0,
                 seed=3,
                 final_cap=50,
-            )
+            ),
+            total=6,
         )
 
     def test_exhaustive_sliced_matches_monolithic(self):
+        # 18 BFS expansions score about 120 of this log's states.
         make_model, initial = self._fixture()
         self._drive(
-            lambda: ExhaustiveSearchTask(
-                make_model(), initial, max_states=120, seed=3, final_cap=50
-            )
+            lambda: _baseline(
+                ExhaustiveSearchTask,
+                make_model(),
+                initial,
+                time_budget_s=0,
+                seed=3,
+                final_cap=50,
+            ),
+            total=18,
         )

@@ -14,7 +14,8 @@ from repro.difftree import (
     wrap_ast,
 )
 from repro.memo import INGEST
-from repro.search import MCTS, MCTSConfig
+from repro.rules import default_engine
+from repro.search import MCTS
 from repro.serve import (
     InterfaceCache,
     IncrementalGenerator,
@@ -245,11 +246,12 @@ class TestWarmStartedSearch:
         # A known-good state: a prior (longer) search's winner.
         prior = MCTS(
             CostModel(queries, Screen.wide()),
-            config=MCTSConfig(time_budget_s=1.5, seed=0),
+            default_engine(),
+            GenerationConfig(time_budget_s=1.5, seed=0),
         ).open(initial).run()
-        warm = MCTS(model, config=MCTSConfig(time_budget_s=0.2, seed=1)).open(
-            initial, warm_states=[prior.best_state]
-        ).run()
+        warm = MCTS(
+            model, default_engine(), GenerationConfig(time_budget_s=0.2, seed=1)
+        ).open(initial, warm_states=[prior.best_state]).run()
         assert warm.stats.warm_states_seeded == 1
         # The seeded incumbent is a floor: the tiny-budget warm run can
         # never end worse than the seed it was given.
@@ -263,7 +265,8 @@ class TestWarmStartedSearch:
         initial = initial_difftree(queries)
         first = MCTS(
             CostModel(queries, Screen.wide()),
-            config=MCTSConfig(time_budget_s=0.4, seed=0),
+            default_engine(),
+            GenerationConfig(time_budget_s=0.4, seed=0),
         )
         first.open(initial).run()
         table_size = len(first.nodes)
@@ -271,7 +274,8 @@ class TestWarmStartedSearch:
 
         resumed = MCTS(
             CostModel(queries, Screen.wide()),
-            config=MCTSConfig(time_budget_s=0.4, seed=1),
+            default_engine(),
+            GenerationConfig(time_budget_s=0.4, seed=1),
             node_table=first.nodes,
         )
         result = resumed.open(initial).run()
@@ -279,33 +283,12 @@ class TestWarmStartedSearch:
         assert len(resumed.nodes) >= table_size
         assert result.best.breakdown.feasible
 
-    def test_injected_evaluator_carries_incumbent(self):
-        from repro.search import StateEvaluator
-
-        queries = as_asts(listing1_sql(1, 4))
-        model = CostModel(queries, Screen.wide())
-        initial = initial_difftree(queries)
-        prior = MCTS(
-            CostModel(queries, Screen.wide()),
-            config=MCTSConfig(time_budget_s=1.0, seed=0),
-        ).open(initial).run()
-        evaluator = StateEvaluator(model, seed=0)
-        evaluator.seed_incumbent(prior.best_state)
-        floor = evaluator.best.cost
-        mcts = MCTS(
-            model,
-            config=MCTSConfig(time_budget_s=0.2, seed=1),
-            evaluator=evaluator,
-        )
-        result = mcts.open(initial).run()
-        # The reused evaluator's incumbent is a floor for the new run.
-        assert result.best_cost <= floor + 1e-9
-
     def test_frontier_stats_recorded(self):
         queries = as_asts(listing1_sql(1, 3))
         result = MCTS(
             CostModel(queries, Screen.wide()),
-            config=MCTSConfig(time_budget_s=0.5, seed=0),
+            default_engine(),
+            GenerationConfig(time_budget_s=0.5, seed=0),
         ).open(initial_difftree(queries)).run()
         assert result.stats.frontier_peak >= 1
 

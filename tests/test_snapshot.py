@@ -277,6 +277,47 @@ class TestRejection:
             other.restore_snapshot(payload)
 
 
+#: Payload corruptions a restore must refuse without touching the
+#: session it would replace.
+CORRUPTIONS = {
+    "sql-not-text": lambda p: p["queries"][0].update(sql=5),
+    "sql-does-not-parse": lambda p: p["queries"][0].update(sql="selec objid"),
+    "log-len-float": lambda p: p.update(log_len=1.5),
+    "log-len-text": lambda p: p.update(log_len="1"),
+    "best-not-a-tree": lambda p: p.update(best="x"),
+    "cost-off-by-one": lambda p: p["cached"].update(cost=p["cached"]["cost"] + 1.0),
+}
+
+
+class TestRefusedRestoreChangesNothing:
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS)
+    def test_served_session_survives(self, corrupt):
+        source = Engine(config=TINY)
+        grown_session(source, "sdss", "a", n=2, split=1)
+        payload = source.snapshot_session("a").to_payload()
+        corrupt(payload)
+
+        engine = Engine(config=TINY)
+        session = engine.session("a")
+        session.append(Engine.workload("sdss", 1, seed=9)[0])
+        served = session.interface()
+        service = engine._incremental_service()
+        log = engine.router.stream("a").sql()
+        log_len, best, elite, sequences, tree = service.export_session("a")
+
+        with pytest.raises(SnapshotError):
+            engine.restore_snapshot(payload)
+        assert engine.sessions() == ["a"]
+        assert engine.router.stream("a").sql() == log
+        after = service.export_session("a")
+        assert after[:3] == (log_len, best, elite)
+        assert after[3] == sequences
+        assert after[4] is tree
+        again = session.interface()
+        assert again.source == "cache"
+        assert again.result is served.result
+
+
 class TestCapture:
     def test_capture_compiles_nothing_and_derives_no_widget_tree(self, monkeypatch):
         # Capture reads the cached winner's decision vector: it compiles no

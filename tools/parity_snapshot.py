@@ -80,8 +80,8 @@ def snapshot() -> dict:
         }
 
     for strategy in ("random", "greedy", "beam", "exhaustive"):
-        config = CONFIG.replace(
-            strategy=strategy, time_budget_s=600.0, max_walk_steps=24
+        config = dataclasses.replace(
+            CONFIG, strategy=strategy, time_budget_s=600.0, max_walk_steps=24
         )
         _, _, model, initial, engine = prepare_search(listing1_sql(), config=config)
         task = open_search_task(model, initial, engine, config)
