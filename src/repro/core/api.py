@@ -47,8 +47,9 @@ class GenerationConfig:
     """End-to-end generation settings.
 
     Invalid settings raise :class:`ValueError` at *construction* — a
-    negative budget, a misspelled strategy/rule name or a search that
-    cannot stop must not surface minutes later from inside a search.
+    negative budget, a count or seed that is not an ``int``, a
+    misspelled strategy/rule name or a search that cannot stop must not
+    surface minutes later from inside a search.
 
     Attributes:
         strategy: search strategy, one of :data:`STRATEGIES` (``"mcts"``
@@ -90,6 +91,14 @@ class GenerationConfig:
             raise ValueError(
                 f"time_budget_s must be finite and >= 0, got {self.time_budget_s}"
             )
+        # A float count fails deep inside the search, and a bool passes
+        # as an int but is no count or seed.
+        for name in (
+            "k_assignments", "max_walk_steps", "max_iterations", "seed", "final_cap"
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.k_assignments < 1:
             raise ValueError(f"k_assignments must be >= 1, got {self.k_assignments}")
         if self.max_walk_steps < 1:

@@ -12,9 +12,6 @@ and the warm-start/compiled-sequence carry-over of
   ``append()`` / ``interface()`` / ``history()`` make "append queries,
   get the refreshed interface" the primary operation (incremental +
   cached + warm-started under the hood).
-* :meth:`Engine.snapshot_session` / :meth:`Engine.restore_snapshot` —
-  capture a session's warm state as a versioned JSON-native payload and
-  rebuild it, in this engine or another one with the same context.
 
 Every verb returns a :class:`~repro.engine.report.GenerationReport`:
 the uniform JSON-serializable envelope (interface + search stats +
@@ -173,8 +170,6 @@ class Engine:
         #: Searches run by the one-shot verb (the incremental service
         #: keeps its own count; see :attr:`searches_run`).
         self._direct_searches = 0
-        #: Restore provenance per rehydrated session (reports carry it).
-        self._restored: Dict[str, Dict] = {}
 
     # -- introspection ------------------------------------------------------
 
@@ -312,9 +307,8 @@ class Engine:
                     del self._sessions[old_id]
         for old_id in evicted:
             # Outside the handle lock: eviction must also drop the
-            # warm-start/compiled-sequence carry, the log stream, and
-            # the restore provenance, or a bounded session table still
-            # leaks serving state.
+            # warm-start/compiled-sequence carry and the log stream, or a
+            # bounded session table still leaks serving state.
             self._drop_session_state(old_id)
         return handle
 
@@ -329,45 +323,11 @@ class Engine:
         return self._drop_session_state(session_id)
 
     def _drop_session_state(self, session_id: str) -> bool:
-        """Release everything beyond the handle (stream, warm carry, and
-        restore provenance — a reused id is a fresh session)."""
-        self._restored.pop(session_id, None)
+        """Release everything beyond the handle (stream and warm carry —
+        a reused id is a fresh session)."""
         if self._incremental is not None:
             return self._incremental.drop_session(session_id)
         return self.router.drop(session_id)
-
-    # -- snapshots ----------------------------------------------------------
-
-    def snapshot_session(self, session_id: str = DEFAULT_SESSION):
-        """Capture a session's full warm state as a
-        :class:`~repro.serve.SessionSnapshot` (see its docs for the
-        restore contract)."""
-        from ..serve.snapshot import SessionSnapshot
-
-        return SessionSnapshot.capture(self, session_id)
-
-    def restore_snapshot(self, snapshot) -> LogSession:
-        """Rebuild a snapshotted session in this engine; returns its handle.
-
-        Accepts a :class:`~repro.serve.SessionSnapshot` or a raw payload
-        dict.  Existing state under the same id is replaced.  Raises
-        :class:`~repro.serve.SnapshotError` on version/context mismatch
-        or corrupt state.
-        """
-        from ..serve.snapshot import SessionSnapshot
-
-        if isinstance(snapshot, dict):
-            snapshot = SessionSnapshot.from_payload(snapshot)
-        session_id = snapshot.restore(self)
-        return self.session(session_id)
-
-    def _note_restored(self, session_id: str, info: Dict) -> None:
-        """Record restore provenance (reports for the session carry it)."""
-        self._restored[session_id] = dict(info)
-
-    def restored_session(self, session_id: str) -> Optional[Dict]:
-        """Restore provenance for a session (None when never restored)."""
-        return self._restored.get(session_id)
 
     def _incremental_service(self) -> IncrementalGenerator:
         if self._incremental is None:
@@ -403,7 +363,6 @@ class Engine:
             cache_stats=self.cache_stats,
             ingest_stats=self.ingest_stats,
             timings=timings,
-            snapshot=self._restored.get(session_id),
             carry=pending.carry if searched else None,
         )
         report.trace = spans

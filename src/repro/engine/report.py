@@ -24,10 +24,12 @@ from ..core import GeneratedInterface
 #: when the search rebased a carried tree — nodes carried / invalidated
 #: / re-keyed / reopened).  Versions 2-4 were additive; version 5 removed
 #: the per-stream parse counters from ``provenance.ingest``, version 6
-#: removed the admission-queue wait from ``scheduling``, and version 7
-#: removed the ``scheduling`` section with the multi-session scheduler.
-#: Versions 5-7 are not additive.
-REPORT_SCHEMA_VERSION = 7
+#: removed the admission-queue wait from ``scheduling``, version 7
+#: removed the ``scheduling`` section with the multi-session scheduler,
+#: and version 8 removed ``provenance.snapshot`` with session snapshots
+#: and the always-zero batch-fallback counter from ``search.stats``.
+#: Versions 5-8 are not additive.
+REPORT_SCHEMA_VERSION = 8
 
 #: Phase keys every report's ``timings`` dict carries (0.0 when a phase
 #: did not run for that verb — e.g. a cache hit searches for 0 s).
@@ -84,11 +86,6 @@ class GenerationReport:
             otherwise).  Each record is
             ``{"name", "ts", "duration_s", "tags"?}``.  Additive to
             schema_version 2.
-        snapshot: restore provenance when the serving session was
-            rehydrated from a durable
-            :class:`~repro.serve.SessionSnapshot` (``None`` for never-
-            restored sessions): the restored generation and snapshot
-            schema version.  Additive to schema_version 3.
         carry: search-tree carry provenance when this call's search
             rebased a carried tree (``None`` for cold runs, cache hits,
             and gate-off runs): nodes carried / invalidated / re-keyed /
@@ -106,7 +103,6 @@ class GenerationReport:
     ingest_stats: Dict[str, int] = field(default_factory=dict)
     timings: Dict[str, float] = field(default_factory=dict)
     trace: List[Dict[str, Any]] = field(default_factory=list)
-    snapshot: Optional[Dict[str, Any]] = None
     carry: Optional[Dict[str, Any]] = None
 
     def __post_init__(self) -> None:
@@ -173,11 +169,6 @@ class GenerationReport:
                 "warm_states_seeded": self.warm_states_seeded,
                 "cache": dict(self.cache_stats),
                 "ingest": dict(self.ingest_stats),
-                "snapshot": (
-                    _jsonable(dict(self.snapshot))
-                    if self.snapshot is not None
-                    else None
-                ),
                 "carry": (
                     _jsonable(dict(self.carry))
                     if self.carry is not None

@@ -65,9 +65,9 @@ search reports, only how fast it converges.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from ..difftree import DTNode, Path, assignment_for, tree_from_payload, tree_payload
+from ..difftree import DTNode, Path, assignment_for
 from ..difftree.express import changed_choices
 from ..obs import REGISTRY as _OBS_REGISTRY
 from ..sqlast import nodes as N
@@ -385,76 +385,3 @@ class CarriedTree:
         for a, b in zip(chain, chain[1:]):
             delta.update(changed_choices(a, b))
         return delta
-
-    # -- wire format (snapshot persistence) ----------------------------------
-
-    def to_payload(self) -> Dict[str, Any]:
-        """JSON-native encoding (tree-payload states, parent links by index).
-
-        Node order is preserved — the restore side must rebuild the
-        table in the same insertion order or the frontier heap's
-        deterministic tie-breaking drifts.
-        """
-        index_of = {key: i for i, key in enumerate(self.nodes)}
-        encoded: List[Dict[str, Any]] = []
-        for key, node in self.nodes.items():
-            universe = self.universes.get(key)
-            encoded.append(
-                {
-                    "state": tree_payload(node.state),
-                    "parent": (
-                        index_of[node.parent_key]
-                        if node.parent_key is not None
-                        else -1
-                    ),
-                    "visits": node.visits,
-                    "reward_sum": node.reward_sum,
-                    "expanded": node.expanded,
-                    "depth": node.depth,
-                    "universe": (
-                        None
-                        if universe is None
-                        else sorted(list(path) for path in universe)
-                    ),
-                }
-            )
-        return {"log_len": self.log_len, "nodes": encoded}
-
-    @classmethod
-    def from_payload(cls, payload: Any) -> "CarriedTree":
-        """Inverse of :meth:`to_payload` (raises ``ValueError`` on corruption)."""
-        if not isinstance(payload, dict) or "nodes" not in payload:
-            raise ValueError("carried-tree payload must be a dict with nodes")
-        log_len = payload.get("log_len")
-        if not isinstance(log_len, int) or log_len < 0:
-            raise ValueError(f"carried-tree log_len {log_len!r} invalid")
-        raw_nodes = payload["nodes"]
-        if not isinstance(raw_nodes, list):
-            raise ValueError("carried-tree nodes must be a list")
-        keys: List[str] = []
-        nodes: Dict[str, _TreeNode] = {}
-        universes: Dict[str, Optional[FrozenSet[Path]]] = {}
-        for i, raw in enumerate(raw_nodes):
-            state = tree_from_payload(raw["state"])
-            key = state.canonical_key
-            parent = raw["parent"]
-            if not isinstance(parent, int) or parent >= i or parent < -1:
-                raise ValueError(
-                    f"carried node {i} has out-of-order parent {parent!r}"
-                )
-            nodes[key] = _TreeNode(
-                state=state,
-                parent_key=None if parent < 0 else keys[parent],
-                visits=int(raw["visits"]),
-                reward_sum=float(raw["reward_sum"]),
-                expanded=bool(raw["expanded"]),
-                depth=int(raw["depth"]),
-            )
-            raw_universe = raw.get("universe")
-            universes[key] = (
-                None
-                if raw_universe is None
-                else frozenset(tuple(path) for path in raw_universe)
-            )
-            keys.append(key)
-        return cls(nodes=nodes, universes=universes, log_len=log_len)

@@ -79,12 +79,9 @@ class SearchStats:
     kernel_delta_evals: int = field(default=0, compare=False)
     kernel_fallback_evals: int = 0
     kernel_sequences_extended: int = 0
-    #: Always 0: candidates are scored one at a time.  Kept because
-    #: perfbench's trace reads ``kernel_batched_evals`` (its
-    #: ``cost.candidates.batched``), and a snapshot refuses stats fields
-    #: it does not know.
+    #: Always 0: candidates are scored one at a time.  Kept for its one
+    #: reader, perfbench's trace (its ``cost.candidates.batched``).
     kernel_batched_evals: int = field(default=0, compare=False)
-    kernel_batch_fallbacks: int = field(default=0, compare=False)
 
 
 @dataclass

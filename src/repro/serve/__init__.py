@@ -11,8 +11,6 @@ pipeline:
 * :class:`IncrementalGenerator` — extends the previous difftree to
   appended queries by anti-unification and warm-starts MCTS from the
   prior run's transposition table and incumbent.
-* :class:`SessionSnapshot` — capture + restore of a session's full warm
-  state as one versioned JSON-native payload.
 """
 
 from .cache import (
@@ -24,7 +22,6 @@ from .cache import (
     query_key,
 )
 from .incremental import DEFAULT_SESSION, IncrementalGenerator, PendingSearch
-from .snapshot import SNAPSHOT_SCHEMA_VERSION, SessionSnapshot, SnapshotError
 from .stream import LogStream, SessionRouter
 
 __all__ = [
@@ -39,7 +36,4 @@ __all__ = [
     "IncrementalGenerator",
     "PendingSearch",
     "DEFAULT_SESSION",
-    "SessionSnapshot",
-    "SnapshotError",
-    "SNAPSHOT_SCHEMA_VERSION",
 ]

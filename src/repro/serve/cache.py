@@ -139,17 +139,6 @@ class InterfaceCache:
             self.stats.hits += 1
             return entry.result
 
-    def peek(self, key: str) -> Optional[GeneratedInterface]:
-        """Exact lookup that touches neither recency nor hit/miss stats.
-
-        The snapshot capture path: reading a session's current entry to
-        serialize it must not perturb the LRU order or the counters the
-        serving metrics report.
-        """
-        with self._lock:
-            entry = self._entries.get(key)
-            return entry.result if entry is not None else None
-
     def put(
         self,
         key: str,

@@ -318,52 +318,6 @@ class IncrementalGenerator:
                     if key in tree.universes and sequence.ok:
                         tree.universes[key] = sequence.changes.path_set
 
-    # -- snapshot interop ----------------------------------------------------
-
-    def export_session(
-        self, session_id: str = DEFAULT_SESSION
-    ) -> Optional[Tuple[int, Optional[DTNode], Tuple[DTNode, ...],
-                        Dict[str, CompiledSequence], Optional[CarriedTree]]]:
-        """The session's carry, read atomically (None when it has none).
-
-        The :mod:`repro.serve.snapshot` capture path: returns
-        ``(log_len, best, elite, sequences, tree)`` — everything the
-        next :meth:`open_search` would consume beyond the log itself.
-        """
-        with self._lock:
-            state = self._sessions.get(session_id)
-            if state is None:
-                return None
-            return (
-                state.log_len,
-                state.best,
-                state.elite,
-                dict(state.sequences),
-                state.tree,
-            )
-
-    def import_session(
-        self,
-        session_id: str,
-        log_len: int,
-        best: Optional[DTNode],
-        elite: Tuple[DTNode, ...] = (),
-        sequences: Optional[Dict[str, CompiledSequence]] = None,
-        tree: Optional[CarriedTree] = None,
-    ) -> None:
-        """Install a session carry wholesale (the snapshot restore path).
-
-        Overwrites any existing carry for the id — restore is a full
-        replacement; callers drop stale state first.
-        """
-        with self._lock:
-            state = self._sessions.setdefault(session_id, _SessionState())
-            state.log_len = log_len
-            state.best = best
-            state.elite = tuple(elite)
-            state.sequences = dict(sequences or {})
-            state.tree = tree
-
     # -- generation ---------------------------------------------------------
 
     def open_search(self, session_id: str = DEFAULT_SESSION) -> PendingSearch:

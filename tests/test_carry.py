@@ -1,16 +1,15 @@
 """Cross-append carry of the MCTS search tree + log retention (PR 9).
 
 Covers the carry unit semantics (harvest cap / parent closure, rebase
-survival rules, payload round-trip), the serve-layer integration
-(report provenance, gate-off parity oracle, eviction releasing the
-tree), log retention with bounded recompute (``LogStream.remove`` /
-``retain``, ``CompiledSequence.without``, the ``search.carry.*``
-retention counters), the ``PendingSearch.finish()`` double-call
-contract, and slice-invariance of carried MCTS runs.
+survival rules), the serve-layer integration (report provenance,
+gate-off parity oracle, eviction releasing the tree), log retention
+with bounded recompute (``LogStream.remove`` / ``retain``,
+``CompiledSequence.without``, the ``search.carry.*`` retention
+counters), the ``PendingSearch.finish()`` double-call contract, and
+slice-invariance of carried MCTS runs.
 """
 
 import gc
-import json
 
 import pytest
 
@@ -126,38 +125,6 @@ class TestCarriedTreeUnit:
         # A parent whose child was invalidated re-enters the frontier.
         if prov["nodes_invalidated"]:
             assert prov["nodes_reopened"] >= 0
-
-    def test_payload_round_trip(self):
-        queries = [parse(q) for q in sdss(3)]
-        model, _, mcts = run_mcts(queries)
-        carried = CarriedTree.harvest(mcts, model, log_len=3)
-        payload = json.loads(json.dumps(carried.to_payload()))
-        restored = CarriedTree.from_payload(payload)
-        assert list(restored.nodes) == list(carried.nodes)
-        assert restored.log_len == carried.log_len
-        assert restored.universes == carried.universes
-        for key, node in carried.nodes.items():
-            twin = restored.nodes[key]
-            assert twin.parent_key == node.parent_key
-            assert twin.visits == node.visits
-            assert twin.reward_sum == node.reward_sum
-            assert twin.expanded == node.expanded
-            assert twin.depth == node.depth
-
-    def test_from_payload_rejects_corruption(self):
-        with pytest.raises(ValueError):
-            CarriedTree.from_payload([1, 2])
-        with pytest.raises(ValueError):
-            CarriedTree.from_payload({"nodes": [], "log_len": -1})
-        with pytest.raises(ValueError):
-            CarriedTree.from_payload({"nodes": 7, "log_len": 1})
-        queries = [parse(q) for q in sdss(2)]
-        model, _, mcts = run_mcts(queries)
-        payload = CarriedTree.harvest(mcts, model, log_len=2).to_payload()
-        # A parent link must point at an earlier node.
-        payload["nodes"][0]["parent"] = 0
-        with pytest.raises(ValueError, match="parent"):
-            CarriedTree.from_payload(payload)
 
 
 class TestFinishContract:

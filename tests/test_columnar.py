@@ -1,17 +1,12 @@
-"""Tree wire format, merge-kernel parity, stream log key.
+"""Canonical-key reference, merge-kernel parity, stream log key.
 
-The wire-format contract (``repro/difftree/columnar.py``) is *exact*
-interchangeability: ``tree_from_payload`` of a JSON round trip of
-``tree_payload(t)`` is ``t`` itself (interning lands the decoded tree on
-the natively built object), and the payload bytes equal the version-2
-payloads earlier releases wrote (the literal payloads below).
-The memoized anti-unify/graft must build the same trees as their
-unmemoized oracles (``tests/oracles.py``) on every workload.  Property-based tests draw
-random query logs; workload tests cover the SDSS / TPC-H / synthetic
-generators.
+Every subtree's interned canonical key must equal the reference
+derivation, and the memoized anti-unify/graft must build the same trees
+as their unmemoized oracles (``tests/oracles.py``) on every workload.
+Property-based tests draw random query logs; workload tests cover the
+SDSS / TPC-H / synthetic generators.  A stream's cached log key must
+match the cache's derivation under appends and removals.
 """
-
-import json
 
 import hypothesis.strategies as st
 import pytest
@@ -24,9 +19,6 @@ from repro.difftree import (
     extend_difftree,
     graft,
     initial_difftree,
-    opt_node,
-    tree_from_payload,
-    tree_payload,
     wrap_ast,
 )
 from repro.memo import INGEST
@@ -84,11 +76,6 @@ def session_trees(log):
     return asts, trees
 
 
-def round_trip(tree):
-    """``tree`` written, sent through JSON text, and read back."""
-    return tree_from_payload(json.loads(json.dumps(tree_payload(tree))))
-
-
 def subtrees(tree):
     """Every node of ``tree``, preorder."""
     stack = [tree]
@@ -96,128 +83,6 @@ def subtrees(tree):
         node = stack.pop()
         yield node
         stack.extend(reversed(node.children))
-
-
-#: ``SELECT objid, ra FROM stars WHERE u < 5 AND g < 5`` as an AST, and
-#: the difftree ``extend_difftree`` grows from ``... WHERE u < 5`` by
-#: ``SELECT objid FROM stars`` and ``SELECT ra FROM stars WHERE g < 5``,
-#: both as version-2 payloads copied from the encoder this format
-#: replaced.  Repeated heads share one ``heads`` entry.
-AST_PAYLOAD = {
-    "version": 2, "ast": True, "n": 14,
-    "heads": [
-        ["ALL", "Select", None], ["ALL", "Project", None],
-        ["ALL", "ColExpr", "objid"], ["ALL", "ColExpr", "ra"],
-        ["ALL", "From", None], ["ALL", "Table", "stars"],
-        ["ALL", "Where", None], ["ALL", "And", None],
-        ["ALL", "BiExpr", "<"], ["ALL", "ColExpr", "u"],
-        ["ALL", "NumExpr", 5], ["ALL", "ColExpr", "g"],
-    ],
-    "head": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 8, 11, 10],
-    "parent": [-1, 0, 1, 1, 0, 4, 0, 6, 7, 8, 8, 7, 11, 11],
-    "absent": [0] * 14,
-}
-DIFFTREE_PAYLOAD = {
-    "version": 2, "ast": False, "n": 14,
-    "heads": [
-        ["ALL", "Select", None], ["ALL", "Project", None], ["ANY", None, None],
-        ["ALL", "ColExpr", "objid"], ["ALL", "ColExpr", "ra"],
-        ["ALL", "From", None], ["ALL", "Table", "stars"], ["OPT", None, None],
-        ["ALL", "Where", None], ["ALL", "BiExpr", "<"],
-        ["ALL", "ColExpr", "g"], ["ALL", "ColExpr", "u"],
-        ["ALL", "NumExpr", 5],
-    ],
-    "head": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 2, 10, 11, 12],
-    "parent": [-1, 0, 1, 2, 2, 0, 5, 0, 7, 8, 9, 10, 10, 9],
-    "absent": [0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0],
-}
-#: An ``ANY`` with an ``OPT`` alternative absorbs (``absent`` 1 on both).
-ANY_OPT_PAYLOAD = {
-    "version": 2, "ast": False, "n": 12,
-    "heads": [
-        ["ANY", None, None], ["OPT", None, None], ["ALL", "Select", None],
-        ["ALL", "Project", None], ["ALL", "ColExpr", "ra"],
-        ["ALL", "From", None], ["ALL", "Table", "stars"],
-        ["ALL", "ColExpr", "objid"],
-    ],
-    "head": [0, 1, 2, 3, 4, 5, 6, 2, 3, 7, 5, 6],
-    "parent": [-1, 0, 1, 2, 3, 2, 5, 0, 7, 8, 7, 10],
-    "absent": [1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-}
-
-
-def literal_trees():
-    ast = parse("select objid, ra from stars where u < 5 and g < 5")
-    grown = extend_difftree(
-        initial_difftree([parse("select objid from stars where u < 5")]),
-        [parse("select objid from stars"), parse("select ra from stars where g < 5")],
-    )
-    any_opt = any_node([
-        opt_node(wrap_ast(parse("select ra from stars"))),
-        wrap_ast(parse("select objid from stars")),
-    ])
-    return [(AST_PAYLOAD, ast), (DIFFTREE_PAYLOAD, grown), (ANY_OPT_PAYLOAD, any_opt)]
-
-
-class TestRoundTrip:
-    def test_workload_trees_round_trip(self):
-        for log in workload_logs():
-            asts, trees = session_trees(log)
-            for ast in asts:
-                assert round_trip(ast) is ast
-                assert round_trip(wrap_ast(ast)) is wrap_ast(ast)
-            for tree in trees:
-                assert round_trip(tree) is tree
-
-    @given(query_log())
-    @settings(max_examples=40, deadline=None)
-    def test_random_trees_round_trip(self, sqls):
-        asts = [parse(s) for s in sqls]
-        tree = initial_difftree(asts)
-        assert round_trip(tree) is tree
-        for ast in asts:
-            assert round_trip(ast) is ast
-
-    def test_payload_round_trip(self):
-        for log in workload_logs():
-            _, trees = session_trees(log)
-            for tree in trees[-2:]:
-                payload = json.loads(json.dumps(tree_payload(tree)))
-                assert payload == tree_payload(tree)
-                assert tree_from_payload(payload) is tree
-
-    def test_payload_round_trip_ast_mode(self):
-        ast = parse(sdss_session_sql(3, seed=5)[0])
-        payload = json.loads(json.dumps(tree_payload(ast)))
-        assert payload["ast"] is True
-        assert set(payload["absent"]) == {0}
-        assert tree_from_payload(payload) is ast
-
-    def test_payload_version_check(self):
-        with pytest.raises(ValueError):
-            tree_from_payload({"version": 99})
-        version_one = dict(tree_payload(wrap_ast(parse("select ra from stars"))))
-        version_one["version"] = 1
-        with pytest.raises(ValueError, match="version"):
-            tree_from_payload(version_one)
-
-
-class TestLiteralPayloads:
-    @pytest.mark.parametrize("index", range(3))
-    def test_encoder_writes_the_literal_payload(self, index):
-        payload, tree = literal_trees()[index]
-        assert json.dumps(tree_payload(tree)) == json.dumps(payload)
-
-    @pytest.mark.parametrize("index", range(3))
-    def test_literal_payload_decodes_to_the_native_tree(self, index):
-        payload, tree = literal_trees()[index]
-        assert tree_from_payload(json.loads(json.dumps(payload))) is tree
-
-    def test_tampered_absent_column_rejected(self):
-        payload = json.loads(json.dumps(DIFFTREE_PAYLOAD))
-        payload["absent"][7] = 0
-        with pytest.raises(ValueError, match="absent"):
-            tree_from_payload(payload)
 
 
 class TestCanonicalKeyReference:

@@ -198,7 +198,8 @@ class TestIngestReporting:
         assert report.ingest_stats  # sampled
         payload = report.to_dict()
         ingest = payload["provenance"]["ingest"]
-        assert payload["schema_version"] == 7
+        assert payload["schema_version"] == 8
+        assert "snapshot" not in payload["provenance"]
         assert set(ingest) == set(memo.INGEST.snapshot())
         for key in (
             "parses",

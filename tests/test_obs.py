@@ -284,7 +284,7 @@ class TestReportIntegration:
     def test_schema_has_trace_and_phase_timings(self):
         report = Engine(config=TINY).generate(LOG)
         payload = report.to_dict()
-        assert payload["schema_version"] == REPORT_SCHEMA_VERSION == 7
+        assert payload["schema_version"] == REPORT_SCHEMA_VERSION == 8
         assert payload["trace"] == []  # disabled -> no spans, key present
         for phase in TIMING_PHASES:
             assert phase in payload["timings"]

@@ -365,7 +365,7 @@ class TestIncrementalGenerator:
             session.interface()
             if read:
                 assert session.interface().source == "cache"
-                assert engine.snapshot_session("s").to_payload()["elite"]
+                assert engine._incremental._sessions["s"].elite
             session.append(*log[6:])
             return session.interface()
 
