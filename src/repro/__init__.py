@@ -24,9 +24,10 @@ The primary entry point is the session-oriented :class:`Engine`
     report = session.interface()      # warm-started incremental search
     print(report.to_dict()["provenance"])
 
-:func:`generate_interface` is the uncached form of ``Engine.generate``;
-it and the :mod:`repro.serve` classes remain as stable shims over the
-same machinery.
+:func:`generate_interface` is the uncached form of ``Engine.generate``.
+The :mod:`repro.serve` classes are the parts the Engine is built from:
+the session table, the interface cache, and the warm-started search
+over a session's log.
 """
 
 from . import obs

@@ -1,10 +1,10 @@
 """The session-oriented Engine facade over generate/serve.
 
-One long-lived object owns every piece of serving state the caller used
-to hand-wire — the per-session logs (inside the
-:class:`~repro.serve.SessionRouter`), the :class:`~repro.serve.InterfaceCache`,
-and the warm-start/compiled-sequence carry-over of
-:class:`~repro.serve.IncrementalGenerator` — and exposes these verbs:
+One long-lived object owns every piece of serving state — the session
+table (:class:`~repro.serve.SessionRouter`: each session's log, warm
+state and report history), the :class:`~repro.serve.InterfaceCache`,
+and the :class:`~repro.serve.IncrementalGenerator` that searches over
+them — and exposes these verbs:
 
 * :meth:`Engine.generate` — one-shot, cache-aware generation: a cache
   hit, or one cold search.  A caller with many logs loops over it.
@@ -20,10 +20,8 @@ kernel counters + cache/warm-start provenance + timings).
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import OrderedDict, deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core import GeneratedInterface, GenerationConfig, prepare_search, run_search
 from ..difftree import as_asts
@@ -35,8 +33,6 @@ from ..serve import (
     IncrementalGenerator,
     InterfaceCache,
     SessionRouter,
-    context_key,
-    query_key,
 )
 from ..serve.stream import QueryLike
 from ..sqlast import Node
@@ -46,24 +42,18 @@ from .report import GenerationReport
 class LogSession:
     """One serving session's handle: append queries, get interfaces.
 
-    Obtained from :meth:`Engine.session`; the engine keeps one handle
-    per id, so repeated ``session("a")`` calls share history.  All
-    state (log, warm-start carry, cache) lives in the owning engine —
-    the handle is just the session-scoped view of it.  Every write and
-    serve registers the session the way :meth:`Engine.session` does,
-    refreshing its recency and applying ``max_sessions``: a handle kept
-    past its session's eviction re-registers *itself* within the bound,
-    so ``engine.session(id)`` returns it and its history stays whole.
-    If another handle was registered under the id in between, reports
-    served through the stale handle land in that handle's history.
+    Obtained from :meth:`Engine.session`.  A handle is a view over the
+    session's record in the engine's session table
+    (:class:`~repro.serve.SessionRouter`): handles on one id share one
+    log and one history, and the handle itself keeps no state.  The
+    session exists once something is appended to it; once it is evicted
+    or dropped, its log, warm state and history are gone, and a handle
+    that writes again starts a fresh session.
     """
 
     def __init__(self, engine: "Engine", session_id: str) -> None:
         self._engine = engine
         self.session_id = session_id
-        #: Most recent reports, oldest first (bounded: the engine's
-        #: max_history caps what a long-lived session retains).
-        self._history: Deque[GenerationReport] = deque(maxlen=engine.max_history)
 
     def __len__(self) -> int:
         return self.log_length
@@ -75,7 +65,6 @@ class LogSession:
 
     def append(self, *queries: QueryLike) -> int:
         """Append queries (SQL text or ASTs); returns the new log length."""
-        self._engine._register(self.session_id, self)
         return self._engine.router.append(self.session_id, *queries)
 
     def interface(self) -> GenerationReport:
@@ -85,38 +74,31 @@ class LogSession:
         (zero search), an appended one warm-starts from the previous
         run's extended difftree, elites, and compiled sequences.
         """
-        owner = self._engine._register(self.session_id, self)
-        report = self._engine._session_interface(self.session_id)
-        owner._history.append(report)
-        return report
+        return self._engine._session_interface(self.session_id)
 
     def remove(self, indices: Sequence[int]) -> int:
         """Delete the queries at ``indices``; returns the new log length.
 
-        The session's warm-start carry — compiled sequences, carried
-        search tree, prior best/elites — is shrunk in place with bounded
+        The session's warm state — compiled sequences, carried search
+        tree, prior best/elites — is shrunk in place with bounded
         recompute, not dropped (see
-        :meth:`repro.serve.IncrementalGenerator.remove`).
+        :meth:`repro.serve.SessionRecord.retract`).
         """
-        self._engine._register(self.session_id, self)
-        return self._engine._incremental_service().remove(
-            indices, session_id=self.session_id
-        )
+        self._engine.router.remove(self.session_id, indices)
+        return self.log_length
 
     def retain(self, last_n: int) -> int:
         """Keep the ``last_n`` most recent queries; returns the new length."""
-        self._engine._register(self.session_id, self)
-        return self._engine._incremental_service().retain(
-            last_n, session_id=self.session_id
-        )
+        self._engine.router.retain(self.session_id, last_n)
+        return self.log_length
 
     def history(self) -> Tuple[GenerationReport, ...]:
         """Retained reports, oldest first (the engine's ``max_history``
         most recent ones)."""
-        return tuple(self._history)
+        return self._engine.router.history(self.session_id)
 
     def drop(self) -> bool:
-        """Forget the session's log and warm-start state (history stays)."""
+        """Forget the session: its log, warm state and history."""
         return self._engine.drop_session(self.session_id)
 
 
@@ -130,15 +112,13 @@ class Engine:
             Its ``strategy`` names the search, and its ``exclude_rules``
             removes rules from the paper's full set.
         cache: interface cache to consult/populate (default: fresh LRU).
-        max_history: reports each :class:`LogSession` retains for
+        max_history: reports each session retains for
             :meth:`LogSession.history` (oldest dropped first;
             ``None`` = unbounded).
-        max_sessions: how many live sessions the engine retains
-            (``None`` = unbounded).  Past the bound, the least recently
-            *used* session is evicted with its full serving state —
-            log stream, warm-start carry, and compiled sequences are
-            released through :meth:`drop_session`, so a long-running
-            engine's per-session state cannot leak.
+        max_sessions: how many sessions the engine retains (``None`` =
+            unbounded).  Past the bound, the least recently *used*
+            session is evicted with its log, warm state and history, so
+            a long-running engine's per-session state cannot leak.
     """
 
     def __init__(
@@ -149,24 +129,17 @@ class Engine:
         max_history: Optional[int] = 64,
         max_sessions: Optional[int] = None,
     ) -> None:
-        if max_history is not None and max_history < 0:
-            raise ValueError(f"max_history must be >= 0 or None, got {max_history}")
-        if max_sessions is not None and max_sessions < 1:
-            raise ValueError(f"max_sessions must be >= 1 or None, got {max_sessions}")
         self.screen = screen or Screen.wide()
         self.config = config or GenerationConfig()
+        #: The one session table; it refuses a bound that is not an int
+        #: in range.
+        self.router = SessionRouter(
+            max_sessions=max_sessions, max_history=max_history
+        )
         self.cache = cache if cache is not None else InterfaceCache()
-        self.router = SessionRouter()
-        self.max_history = max_history
-        self.max_sessions = max_sessions
-        self._ctx = context_key(self.screen, self.config)
         #: Incremental service backing LogSessions (built on first use —
         #: it requires ``"mcts"``, which the one-shot verb does not).
         self._incremental: Optional[IncrementalGenerator] = None
-        #: Live session handles in least-recently-used order (guarded:
-        #: callers may share one engine across threads).
-        self._sessions: "OrderedDict[str, LogSession]" = OrderedDict()
-        self._sessions_lock = threading.Lock()
         #: Searches run by the one-shot verb (the incremental service
         #: keeps its own count; see :attr:`searches_run`).
         self._direct_searches = 0
@@ -244,12 +217,7 @@ class Engine:
                 generated = GeneratedInterface(
                     queries=asts, screen=screen, search=result, best=result.best
                 )
-                self.cache.put(
-                    key,
-                    generated,
-                    query_keys=tuple(map(query_key, asts)),
-                    ctx=self._ctx,
-                )
+                self.cache.put(key, generated)
                 report = GenerationReport(
                     result=generated,
                     source="search",
@@ -272,72 +240,36 @@ class Engine:
     # -- sessions -----------------------------------------------------------
 
     def session(self, session_id: str = DEFAULT_SESSION) -> LogSession:
-        """The (shared) handle for one serving session.
+        """A handle on one serving session.
 
         Requires ``config.strategy == "mcts"`` — the warm-started search
-        the incremental path is built on; others raise at first use.
+        the incremental path is built on; others raise here.
 
-        With ``max_sessions`` set, looking up (or creating) a session
-        refreshes its recency, and the least recently used sessions past
-        the bound are evicted via :meth:`drop_session` — releasing their
-        log streams *and* the incremental service's warm-start carry,
-        not just the handle.
+        A lookup registers nothing and evicts nothing: the session exists
+        once something is appended to it, and every handle on the id
+        shares its log and history.
         """
-        return self._register(session_id)
-
-    def _register(
-        self, session_id: str, stale: Optional[LogSession] = None
-    ) -> LogSession:
-        """The handle registered under ``session_id``, registering one if
-        the id is absent: ``stale`` (a handle kept past its session's
-        eviction) or else a fresh handle."""
         self._incremental_service()  # fail fast on a non-MCTS strategy
-        evicted: List[str] = []
-        with self._sessions_lock:
-            handle = self._sessions.get(session_id)
-            if handle is None:
-                handle = stale if stale is not None else LogSession(self, session_id)
-                self._sessions[session_id] = handle
-            self._sessions.move_to_end(session_id)
-            if self.max_sessions and len(self._sessions) > self.max_sessions:
-                evicted = [
-                    sid for sid in self._sessions if sid != session_id
-                ][: len(self._sessions) - self.max_sessions]
-                for old_id in evicted:
-                    del self._sessions[old_id]
-        for old_id in evicted:
-            # Outside the handle lock: eviction must also drop the
-            # warm-start/compiled-sequence carry and the log stream, or a
-            # bounded session table still leaks serving state.
-            self._drop_session_state(old_id)
-        return handle
+        return LogSession(self, session_id)
 
     def sessions(self) -> List[str]:
-        """Ids of every session the router holds (appended to, not read)."""
+        """Ids of every session the engine holds (appended to, not read)."""
         return self.router.sessions()
 
     def drop_session(self, session_id: str) -> bool:
-        """Forget a session's log and warm-start state."""
-        with self._sessions_lock:
-            self._sessions.pop(session_id, None)
-        return self._drop_session_state(session_id)
-
-    def _drop_session_state(self, session_id: str) -> bool:
-        """Release everything beyond the handle (stream and warm carry —
-        a reused id is a fresh session)."""
-        if self._incremental is not None:
-            return self._incremental.drop_session(session_id)
+        """Forget a session's log, warm state and history."""
         return self.router.drop(session_id)
 
     def _incremental_service(self) -> IncrementalGenerator:
-        if self._incremental is None:
-            self._incremental = IncrementalGenerator(
-                screen=self.screen,
-                config=self.config,
-                cache=self.cache,
-                router=self.router,
-            )
-        return self._incremental
+        with self.router.lock:  # threads may open the first session at once
+            if self._incremental is None:
+                self._incremental = IncrementalGenerator(
+                    screen=self.screen,
+                    config=self.config,
+                    cache=self.cache,
+                    router=self.router,
+                )
+            return self._incremental
 
     def _session_interface(self, session_id: str) -> GenerationReport:
         service = self._incremental_service()
@@ -366,5 +298,7 @@ class Engine:
             carry=pending.carry if searched else None,
         )
         report.trace = spans
+        with self.router.lock:
+            pending.record.history.append(report)
         _emit_report(report, verb="session.interface")
         return report

@@ -12,11 +12,6 @@ function, cached per :class:`~repro.serve.LogStream`.
 
 Screen geometry and generation settings are folded into the key too —
 the same log on a phone screen is a different interface.
-
-Entries also carry the per-query canonical keys in log order, enabling
-*longest-prefix* lookup: a session that grew by a few queries can warm-
-start from the cached interface of its longest cached prefix instead of
-searching from scratch (see :class:`~repro.serve.incremental.IncrementalGenerator`).
 """
 
 from __future__ import annotations
@@ -25,7 +20,7 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from ..core import GeneratedInterface, GenerationConfig
 from ..difftree import wrap_ast
@@ -35,27 +30,11 @@ from ..sqlast import Node
 
 @dataclass
 class CacheStats:
-    """Hit/miss/eviction counters (``prefix_hits`` counts warm-start reuse)."""
+    """Hit/miss/eviction counters."""
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    prefix_hits: int = 0
-
-
-@dataclass(frozen=True)
-class _Entry:
-    context_key: str
-    query_keys: Tuple[str, ...]
-    result: GeneratedInterface
-
-
-@dataclass(frozen=True)
-class PrefixMatch:
-    """A cached interface covering a proper prefix of the requested log."""
-
-    result: GeneratedInterface
-    matched: int  #: how many leading queries of the request are covered
 
 
 def query_key(ast: Node) -> str:
@@ -97,11 +76,16 @@ class InterfaceCache:
     """
 
     def __init__(self, capacity: int = 64) -> None:
-        if capacity < 1:
-            raise ValueError("cache capacity must be positive")
+        # A bool is an int to Python but no count.
+        if (
+            not isinstance(capacity, int)
+            or isinstance(capacity, bool)
+            or capacity < 1
+        ):
+            raise ValueError(f"capacity must be an int >= 1, got {capacity!r}")
         self.capacity = capacity
         self.stats = CacheStats()
-        self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
+        self._entries: "OrderedDict[str, GeneratedInterface]" = OrderedDict()
         self._lock = threading.Lock()
         from ..obs import REGISTRY
 
@@ -117,7 +101,6 @@ class InterfaceCache:
                 "hits": self.stats.hits,
                 "misses": self.stats.misses,
                 "evictions": self.stats.evictions,
-                "prefix_hits": self.stats.prefix_hits,
                 "entries": len(self._entries),
                 "capacity": self.capacity,
             }
@@ -131,56 +114,22 @@ class InterfaceCache:
     def get(self, key: str) -> Optional[GeneratedInterface]:
         """Exact lookup; refreshes recency and counts hit/miss."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
+            result = self._entries.get(key)
+            if result is None:
                 self.stats.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.stats.hits += 1
-            return entry.result
+            return result
 
-    def put(
-        self,
-        key: str,
-        result: GeneratedInterface,
-        query_keys: Sequence[str] = (),
-        ctx: str = "",
-    ) -> None:
+    def put(self, key: str, result: GeneratedInterface) -> None:
         """Insert (or refresh) an entry, evicting LRU entries beyond capacity."""
         with self._lock:
-            self._entries[key] = _Entry(
-                context_key=ctx, query_keys=tuple(query_keys), result=result
-            )
+            self._entries[key] = result
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1
-
-    def longest_prefix(
-        self, query_keys: Sequence[str], ctx: str
-    ) -> Optional[PrefixMatch]:
-        """Best cached entry whose log is a proper prefix of ``query_keys``.
-
-        Linear scan over entries (capacity is small by design); ties on
-        match length break toward the most recently used entry.  Does not
-        refresh recency — a prefix match feeds a warm start, and the new
-        log's own entry will be inserted right after.
-        """
-        request = tuple(query_keys)
-        best: Optional[PrefixMatch] = None
-        with self._lock:
-            for entry in reversed(self._entries.values()):
-                if entry.context_key != ctx or not entry.query_keys:
-                    continue
-                n = len(entry.query_keys)
-                if n >= len(request):
-                    continue
-                if entry.query_keys == request[:n]:
-                    if best is None or n > best.matched:
-                        best = PrefixMatch(result=entry.result, matched=n)
-        if best is not None:
-            self.stats.prefix_hits += 1
-        return best
 
     def clear(self) -> None:
         with self._lock:

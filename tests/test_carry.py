@@ -22,7 +22,7 @@ from repro.rules import default_engine
 from repro.search import CarriedTree, MCTS
 from repro.search.carry import STAT_DECAY, STATS
 from repro.search.mcts import _TreeNode
-from repro.serve import IncrementalGenerator, LogStream, log_key
+from repro.serve import LogStream, log_key
 from repro.sqlast import parse
 
 TINY = GenerationConfig(time_budget_s=0.0, max_iterations=3, seed=0, final_cap=50)
@@ -129,9 +129,9 @@ class TestCarriedTreeUnit:
 
 class TestFinishContract:
     def test_finish_twice_raises(self):
-        gen = IncrementalGenerator(config=TINY)
-        gen.append(*sdss(2))
-        pending = gen.open_search()
+        engine = Engine(config=TINY)
+        engine.session("s").append(*sdss(2))
+        pending = engine._incremental_service().open_search("s")
         assert pending.cached is None
         pending.task.step()
         pending.finish()
@@ -183,12 +183,12 @@ class TestServeIntegration:
         assert carried.log_size == reference.log_size
 
     def test_drop_session_releases_carried_tree(self):
-        gen = IncrementalGenerator(config=TINY)
-        gen.append(*sdss(2))
+        session = Engine(config=TINY).session("s")
+        session.append(*sdss(2))
         before = live_tree_nodes()
-        gen.generate()
+        session.interface()
         assert live_tree_nodes() > before  # the carried tree is alive
-        assert gen.drop_session()
+        assert session.drop()
         assert live_tree_nodes() <= before
 
     def test_engine_lru_eviction_releases_carried_tree(self):
@@ -198,7 +198,7 @@ class TestServeIntegration:
         session.append(*sdss(2))
         session.interface()
         assert live_tree_nodes() > before
-        engine.session("b")  # evicts "a", the only other session
+        engine.session("b").append(*sdss(1))  # evicts "a", the only other session
         assert live_tree_nodes() <= before
 
 
@@ -210,7 +210,7 @@ class TestRetention:
         assert stream.remove([]) == ()
         assert stream.remove([0, -1]) == (0, 2)
         assert len(stream) == 1
-        assert stream.sql() == (log[1],)
+        assert stream.asts() == (parse(log[1]),)
         with pytest.raises(IndexError):
             stream.remove([5])
 
@@ -261,11 +261,11 @@ class TestRetention:
         assert shrunk.changes.pair_paths == fresh.changes.pair_paths
 
     def test_generator_retention_counters(self):
-        gen = IncrementalGenerator(config=TINY)
-        gen.append(*sdss(4))
-        gen.generate()
+        session = Engine(config=TINY).session("s")
+        session.append(*sdss(4))
+        session.interface()
         before = STATS.snapshot()
-        assert gen.retain(last_n=3) == 3
+        assert session.retain(last_n=3) == 3
         after = STATS.snapshot()
         assert after["retention_removals"] - before["retention_removals"] == 1
         retracted = after["retention_retracts"] - before["retention_retracts"]
@@ -276,19 +276,19 @@ class TestRetention:
             after["retention_pairs_rediffed"] - before["retention_pairs_rediffed"]
         )
         assert rediffed <= retracted
-        shrunk = gen.generate()
-        assert len(shrunk.queries) == 3
+        shrunk = session.interface()
+        assert len(shrunk.result.queries) == 3
 
     def test_generator_remove_midlog_and_continue(self):
-        gen = IncrementalGenerator(config=TINY)
+        session = Engine(config=TINY).session("s")
         log = sdss(4)
-        gen.append(*log)
-        gen.generate()
-        assert gen.remove([1]) == 3
-        regenerated = gen.generate()
-        assert len(regenerated.queries) == 3
+        session.append(*log)
+        session.interface()
+        assert session.remove([1]) == 3
+        regenerated = session.interface()
+        assert len(regenerated.result.queries) == 3
         kept = [parse(q) for i, q in enumerate(log) if i != 1]
-        assert [q.fingerprint for q in regenerated.queries] == [
+        assert [q.fingerprint for q in regenerated.result.queries] == [
             q.fingerprint for q in kept
         ]
 

@@ -5,6 +5,7 @@ the report envelope."""
 import dataclasses
 import json
 import math
+import threading
 
 import pytest
 
@@ -245,8 +246,14 @@ class TestEngine:
         assert [r.source for r in session.history()] == ["search", "cache", "search"]
 
     def test_session_handle_is_shared(self):
+        # Handles are views over one record: they share one log and one
+        # history.
         engine = Engine(config=FAST)
-        assert engine.session("a") is engine.session("a")
+        first, second = engine.session("a"), engine.session("a")
+        first.append(*listing1_sql(1, 2))
+        assert second.log_length == 2
+        report = second.interface()
+        assert first.history() == second.history() == (report,)
 
     def test_sessions_isolated(self):
         engine = Engine(config=FAST)
@@ -327,97 +334,131 @@ class TestEngine:
         with pytest.raises(ValueError, match="max_history"):
             Engine(max_history=-1)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("max_history", 2.5),
+            ("max_history", "3"),
+            ("max_history", True),
+            ("max_sessions", 1.5),
+            ("max_sessions", True),
+            ("max_sessions", "3"),
+        ],
+    )
+    def test_bounds_must_be_ints(self, name, value):
+        # A float bound used to fail at the first session, inside
+        # ``deque``, or to be served; a string failed at a comparison.
+        with pytest.raises(ValueError, match=f"{name} must be an int"):
+            Engine(config=FAST, **{name: value})
+
+    def test_unbounded_is_legal(self):
+        engine = Engine(config=FAST, max_history=None, max_sessions=None)
+        engine.session("a").append(*listing1_sql(1, 2))
+        assert engine.sessions() == ["a"]
+
 
 class TestSessionEviction:
     def test_evicted_session_releases_warm_state(self):
-        """Past max_sessions the LRU session's warm-start carry and log
-        stream are dropped too — the regression was leaking
-        IncrementalGenerator state for evicted handles."""
+        """Past max_sessions the LRU session's record — log, warm state
+        and history — leaves the table; survivors keep theirs."""
         engine = Engine(config=TINY, max_sessions=2)
         for i in range(3):
             session = engine.session(f"s{i}")
             session.append(*sdss_session_sql(1, seed=i))
             session.interface()
-        service = engine._incremental
-        assert "s0" not in engine._sessions
-        assert "s0" not in service._sessions
-        assert "s0" not in engine.router.sessions()
-        # Survivors keep their carry.
-        assert "s1" in service._sessions
-        assert "s2" in service._sessions
+        assert engine.router.touch("s0") is None
+        assert engine.sessions() == ["s1", "s2"]
+        for sid in ("s1", "s2"):
+            record = engine.router.touch(sid)
+            assert record.best is not None
+            assert record.sequences
+            assert len(record.history) == 1
 
-    def test_lookup_refreshes_recency(self):
-        engine = Engine(config=TINY, max_sessions=2)
-        engine.session("a")
-        engine.session("b")
-        engine.session("a")  # refresh: 'b' is now the LRU entry
-        engine.session("c")
-        assert "b" not in engine._sessions
-        assert "a" in engine._sessions and "c" in engine._sessions
+    def test_lookup_evicts_nothing(self):
+        """A lookup registers nothing and evicts nothing: an unused id
+        must not push out a session that holds a log."""
+        engine = Engine(config=TINY, max_sessions=1)
+        a = engine.session("a")
+        a.append(*sdss_session_sql(1, seed=0))
+        engine.session("x")
+        assert engine.sessions() == ["a"]
+        assert a.log_length == 1
 
     def test_use_through_retained_handle_refreshes_recency(self):
-        """Appends/serves via a retained handle count as use — an
-        actively-served session must not be evicted in favor of an idle
-        one that was merely looked up later."""
+        """Appends and serves through a retained handle count as use —
+        an actively-served session must not be evicted in favor of an
+        idle one that was written to later."""
         engine = Engine(config=TINY, max_sessions=2)
         active = engine.session("active")
-        engine.session("idle")
-        active.append(*sdss_session_sql(1, seed=0))  # touches 'active'
-        engine.session("new")  # evicts 'idle', not 'active'
-        assert "idle" not in engine._sessions
-        assert "active" in engine._sessions
-        assert active.log_length == 1
-
-    def test_stale_handle_reregisters_within_bound(self):
-        """A handle kept past its session's eviction re-registers the
-        session when it writes or serves, so the router and the
-        incremental service never hold more than max_sessions logs."""
-        engine = Engine(config=TINY, max_sessions=1)
-        stale = engine.session("a")
-        stale.append(*sdss_session_sql(1, seed=0))
-        stale.interface()
-        engine.session("b")  # evicts 'a'
-        stale.append(*sdss_session_sql(2, seed=0)[1:])
-        assert stale.interface().log_size == 1
-        for i, sid in enumerate(("c", "d"), start=1):
-            handle = engine.session(sid)
-            handle.append(*sdss_session_sql(1, seed=i))
-            handle.interface()
-        assert list(engine._sessions) == ["d"]
-        assert engine.router.sessions() == ["d"]
-        assert sorted(engine._incremental._sessions) == ["d"]
-
-    def test_stale_handle_keeps_its_history(self):
-        """A handle kept past its session's eviction registers itself:
-        the registered handle is the kept one, and its history holds
-        the reports served through it before and after the eviction."""
-        engine = Engine(
-            max_sessions=1,
-            config=GenerationConfig(time_budget_s=0, max_iterations=1, seed=0),
-        )
-        queries = Engine.workload("sdss", 6, seed=0)
-        a = engine.session("a")
-        a.append(*queries[:2])
-        a.interface()
-        engine.session("b")  # evicts 'a' with its log
-        a.append(*queries[2:4])
-        a.interface()
-        assert engine.session("a") is a
-        engine.session("a").append(queries[4])
-        engine.session("a").interface()
-        assert [report.log_size for report in a.history()] == [2, 2, 3]
+        active.append(*sdss_session_sql(1, seed=0))
+        engine.session("idle").append(*sdss_session_sql(1, seed=1))
+        active.interface()  # a serve touches 'active'
+        engine.session("new").append(*sdss_session_sql(1, seed=2))
+        assert engine.sessions() == ["active", "new"]
+        active.append(*sdss_session_sql(2, seed=0)[1:])  # an append too
+        engine.session("newer").append(*sdss_session_sql(1, seed=3))
+        assert engine.sessions() == ["active", "newer"]
+        assert active.log_length == 2
 
     def test_evicted_session_restarts_cleanly(self):
         engine = Engine(config=TINY, max_sessions=1)
         first = engine.session("a")
         first.append(*sdss_session_sql(1, seed=0))
-        engine.session("b")  # evicts 'a'
-        fresh = engine.session("a")  # evicts 'b', creates a fresh 'a'
-        assert fresh.log_length == 0
+        first.interface()
+        engine.session("b").append(*sdss_session_sql(1, seed=1))  # evicts 'a'
+        assert first.log_length == 0
+        assert first.history() == ()
+        # A kept handle that writes again starts a fresh session.
+        first.append(*sdss_session_sql(2, seed=0)[1:])
+        assert engine.sessions() == ["a"]
+        report = first.interface()
+        assert report.log_size == 1
+        assert report.warm_states_seeded == 0
+        assert first.history() == (report,)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="max_sessions"):
             Engine(config=TINY, max_sessions=0)
+
+
+class TestConcurrentSessions:
+    def test_threads_share_one_engine(self):
+        """Four threads serve their own sessions through one bounded
+        engine: each serve delivers an interface for exactly the log its
+        session held (a suffix of what the thread sent: eviction
+        restarts a log, retention drops its oldest queries), and the
+        table never holds more than ``max_sessions``."""
+        engine = Engine(config=TINY, max_sessions=2)
+        errors, sizes, served = [], [], []
+
+        def client(index):
+            try:
+                session = engine.session(f"t{index}")
+                sent = []
+                log = sdss_session_sql(6, seed=index)
+                for start in range(0, 6, 2):
+                    session.append(*log[start : start + 2])
+                    sent.extend(as_asts(log[start : start + 2]))
+                    if index % 2:
+                        session.retain(last_n=3)
+                    report = session.interface()
+                    sizes.append(len(engine.sessions()))
+                    served.append((report, sent[-report.log_size :]))
+            except Exception as exc:  # reported below, with its thread
+                errors.append((index, exc))
+
+        threads = [threading.Thread(target=client, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        assert errors == []
+        assert len(served) == 12
+        assert max(sizes) <= 2
+        for report, expected in served:
+            assert list(report.result.queries) == expected
+            assert expresses_all(report.difftree, expected)
 
 
 class TestGenerationReport:

@@ -305,6 +305,7 @@ class TestSlicingParity:
         mono_engine = Engine(config=DETERMINISTIC)
         mono_session = mono_engine.session("a")
         sliced_engine = Engine(config=DETERMINISTIC)
+        sliced_session = sliced_engine.session("a")
         sliced_service = sliced_engine._incremental_service()
 
         for start in (0, 3):
@@ -312,7 +313,7 @@ class TestSlicingParity:
             mono_session.append(*chunk)
             mono_report = mono_session.interface()
 
-            sliced_service.append(*chunk, session_id="a")
+            sliced_session.append(*chunk)
             pending = sliced_service.open_search("a")
             assert pending.cached is None
             while not pending.task.done:

@@ -70,13 +70,6 @@ class TestLogStream:
         stream.append(ast)
         assert stream.asts() == (ast,)
 
-    def test_query_keys_match_content(self):
-        stream = LogStream()
-        stream.append(*listing1_sql(1, 3))
-        keys = stream.query_keys()
-        assert len(keys) == 3
-        assert keys[0] == wrap_ast(parse(listing1_sql()[0])).canonical_key
-
     def test_rejects_garbage(self):
         with pytest.raises(TypeError):
             LogStream().append(42)
@@ -177,34 +170,16 @@ class TestInterfaceCache:
         assert cache.get("k1") is result
         assert cache.get("k3") is result
 
-    def test_longest_prefix(self):
-        cache = InterfaceCache()
-        ctx = "ctx"
-        short = self._result(2)
-        longer = self._result(4)
-        keys6 = tuple(f"q{i}" for i in range(6))
-        cache.put("short", short, query_keys=keys6[:2], ctx=ctx)
-        cache.put("longer", longer, query_keys=keys6[:4], ctx=ctx)
-        match = cache.longest_prefix(keys6, ctx)
-        assert match is not None
-        assert match.result is longer
-        assert match.matched == 4
-        assert cache.stats.prefix_hits == 1
-
-    def test_prefix_requires_matching_context(self):
-        cache = InterfaceCache()
-        cache.put("k", self._result(2), query_keys=("a", "b"), ctx="ctx1")
-        assert cache.longest_prefix(("a", "b", "c"), "ctx2") is None
-
-    def test_prefix_must_be_proper(self):
-        cache = InterfaceCache()
-        cache.put("k", self._result(2), query_keys=("a", "b"), ctx="ctx")
-        assert cache.longest_prefix(("a", "b"), "ctx") is None
-        assert cache.longest_prefix(("a", "x", "c"), "ctx") is None
-
     def test_context_key_is_deterministic(self):
         assert context_key(Screen.wide(), FAST) == context_key(Screen.wide(), FAST)
         assert context_key(Screen.wide(), FAST) != context_key(Screen.narrow(), FAST)
+
+    @pytest.mark.parametrize("capacity", [2.5, True, "3", 0])
+    def test_capacity_must_be_a_positive_int(self, capacity):
+        # A float or bool capacity used to be accepted and served; a
+        # string failed later, at the first comparison.
+        with pytest.raises(ValueError, match="capacity must be an int"):
+            InterfaceCache(capacity=capacity)
 
 
 class TestGraftExtension:
@@ -294,61 +269,43 @@ class TestWarmStartedSearch:
 
 
 class TestIncrementalGenerator:
+    """The warm-started serve path, driven through ``Engine`` sessions."""
+
     def test_cache_hit_runs_zero_search(self):
-        svc = IncrementalGenerator(config=FAST)
-        svc.append(*listing1_sql(1, 4))
-        first = svc.generate()
-        searches = svc.searches_run
+        engine = Engine(config=FAST)
+        session = engine.session("s")
+        session.append(*listing1_sql(1, 4))
+        first = session.interface()
+        searches = engine.searches_run
         iterations = first.search.stats.iterations
-        again = svc.generate()
-        assert again is first
-        assert svc.searches_run == searches
+        again = session.interface()
+        assert again.result is first.result
+        assert engine.searches_run == searches
         assert again.search.stats.iterations == iterations
-        assert svc.cache.stats.hits == 1
+        assert engine.cache.stats.hits == 1
 
     def test_incremental_appends_express_full_log(self):
         log = sdss_session_sql(12, seed=1)
-        svc = IncrementalGenerator(config=FAST)
+        engine = Engine(config=FAST)
+        session = engine.session("s")
         for step in range(0, 12, 4):
-            svc.append(*log[step : step + 4])
-            result = svc.generate()
+            session.append(*log[step : step + 4])
+            result = session.interface()
             assert expresses_all(result.difftree, as_asts(log[: step + 4]))
-        assert svc.searches_run == 3
+        assert engine.searches_run == 3
 
     def test_warm_beats_cold_at_equal_iteration_budget(self):
         """The acceptance contract, deterministically: equal per-step
         iteration caps (generous wall-clock), warm final <= cold final."""
         log = sdss_session_sql(16, seed=0)
         config = GenerationConfig(time_budget_s=30.0, max_iterations=2, seed=0)
-        svc = IncrementalGenerator(config=config)
+        session = Engine(config=config).session("s")
         warm = cold = None
         for step in range(0, 16, 4):
-            svc.append(*log[step : step + 4])
-            warm = svc.generate()
+            session.append(*log[step : step + 4])
+            warm = session.interface()
             cold = generate_interface(log[: step + 4], config=config)
         assert warm.cost <= cold.cost + 1e-9
-
-    def test_sessions_are_independent(self):
-        svc = IncrementalGenerator(config=FAST)
-        svc.append(*listing1_sql(1, 3), session_id="a")
-        svc.append(*listing1_sql(4, 6), session_id="b")
-        ra = svc.generate("a")
-        rb = svc.generate("b")
-        assert expresses_all(ra.difftree, as_asts(listing1_sql(1, 3)))
-        assert expresses_all(rb.difftree, as_asts(listing1_sql(4, 6)))
-
-    def test_prefix_warm_start_from_cache(self):
-        log = listing1_sql(1, 6)
-        svc = IncrementalGenerator(config=FAST)
-        svc.append(*log[:4], session_id="a")
-        svc.generate("a")
-        # A fresh session replays the same prefix plus new queries: no
-        # session state, but the cache's prefix entry feeds the warm start.
-        svc.append(*log, session_id="b")
-        result = svc.generate("b")
-        assert svc.cache.stats.prefix_hits == 1
-        assert result.search.stats.warm_states_seeded >= 1
-        assert expresses_all(result.difftree, as_asts(log))
 
     @pytest.mark.parametrize("workload", ["sdss", "tpch"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -365,7 +322,7 @@ class TestIncrementalGenerator:
             session.interface()
             if read:
                 assert session.interface().source == "cache"
-                assert engine._incremental._sessions["s"].elite
+                assert engine.router.touch("s").elite
             session.append(*log[6:])
             return session.interface()
 
@@ -374,13 +331,8 @@ class TestIncrementalGenerator:
         assert after_read.cost == plain.cost
         assert after_read.difftree.canonical_key == plain.difftree.canonical_key
 
-    def test_empty_session_raises(self):
-        with pytest.raises(ValueError):
-            IncrementalGenerator(config=FAST).generate()
-
     def test_non_mcts_strategy_rejected(self):
         with pytest.raises(ValueError):
             IncrementalGenerator(
                 config=GenerationConfig(strategy="random")
             )
-
